@@ -11,7 +11,7 @@ the microwave pump power.
 from .analysis import (CalibrationTargets, ExtremaList, Extremum, Port,
                        RoutingReport, SweepResult, SweepRow,
                        calibrate_couplings, find_extrema, power_sweep,
-                       routing_report, window_splitting)
+                       routing_report, window_scan, window_splitting)
 from .config import DEFAULTS, RunConfig, parse_config
 from .errors import (AnalysisError, BracketingError, CalibrationError,
                      ConfigError, ConvergenceError, InvalidParameterError,
@@ -19,7 +19,7 @@ from .errors import (AnalysisError, BracketingError, CalibrationError,
 from .model import (CONSTANTS, PhysicalConstants, SystemParams,
                     drive_amplitudes, effective_detunings, pump_amplitude,
                     thermal_occupation)
-from .response import (ResponseCoefficients, ScanResult, SpectrumPoint,
+from .response import (ResponseCoefficients, ScanResult,
                        closed_form_coefficients, closed_vs_oracle_deviation,
                        coefficients, linear_solve_coefficients, reflection,
                        scan_spectrum, thermal_noise_spectrum, transmission,
@@ -35,8 +35,8 @@ __all__ = [
     "CalibrationTargets", "ConfigError", "ConvergenceError", "DEFAULTS",
     "Extremum", "ExtremaList", "InvalidParameterError", "PhysicalConstants",
     "Port", "ResponseCoefficients", "RouterError", "RoutingReport",
-    "RunConfig", "ScanResult", "SingularPointError", "SpectrumPoint",
-    "SteadyState", "SweepResult", "SweepRow", "SystemParams",
+    "RunConfig", "ScanResult", "SingularPointError", "SteadyState",
+    "SweepResult", "SweepRow", "SystemParams",
     "calibrate_couplings", "closed_form_coefficients",
     "closed_vs_oracle_deviation", "coefficients", "drive_amplitudes",
     "effective_detunings", "enumerate_branches", "find_extrema",
@@ -44,6 +44,6 @@ __all__ = [
     "pin_effective_detunings", "power_sweep", "pump_amplitude", "reflection",
     "routing_report", "scan_spectrum", "solve_steady_state",
     "steady_residual", "thermal_noise_spectrum", "thermal_occupation",
-    "transmission", "vacuum_noise_spectrum", "window_splitting",
-    "__version__",
+    "transmission", "vacuum_noise_spectrum", "window_scan",
+    "window_splitting", "__version__",
 ]

@@ -3,7 +3,9 @@
 Turns reflection/transmission scans into the quantities one would quote for
 the device: dip and peak locations, the splitting of the transparency window
 when the microwave pump is on, a port-by-port routing report, power sweeps,
-and a calibration routine for the two couplings.
+and a calibration routine for the two couplings.  Scans stay columnar
+``ScanResult`` arrays throughout, and one :func:`window_scan` can serve
+both :func:`window_splitting` and :func:`routing_report`.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import numpy as np
 
 from .errors import AnalysisError, CalibrationError, InvalidParameterError, RouterError
 from .model import SystemParams
-from .response import reflection, scan_spectrum, transmission
+from .response import ScanResult, reflection, scan_spectrum, transmission
 from .steady import SteadyState, pin_effective_detunings, solve_steady_state
 
 __all__ = [
     "Extremum",
     "ExtremaList",
     "find_extrema",
+    "window_scan",
     "window_splitting",
     "Port",
     "RoutingReport",
@@ -38,11 +41,8 @@ DEFAULT_R_REFLECT_MIN = 0.99
 DEFAULT_T_TRANSMIT_MIN = 0.95
 DEFAULT_T_BLOCKED_MAX = 0.01
 
-_COLUMN_ALIASES = {
-    "r": "r_refl", "R": "r_refl", "r_refl": "r_refl",
-    "t": "t_trans", "T": "t_trans", "t_trans": "t_trans",
-    "s_thermal": "s_thermal", "s_vacuum": "s_vacuum",
-}
+_COLUMN_ALIASES = {"r": "r_refl", "R": "r_refl",
+                   "t": "t_trans", "T": "t_trans"}
 
 
 @dataclass(frozen=True)
@@ -60,62 +60,52 @@ class ExtremaList:
     maxima: tuple[Extremum, ...]
 
 
-def _parabolic_vertex(x0, x1, x2, y0, y1, y2):
-    """Vertex of the parabola through three (possibly nonuniform) samples.
-
-    Returns None when the points are collinear or the vertex escapes the
-    sample triple, in which case the discrete sample should be kept.
-    """
-    d1 = (y1 - y0) / (x1 - x0)
-    d2 = (y2 - y1) / (x2 - x1)
-    curv = (d2 - d1) / (x2 - x0)
-    if curv == 0.0 or not np.isfinite(curv):
-        return None
-    xv = 0.5 * (x0 + x1) - d1 / (2.0 * curv)
-    if not (x0 <= xv <= x2):
-        return None
-    yv = y0 + d1 * (xv - x0) + curv * (xv - x0) * (xv - x1)
-    return float(xv), float(yv)
-
-
-def find_extrema(points, column) -> ExtremaList:
+def find_extrema(points: ScanResult, column: str) -> ExtremaList:
     """Strict local extrema of one column, parabola-refined.
 
-    ``points`` is a sequence of objects with an ``omega`` attribute and the
-    requested column (``"R"``/``"T"`` or explicit field names).  Endpoints
-    are never reported.  Requires at least 3 points on a strictly
-    increasing frequency grid.
+    ``column`` names a column of the scan ``points`` (``"R"``/``"T"`` or
+    field names).  Triples touching a non-finite node and endpoints are
+    skipped.  Each extremum moves to the vertex of the parabola through its
+    triple unless they are collinear or the vertex escapes the triple.
+    Requires at least 3 points on a strictly increasing frequency grid.
     """
-    attr = _COLUMN_ALIASES.get(column)
-    if attr is None:
-        raise InvalidParameterError(f"unknown spectrum column {column!r}")
+    y = points.column(_COLUMN_ALIASES.get(column, column))
     if len(points) < 3:
         raise InvalidParameterError("need at least 3 points to find extrema")
-    x = np.array([p.omega for p in points], dtype=float)
-    y = np.array([getattr(p, attr) for p in points], dtype=float)
+    x = points.omega
     if not np.all(np.diff(x) > 0.0):
         raise InvalidParameterError("omega values must be strictly increasing")
 
-    minima: list[Extremum] = []
-    maxima: list[Extremum] = []
-    for i in range(1, len(x) - 1):
-        triple = y[i - 1:i + 2]
-        if not np.all(np.isfinite(triple)):
-            continue
-        is_min = y[i] < y[i - 1] and y[i] < y[i + 1]
-        is_max = y[i] > y[i - 1] and y[i] > y[i + 1]
-        if not (is_min or is_max):
-            continue
-        vertex = _parabolic_vertex(x[i - 1], x[i], x[i + 1], *triple)
-        if vertex is None:
-            entry = Extremum(float(x[i]), float(y[i]), False)
-        else:
-            entry = Extremum(vertex[0], vertex[1], True)
-        (minima if is_min else maxima).append(entry)
-    return ExtremaList(tuple(minima), tuple(maxima))
+    y0, y1, y2 = y[:-2], y[1:-1], y[2:]
+    finite = np.isfinite(y0) & np.isfinite(y1) & np.isfinite(y2)
+    is_min = finite & (y1 < y0) & (y1 < y2)
+    is_max = finite & (y1 > y0) & (y1 > y2)
+    i = np.flatnonzero(is_min | is_max)
+
+    x0, x1, x2 = x[i], x[i + 1], x[i + 2]
+    y0, y1, y2 = y[i], y[i + 1], y[i + 2]
+    with np.errstate(all="ignore"):
+        d1 = (y1 - y0) / (x1 - x0)
+        d2 = (y2 - y1) / (x2 - x1)
+        curv = (d2 - d1) / (x2 - x0)
+        xv = 0.5 * (x0 + x1) - d1 / (2.0 * curv)
+        yv = y0 + d1 * (xv - x0) + curv * (xv - x0) * (xv - x1)
+    refined = (curv != 0.0) & np.isfinite(curv) & (x0 <= xv) & (xv <= x2)
+    entries = [Extremum(float(w), float(v), bool(r)) for w, v, r in
+               zip(np.where(refined, xv, x1), np.where(refined, yv, y1),
+                   refined)]
+    kinds = is_min[i].tolist()
+    return ExtremaList(tuple(e for e, m in zip(entries, kinds) if m),
+                       tuple(e for e, m in zip(entries, kinds) if not m))
 
 
-def _window_scan(params, state, window_frac, n_points, method):
+def window_scan(params: SystemParams, state: SteadyState,
+                window_frac: float = DEFAULT_WINDOW_FRAC,
+                n_points: int = DEFAULT_WINDOW_POINTS,
+                method: str = "closed") -> ScanResult:
+    """Spectra on ``n_points`` nodes over ``[1-window_frac,
+    1+window_frac]*omega_m``: the scan that :func:`window_splitting` and
+    :func:`routing_report` analyse, and may share."""
     wm = params.omega_m
     grid = wm * np.linspace(1.0 - window_frac, 1.0 + window_frac, n_points)
     return scan_spectrum(params, grid, method=method, state=state)
@@ -138,7 +128,7 @@ def _refine_extremum(params, state, column, omega_guess, half_width,
     grid = np.linspace(omega_guess - half_width, omega_guess + half_width,
                        n_points)
     result = scan_spectrum(params, grid, method=method, state=state)
-    extrema = find_extrema(result.points, column)
+    extrema = find_extrema(result, column)
     entries = extrema.minima if minima_mode else extrema.maxima
     if not entries:
         return None
@@ -149,26 +139,29 @@ def window_splitting(params: SystemParams, mode: str = "t-minima",
                      window_frac: float = DEFAULT_WINDOW_FRAC,
                      n_points: int = DEFAULT_WINDOW_POINTS,
                      state: SteadyState | None = None,
-                     method: str = "closed") -> float:
+                     method: str = "closed",
+                     scan: ScanResult | None = None) -> float:
     """Half the separation of the split transparency window (rad/s).
 
     Scans the transmission over ``[1-window_frac, 1+window_frac]*omega_m``
     and measures the two minima straddling the mechanical frequency; with
     the microwave pump off only one minimum exists and the splitting is 0.
     ``mode="r-maxima"`` measures the separation of the two reflection peaks
-    instead; both definitions agree within grid refinement.
+    instead; both definitions agree within grid refinement.  A precomputed
+    :func:`window_scan` may be passed as ``scan``; the window arguments and
+    ``state`` are then not used.
 
     Raises :class:`AnalysisError` when the scan shows no extremum at all,
     which signals parameters outside the transparency regime.
     """
     if mode not in ("t-minima", "r-maxima"):
         raise InvalidParameterError(f"unknown splitting mode {mode!r}")
-    if state is None:
-        state = solve_steady_state(params)
+    if scan is None:
+        if state is None:
+            state = solve_steady_state(params)
+        scan = window_scan(params, state, window_frac, n_points, method)
     minima_mode = mode == "t-minima"
-    column = "T" if minima_mode else "R"
-    result = _window_scan(params, state, window_frac, n_points, method)
-    extrema = find_extrema(result.points, column)
+    extrema = find_extrema(scan, "T" if minima_mode else "R")
     lo, hi, count = _side_extrema(extrema, params.omega_m, minima_mode)
     if count == 0:
         raise AnalysisError(
@@ -212,7 +205,8 @@ def routing_report(params: SystemParams,
                    n_points: int = DEFAULT_WINDOW_POINTS,
                    r_reflect_min: float = DEFAULT_R_REFLECT_MIN,
                    t_transmit_min: float = DEFAULT_T_TRANSMIT_MIN,
-                   method: str = "closed") -> RoutingReport:
+                   method: str = "closed",
+                   scan: ScanResult | None = None) -> RoutingReport:
     """Classify the router's output ports at the current operating point.
 
     Pump off: a single reflect port at the transparency dip.  Pump on: a
@@ -220,7 +214,9 @@ def routing_report(params: SystemParams,
     plus two reflect ports at the split reflection peaks, ``omega0`` apart
     from their midpoint.  Port frequencies come from a coarse scan followed
     by a dense local re-scan at the relevant column (reflection for reflect
-    ports), so they are far more accurate than the coarse grid step.
+    ports), so they are far more accurate than the coarse grid step.  The
+    coarse scan is :func:`window_scan` over the same window, state and
+    method; a precomputed one may be passed as ``scan``.
 
     Note the reflect-port midpoint sits slightly below the transmit port:
     position-type coupling pulls both hybrid modes down by about
@@ -234,8 +230,9 @@ def routing_report(params: SystemParams,
     coarse_step = 2.0 * window_frac * wm / (n_points - 1)
     half = 4.0 * coarse_step
 
-    result = _window_scan(params, state, window_frac, n_points, method)
-    extrema = find_extrema(result.points, "T")
+    if scan is None:
+        scan = window_scan(params, state, window_frac, n_points, method)
+    extrema = find_extrema(scan, "T")
     lo, hi, count = _side_extrema(extrema, wm, True)
 
     def port(label, omega, want_reflect):
@@ -384,15 +381,17 @@ def calibrate_couplings(params: SystemParams,
 
     Stage one bisects ``g1`` until the pump-off transmission at the
     mechanical frequency is blocked; stage two bisects ``g2`` until the
-    pump-on splitting and reflect-port depth targets hold.  The reflect
-    depth is controlled by the optical cooperativity, not by ``g2``, and
-    needs far more of it than merely blocking the pump-off transmission,
-    so when stage two fails on depth the stage-one transmission target is
-    tightened and both stages rerun.  Initial couplings that already meet
-    every target are returned unchanged.
+    pump-on splitting exceeds ``splitting_min``.  Reflect-port depth is
+    bought with optical cooperativity, not ``g2``, so when a reflect port
+    misses ``r_reflect_min``, stage three bisects ``g1`` upward on that
+    depth, between the stage-one value and the top of ``g1_bracket``.
+    More ``g1`` keeps the pump-off window blocked but shifts the splitting
+    slightly, so ``g2`` is re-bisected once, only if the splitting was
+    lost; that last step does not check its bracket and never raises.
+    Couplings that already meet a stage's target are kept.
 
-    Raises :class:`CalibrationError` (with the closest-achieved report
-    attached) when a target is unreachable inside its bracket.
+    Raises :class:`CalibrationError`, with the closest couplings tried in
+    ``closest``, when a stage's target is unreachable inside its bracket.
     """
     targets = targets or CalibrationTargets()
     splitting_min = (targets.splitting_min if targets.splitting_min is not None

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import power_sweep, routing_report, window_splitting
+from .analysis import (power_sweep, routing_report, window_scan,
+                       window_splitting)
 from .config import RunConfig, parse_config
 from .errors import AnalysisError, ConfigError, RouterError
 from .response import closed_vs_oracle_deviation, scan_spectrum
@@ -102,8 +103,9 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     _write_csv(path,
                ["omega_over_omega_m[1]", "reflection[1]", "transmission[1]",
                 "s_thermal[1]", "s_vacuum[1]"],
-               ((p.omega / cfg.omega_m, p.r_refl, p.t_trans, p.s_thermal,
-                 p.s_vacuum) for p in result.points))
+               zip((result.omega / cfg.omega_m).tolist(),
+                   result.r_refl.tolist(), result.t_trans.tolist(),
+                   result.s_thermal.tolist(), result.s_vacuum.tolist()))
     for index, omega, message in result.errors:
         print(f"warning: node {index} (omega={omega!r}): {message}",
               file=sys.stderr)
@@ -115,12 +117,13 @@ def _cmd_route(cfg: RunConfig) -> int:
     out = _prepare_outdir(cfg)
     params = cfg.system_params()
     state = _solve(cfg, params)
-    report = routing_report(params, state=state, **_report_kwargs(cfg))
+    scan = window_scan(params, state, cfg.splitting_window,
+                       cfg.splitting_points, cfg.method)
+    report = routing_report(params, state=state, scan=scan,
+                            **_report_kwargs(cfg))
     try:
-        omega0_window = window_splitting(
-            params, mode=cfg.splitting_mode, state=state,
-            window_frac=cfg.splitting_window, n_points=cfg.splitting_points,
-            method=cfg.method)
+        omega0_window = window_splitting(params, mode=cfg.splitting_mode,
+                                         scan=scan)
     except AnalysisError:
         omega0_window = None
     wm = cfg.omega_m

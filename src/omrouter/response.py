@@ -12,6 +12,10 @@ hand and every sign/conjugation choice in them is validated against the
 matrix solve (see docs/derivation_notes.md).  The probe frequency ``omega``
 is measured relative to the optical pump carrier, so the conventional axis
 value "omega/omega_m = 1" is the lower mechanical sideband.
+
+One helper forms the four spectra (R, T, S_thermal, S_vacuum) from either
+path's coefficient arrays; :func:`scan_spectrum` returns them as the array
+columns of a :class:`ScanResult`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .steady import SteadyState, solve_steady_state
 
 __all__ = [
     "ResponseCoefficients",
-    "SpectrumPoint",
     "ScanResult",
     "closed_form_coefficients",
     "linear_solve_coefficients",
@@ -42,6 +45,7 @@ __all__ = [
 
 _D_FLOOR = 1e-300
 _COEFF_NAMES = ("e1", "f1", "e2", "f2", "v")
+_SCAN_COLUMNS = ("omega", "r_refl", "t_trans", "s_thermal", "s_vacuum")
 
 
 @dataclass(frozen=True)
@@ -69,36 +73,38 @@ class ResponseCoefficients:
     d_det: complex
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """One node of an output-spectrum scan (all columns dimensionless)."""
-
-    omega: float
-    r_refl: float
-    t_trans: float
-    s_thermal: float
-    s_vacuum: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Spectrum scan output: one point per grid node plus an error summary.
+    """Spectrum scan output: one array per column plus an error summary.
 
-    Nodes that failed evaluate to NaN columns and contribute an entry
+    ``omega``, ``r_refl``, ``t_trans``, ``s_thermal`` and ``s_vacuum`` hold
+    one value per grid node (all but ``omega`` dimensionless).  The columns
+    are read-only copies of the arrays passed in.  Nodes that failed carry
+    NaN in the affected columns and contribute an entry
     ``(index, omega, message)`` to ``errors``.
     """
 
-    points: list[SpectrumPoint]
+    omega: np.ndarray
+    r_refl: np.ndarray
+    t_trans: np.ndarray
+    s_thermal: np.ndarray
+    s_vacuum: np.ndarray
     errors: list[tuple[int, float, str]]
 
-    def __iter__(self):
-        return iter(self.points)
+    def __post_init__(self):
+        for name in _SCAN_COLUMNS:
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     def __len__(self):
-        return len(self.points)
+        return self.omega.size
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(p, name) for p in self.points])
+        """One column by field name, as a read-only array."""
+        if name not in _SCAN_COLUMNS:
+            raise InvalidParameterError(f"unknown spectrum column {name!r}")
+        return getattr(self, name)
 
 
 def _intermediates(params: SystemParams, state: SteadyState, omega):
@@ -216,56 +222,70 @@ def _arrays(params, state, omega, method):
     raise InvalidParameterError(f"unknown evaluation method {method!r}")
 
 
-def _build_coefficients(params, state, omega, coeffs) -> ResponseCoefficients:
-    a1, b1, a2, b2, n, d = _intermediates(params, state, omega)
-    return ResponseCoefficients(
-        omega=float(omega),
-        e1=complex(coeffs["e1"]), f1=complex(coeffs["f1"]),
-        e2=complex(coeffs["e2"]), f2=complex(coeffs["f2"]),
-        v=complex(coeffs["v"]),
-        a1=complex(a1), b1=complex(b1), a2=complex(a2), b2=complex(b2),
-        n_mech=complex(n), d_det=complex(d))
-
-
 def closed_form_coefficients(params: SystemParams, state: SteadyState,
                              omega: float) -> ResponseCoefficients:
     """Closed-form response coefficients at a single frequency."""
-    arrs, bad = _closed_arrays(params, state, np.atleast_1d(float(omega)))
-    if bad[0]:
-        raise SingularPointError(
-            f"closed-form denominator vanishes at omega={omega!r}")
-    return _build_coefficients(params, state, float(omega),
-                               {k: v[0] for k, v in arrs.items()})
+    return coefficients(params, state, omega, method="closed")
 
 
 def linear_solve_coefficients(params: SystemParams, state: SteadyState,
                               omega: float) -> ResponseCoefficients:
     """Response coefficients from the direct 6x6 matrix solve."""
-    arrs, bad = _oracle_arrays(params, state, np.atleast_1d(float(omega)))
+    return coefficients(params, state, omega, method="oracle")
+
+
+def coefficients(params: SystemParams, state: SteadyState, omega: float,
+                 method: str = "closed") -> ResponseCoefficients:
+    """Response coefficients at a single frequency by either path.
+
+    Raises :class:`SingularPointError` at a singular node; the message
+    carries the 6x6 system's condition estimate there.
+    """
+    omega = float(omega)
+    arrs, bad = _arrays(params, state, omega, method)
     if bad[0]:
-        mat, _ = _oracle_system(params, state, np.atleast_1d(float(omega)))
+        mat, _ = _oracle_system(params, state, omega)
         try:
             cond = float(np.linalg.cond(mat[0]))
         except np.linalg.LinAlgError:
             cond = math.inf
         raise SingularPointError(
-            f"fluctuation system singular at omega={omega!r} "
+            f"{method} response singular at omega={omega!r} "
             f"(condition estimate {cond:.3e})")
-    return _build_coefficients(params, state, float(omega),
-                               {k: v[0] for k, v in arrs.items()})
+    a1, b1, a2, b2, n, d = _intermediates(params, state, omega)
+    e1, f1, e2, f2, v = (complex(arrs[k][0]) for k in _COEFF_NAMES)
+    return ResponseCoefficients(
+        omega=omega, e1=e1, f1=f1, e2=e2, f2=f2, v=v,
+        a1=complex(a1), b1=complex(b1), a2=complex(a2), b2=complex(b2),
+        n_mech=complex(n), d_det=complex(d))
 
 
-def coefficients(params: SystemParams, state: SteadyState, omega: float,
-                 method: str = "closed") -> ResponseCoefficients:
-    if method == "closed":
-        return closed_form_coefficients(params, state, omega)
-    if method == "oracle":
-        return linear_solve_coefficients(params, state, omega)
-    raise InvalidParameterError(f"unknown evaluation method {method!r}")
+def _spectra(params: SystemParams, omega: np.ndarray, arrs) -> dict:
+    """The four spectrum columns from coefficient arrays on ``omega``.
+
+    The thermal column is evaluated at 1 rad/s where omega = 0, since it
+    is singular there; callers mask those nodes.
+    """
+    z = math.sqrt(2.0 * params.kappa1) * arrs["e1"]
+    safe = np.where(omega == 0.0, 1.0, omega)
+    nbar = np.atleast_1d(thermal_occupation(np.abs(safe), params.temperature))
+    return {
+        "r_refl": np.abs(z - 1.0) ** 2,
+        "t_trans": np.abs(z) ** 2,
+        "s_thermal": (4.0 * params.kappa1 * np.abs(arrs["v"]) ** 2
+                      * CONSTANTS.hbar * params.gamma_m * params.mass
+                      * np.abs(safe) * (nbar + (safe < 0.0))),
+        "s_vacuum": 4.0 * params.kappa1 * np.abs(arrs["f1"]) ** 2,
+    }
 
 
-def _scalar_or_array(values, bad, omega, scalar_input):
-    if scalar_input:
+def _one_spectrum(params, state, omega, method, column):
+    """One spectrum column at ``omega``: a float for scalar input, else an
+    array with NaN at singular nodes."""
+    grid = np.atleast_1d(np.asarray(omega, dtype=float))
+    arrs, bad = _arrays(params, state, grid, method)
+    values = _spectra(params, grid, arrs)[column]
+    if np.ndim(omega) == 0:
         if bad[0]:
             raise SingularPointError(
                 f"response singular at omega={float(omega)!r}")
@@ -276,29 +296,20 @@ def _scalar_or_array(values, bad, omega, scalar_input):
 def reflection(params: SystemParams, state: SteadyState, omega,
                method: str = "closed"):
     """Probability that the probe photon leaves through the input port."""
-    scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    arrs, bad = _arrays(params, state, omega, method)
-    z = math.sqrt(2.0 * params.kappa1) * arrs["e1"]
-    return _scalar_or_array(np.abs(z - 1.0) ** 2, bad, omega, scalar)
+    return _one_spectrum(params, state, omega, method, "r_refl")
 
 
 def transmission(params: SystemParams, state: SteadyState, omega,
                  method: str = "closed"):
     """Probability that the probe photon leaves through the far port."""
-    scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    arrs, bad = _arrays(params, state, omega, method)
-    z = math.sqrt(2.0 * params.kappa1) * arrs["e1"]
-    return _scalar_or_array(np.abs(z) ** 2, bad, omega, scalar)
+    return _one_spectrum(params, state, omega, method, "t_trans")
 
 
 def vacuum_noise_spectrum(params: SystemParams, state: SteadyState, omega,
                           method: str = "closed"):
     """Output photons per unit dimensionless bandwidth from vacuum inputs
     scattered off the counter-rotating channel, ``4*kappa1*|f1|**2``."""
-    scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    arrs, bad = _arrays(params, state, omega, method)
-    return _scalar_or_array(4.0 * params.kappa1 * np.abs(arrs["f1"]) ** 2,
-                            bad, omega, scalar)
+    return _one_spectrum(params, state, omega, method, "s_vacuum")
 
 
 def thermal_noise_spectrum(params: SystemParams, state: SteadyState, omega,
@@ -310,69 +321,52 @@ def thermal_noise_spectrum(params: SystemParams, state: SteadyState, omega,
     for positive frequencies:
 
         S = 4*kappa1*|v|^2 * hbar*gamma_m*m * |omega| * (nbar + [omega < 0])
+
+    Raises :class:`InvalidParameterError` at omega = 0.
     """
-    scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    if np.any(om == 0.0):
+    if np.any(np.asarray(omega, dtype=float) == 0.0):
         raise InvalidParameterError(
             "thermal spectrum is singular at omega = 0")
-    arrs, bad = _arrays(params, state, omega, method)
-    nbar = thermal_occupation(np.abs(om), params.temperature)
-    weight = np.abs(om) * (np.atleast_1d(nbar) + (om < 0.0))
-    s = (4.0 * params.kappa1 * np.abs(arrs["v"]) ** 2
-         * CONSTANTS.hbar * params.gamma_m * params.mass * weight)
-    return _scalar_or_array(s, bad, omega, scalar)
+    return _one_spectrum(params, state, omega, method, "s_thermal")
 
 
 def scan_spectrum(params: SystemParams, omega_grid, method: str = "closed",
                   state: SteadyState | None = None) -> ScanResult:
     """Evaluate all four spectra on a frequency grid.
 
-    The steady state is solved once and reused.  Per-node failures (singular
-    denominator, zero frequency in the thermal column, non-finite output)
-    are recorded in the result's error list while the scan continues.
+    The steady state is solved once and reused.  Per-node failures are
+    recorded in the result's error list while the scan continues, one entry
+    per node, by precedence: a singular denominator (all columns NaN), then
+    omega = 0 (thermal column NaN), then a non-finite value (all columns
+    NaN).
     """
     grid = np.asarray(omega_grid, dtype=float)
     if grid.size == 0:
-        return ScanResult([], [])
+        return ScanResult(*[np.empty(0)] * len(_SCAN_COLUMNS), errors=[])
     if grid.ndim != 1 or (grid.size > 1 and not np.all(np.diff(grid) > 0.0)):
         raise InvalidParameterError("omega grid must be strictly increasing")
     if state is None:
         state = solve_steady_state(params)
 
-    arrs, bad = _arrays(params, state, grid, method)
-    z = math.sqrt(2.0 * params.kappa1) * arrs["e1"]
-    r = np.abs(z - 1.0) ** 2
-    t = np.abs(z) ** 2
-    sv = 4.0 * params.kappa1 * np.abs(arrs["f1"]) ** 2
+    arrs, singular = _arrays(params, state, grid, method)
+    cols = _spectra(params, grid, arrs)
+    zero = (grid == 0.0) & ~singular
+    finite = np.isfinite(np.stack(list(cols.values()))).all(axis=0)
+    nonfinite = ~finite & ~singular & ~zero
+    failed = singular | nonfinite
+    cols = {name: np.where(failed, np.nan, values)
+            for name, values in cols.items()}
+    cols["s_thermal"][zero] = np.nan
 
-    zero = grid == 0.0
-    safe = np.where(zero, 1.0, grid)
-    nbar = np.atleast_1d(thermal_occupation(np.abs(safe), params.temperature))
-    st = (4.0 * params.kappa1 * np.abs(arrs["v"]) ** 2 * CONSTANTS.hbar
-          * params.gamma_m * params.mass * np.abs(safe)
-          * (nbar + (safe < 0.0)))
-
-    errors: list[tuple[int, float, str]] = []
-    points: list[SpectrumPoint] = []
-    columns = np.stack([r, t, st, sv], axis=1)
-    for i, w in enumerate(grid):
-        if bad[i]:
-            errors.append((i, float(w), "singular response denominator"))
-            points.append(SpectrumPoint(float(w), math.nan, math.nan,
-                                        math.nan, math.nan))
+    errors = []
+    for i in np.flatnonzero(singular | zero | nonfinite).tolist():
+        if singular[i]:
+            errors.append((i, float(grid[i]), "singular response denominator"))
         elif zero[i]:
             errors.append((i, 0.0, "thermal spectrum singular at omega = 0"))
-            points.append(SpectrumPoint(0.0, float(r[i]), float(t[i]),
-                                        math.nan, float(sv[i])))
-        elif not np.all(np.isfinite(columns[i])):
-            errors.append((i, float(w), "non-finite spectrum value"))
-            points.append(SpectrumPoint(float(w), math.nan, math.nan,
-                                        math.nan, math.nan))
         else:
-            points.append(SpectrumPoint(float(w), float(r[i]), float(t[i]),
-                                        float(st[i]), float(sv[i])))
-    return ScanResult(points, errors)
+            errors.append((i, float(grid[i]), "non-finite spectrum value"))
+    return ScanResult(omega=grid, errors=errors, **cols)
 
 
 def closed_vs_oracle_deviation(params: SystemParams, state: SteadyState,

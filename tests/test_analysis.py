@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import omrouter.analysis as analysis_module
@@ -12,7 +12,8 @@ from omrouter.analysis import (CalibrationTargets, calibrate_couplings,
                                window_splitting)
 from omrouter.errors import (AnalysisError, CalibrationError,
                              InvalidParameterError, RouterError)
-from omrouter.response import SpectrumPoint
+from omrouter.analysis import Extremum, ExtremaList
+from omrouter.response import ScanResult
 from omrouter.steady import solve_steady_state
 
 from test_model import make_params
@@ -21,8 +22,80 @@ TAU = 2.0 * math.pi
 
 
 def t_points(x, y):
-    return [SpectrumPoint(float(xi), 0.0, float(yi), 0.0, 0.0)
-            for xi, yi in zip(x, y)]
+    zeros = np.zeros(len(x))
+    return ScanResult(omega=x, r_refl=zeros, t_trans=y, s_thermal=zeros,
+                      s_vacuum=zeros, errors=[])
+
+
+def _parabolic_vertex(x0, x1, x2, y0, y1, y2):
+    """Vertex of the parabola through three (possibly nonuniform) samples.
+
+    Returns None when the points are collinear or the vertex escapes the
+    sample triple, in which case the discrete sample should be kept.
+    """
+    d1 = (y1 - y0) / (x1 - x0)
+    d2 = (y2 - y1) / (x2 - x1)
+    curv = (d2 - d1) / (x2 - x0)
+    if curv == 0.0 or not np.isfinite(curv):
+        return None
+    xv = 0.5 * (x0 + x1) - d1 / (2.0 * curv)
+    if not (x0 <= xv <= x2):
+        return None
+    yv = y0 + d1 * (xv - x0) + curv * (xv - x0) * (xv - x1)
+    return float(xv), float(yv)
+
+
+def reference_find_extrema(x, y):
+    """Node-by-node loop that find_extrema must reproduce bit for bit."""
+    minima, maxima = [], []
+    for i in range(1, len(x) - 1):
+        triple = y[i - 1:i + 2]
+        if not np.all(np.isfinite(triple)):
+            continue
+        is_min = y[i] < y[i - 1] and y[i] < y[i + 1]
+        is_max = y[i] > y[i - 1] and y[i] > y[i + 1]
+        if not (is_min or is_max):
+            continue
+        vertex = _parabolic_vertex(x[i - 1], x[i], x[i + 1], *triple)
+        if vertex is None:
+            entry = Extremum(float(x[i]), float(y[i]), False)
+        else:
+            entry = Extremum(vertex[0], vertex[1], True)
+        (minima if is_min else maxima).append(entry)
+    return ExtremaList(tuple(minima), tuple(maxima))
+
+
+# sample values that make plateaus, collinear triples, NaN nodes and
+# overflowing vertices likely next to generic values
+_SAMPLE = st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.nan, math.inf]),
+                    st.sampled_from([1e308, -1e308]),
+                    st.floats(min_value=-1e3, max_value=1e3))
+
+
+@st.composite
+def extrema_columns(draw):
+    n = draw(st.integers(min_value=3, max_value=40))
+    start = draw(st.floats(min_value=-1e3, max_value=1e3))
+    if draw(st.booleans()):
+        steps = [draw(st.sampled_from([1e-3, 0.5, 1.0, 1e3]))] * (n - 1)
+    else:
+        steps = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3),
+                              min_size=n - 1, max_size=n - 1))
+    x = start + np.concatenate([[0.0], np.cumsum(steps)])
+    y = np.array(draw(st.lists(_SAMPLE, min_size=n, max_size=n)))
+    return x, y
+
+
+class TestFindExtremaReference:
+    @given(extrema_columns())
+    def test_matches_reference_loop_bit_for_bit(self, column):
+        x, y = column
+        # the cumulative sum can round two nodes together
+        assume(np.all(np.diff(x) > 0.0))
+        with np.errstate(all="ignore"):
+            expected = reference_find_extrema(x, y)
+        # repr tells every distinct float apart, NaN and -0.0 included
+        assert repr(find_extrema(t_points(x, y), "T")) == repr(expected)
 
 
 class TestFindExtrema:
@@ -274,3 +347,38 @@ class TestCalibration:
         assert report.omega0 > 5.0 * 2.0 * params_on.kappa1
         assert len(reflect) == 2
         assert all(p.r_value > targets.r_reflect_min for p in reflect)
+
+    def test_depth_stage_raises_g1(self, params_on):
+        # at 0.3*g1 the pump-off window is already blocked and the window
+        # already split wide enough, but the reflect ports miss R > 0.99:
+        # only the depth stage moves, bisecting g1 upward
+        weak = replace(params_on, g1=0.3 * params_on.g1)
+        g1, g2 = calibrate_couplings(
+            weak, g1_bracket=(weak.g1, params_on.g1),
+            g2_bracket=(weak.g2, 2.0 * weak.g2))
+        assert g2 == weak.g2
+        assert weak.g1 < g1 < params_on.g1
+
+        def reflect_r(g):
+            report = routing_report(analysis_module.pin_effective_detunings(
+                replace(weak, g1=g)))
+            return [p.r_value for p in report.ports
+                    if p.label.startswith("reflect")]
+
+        r_min = CalibrationTargets().r_reflect_min
+        assert min(reflect_r(g1)) > r_min
+        # bisection stops within rel_tol 1e-3 of the threshold
+        assert min(reflect_r(g1 * (1.0 - 1e-3))) <= r_min
+
+    def test_depth_unreachable_inside_bracket(self, params_on):
+        weak = replace(params_on, g1=0.3 * params_on.g1)
+        top = 0.4 * params_on.g1
+        with pytest.raises(CalibrationError,
+                           match="reflect-port depth") as info:
+            calibrate_couplings(weak, g1_bracket=(weak.g1, top))
+        closest = info.value.closest
+        assert closest["g1"] == top and closest["g2"] == weak.g2
+        reflect = [p for p in closest["report"].ports
+                   if p.label.startswith("reflect")]
+        assert len(reflect) == 2
+        assert not all(p.threshold_met for p in reflect)

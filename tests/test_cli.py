@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import omrouter.analysis as analysis_module
 from omrouter.cli import main
+from omrouter.config import parse_config
 
 TAU = 2.0 * math.pi
 
@@ -75,6 +77,22 @@ def test_route_pump_on_three_ports(tmp_path):
     # window-based splitting measure agrees with the port-based one
     assert payload["omega0_window"] == pytest.approx(payload["omega0"],
                                                      rel=0.02)
+
+
+def test_route_scans_window_once(tmp_path, monkeypatch):
+    # routing report and window splitting share one window scan; only the
+    # narrow port refinements scan again
+    window_nodes = parse_config(env={}).splitting_points
+    real_scan = analysis_module.scan_spectrum
+    sizes = []
+
+    def counting(params, omega_grid, *args, **kwargs):
+        sizes.append(len(omega_grid))
+        return real_scan(params, omega_grid, *args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "scan_spectrum", counting)
+    assert main(["--out", str(tmp_path), "route"]) == 0
+    assert sizes.count(window_nodes) == 1
 
 
 def test_route_honors_splitting_mode(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from omrouter.errors import InvalidParameterError
+import omrouter.response as response_module
+from omrouter.errors import InvalidParameterError, SingularPointError
 from omrouter.model import CONSTANTS, thermal_occupation
 from omrouter.response import (closed_form_coefficients,
                                closed_vs_oracle_deviation,
@@ -128,6 +129,27 @@ class TestCoefficients:
             assert plus[1, 0] == pytest.approx(np.conj(minus[0, 1]),
                                                rel=1e-10)
 
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_singular_node_raises_or_masks(self, params_on, state_on,
+                                           monkeypatch, method):
+        real_arrays = response_module._arrays
+
+        def singular_first(*args):
+            arrs, bad = real_arrays(*args)
+            bad[0] = True
+            return arrs, bad
+
+        monkeypatch.setattr(response_module, "_arrays", singular_first)
+        wm = params_on.omega_m
+        with pytest.raises(SingularPointError,
+                           match=f"{method} .*condition estimate"):
+            response_module.coefficients(params_on, state_on, wm, method)
+        with pytest.raises(SingularPointError):
+            reflection(params_on, state_on, wm, method=method)
+        values = transmission(params_on, state_on, [wm, 1.1 * wm],
+                              method=method)
+        assert np.isnan(values[0]) and np.isfinite(values[1])
+
     def test_unknown_method_rejected(self, params_on, state_on):
         with pytest.raises(InvalidParameterError):
             reflection(params_on, state_on, params_on.omega_m,
@@ -216,18 +238,17 @@ class TestSpectra:
 class TestScan:
     def test_empty_grid(self, params_on):
         result = scan_spectrum(params_on, [])
-        assert result.points == [] and result.errors == []
+        assert len(result) == 0 and result.errors == []
 
     def test_single_node_matches_pointwise(self, params_on, state_on):
         omega = 1.07 * params_on.omega_m
         result = scan_spectrum(params_on, [omega], state=state_on)
-        point = result.points[0]
-        assert point.r_refl == reflection(params_on, state_on, omega)
-        assert point.t_trans == transmission(params_on, state_on, omega)
-        assert point.s_thermal == thermal_noise_spectrum(params_on, state_on,
-                                                         omega)
-        assert point.s_vacuum == vacuum_noise_spectrum(params_on, state_on,
-                                                       omega)
+        assert result.r_refl[0] == reflection(params_on, state_on, omega)
+        assert result.t_trans[0] == transmission(params_on, state_on, omega)
+        assert result.s_thermal[0] == thermal_noise_spectrum(params_on,
+                                                             state_on, omega)
+        assert result.s_vacuum[0] == vacuum_noise_spectrum(params_on,
+                                                           state_on, omega)
 
     def test_rejects_non_increasing_grid(self, params_on, state_on):
         with pytest.raises(InvalidParameterError):
@@ -237,11 +258,57 @@ class TestScan:
                                                    state_on):
         wm = params_on.omega_m
         result = scan_spectrum(params_on, [-wm, 0.0, wm], state=state_on)
-        assert len(result.points) == 3
+        assert len(result) == 3
         assert [e[0] for e in result.errors] == [1]
-        assert math.isnan(result.points[1].s_thermal)
-        assert math.isfinite(result.points[1].r_refl)
-        assert math.isfinite(result.points[0].s_thermal)
+        assert math.isnan(result.s_thermal[1])
+        assert math.isfinite(result.r_refl[1])
+        assert math.isfinite(result.s_thermal[0])
+
+    @pytest.mark.parametrize("singular, nonfinite, expected", [
+        ([0, 2], [3], [(0, "singular response denominator"),
+                       (2, "singular response denominator"),
+                       (3, "non-finite spectrum value")]),
+        ([], [2, 4], [(2, "thermal spectrum singular at omega = 0"),
+                      (4, "non-finite spectrum value")]),
+    ])
+    def test_error_precedence(self, params_on, state_on, monkeypatch,
+                              singular, nonfinite, expected):
+        # per node: a singular denominator wins over omega = 0, which wins
+        # over a non-finite value
+        real_arrays = response_module._arrays
+
+        def forced(*args):
+            arrs, bad = real_arrays(*args)
+            bad[singular] = True
+            arrs["e1"][nonfinite] = np.nan
+            return arrs, bad
+
+        monkeypatch.setattr(response_module, "_arrays", forced)
+        wm = params_on.omega_m
+        grid = wm * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        result = scan_spectrum(params_on, grid, state=state_on)
+        assert [(i, msg) for i, _, msg in result.errors] == expected
+        assert [w for _, w, _ in result.errors] == [
+            0.0 if msg.startswith("thermal") else grid[i]
+            for i, msg in expected]
+        failed = [i for i, msg in expected if not msg.startswith("thermal")]
+        for name in ("r_refl", "t_trans", "s_thermal", "s_vacuum"):
+            column = result.column(name)
+            assert np.all(np.isnan(column[failed]))
+            ok = [i for i in range(5) if i not in failed and i != 2]
+            assert np.all(np.isfinite(column[ok]))
+        assert np.isnan(result.column("s_thermal")[2])
+
+    def test_columns_are_read_only_copies(self, params_on, state_on):
+        grid = params_on.omega_m * np.linspace(0.9, 1.1, 5)
+        result = scan_spectrum(params_on, grid, state=state_on)
+        grid[0] = 0.0  # the caller's grid stays the caller's
+        assert result.omega[0] == 0.9 * params_on.omega_m
+        for name in ("omega", "r_refl", "t_trans", "s_thermal", "s_vacuum"):
+            with pytest.raises(ValueError):
+                result.column(name)[0] = 1.0
+        with pytest.raises(InvalidParameterError):
+            result.column("errors")
 
     def test_finiteness_sweep(self, params_on, state_on):
         grid = params_on.omega_m * np.linspace(0.9, 1.1, 2001)

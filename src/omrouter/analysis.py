@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AnalysisError, CalibrationError, InvalidParameterError, RouterError
 from .model import SystemParams
-from .response import ScanResult, reflection, scan_spectrum, transmission
+from .response import ScanResult, _node_spectra, scan_spectrum, transmission
 from .steady import SteadyState, pin_effective_detunings, solve_steady_state
 
 __all__ = [
@@ -236,8 +236,8 @@ def routing_report(params: SystemParams,
     lo, hi, count = _side_extrema(extrema, wm, True)
 
     def port(label, omega, want_reflect):
-        r = reflection(params, state, omega, method=method)
-        t = transmission(params, state, omega, method=method)
+        spectra = _node_spectra(params, state, omega, method)
+        r, t = spectra["r_refl"], spectra["t_trans"]
         met = (r > r_reflect_min) if want_reflect else (t > t_transmit_min)
         return Port(label, float(omega), float(r), float(t), met)
 
@@ -407,10 +407,21 @@ def calibrate_couplings(params: SystemParams,
         state = solve_steady_state(p)
         return transmission(p, state, p.omega_m)
 
+    windows = {}
+
+    def window_at(g1, g2):
+        # both pump-on checks at one pair share the prepared params, steady
+        # state and window scan
+        if (g1, g2) not in windows:
+            p = prepared(replace(params, g1=g1, g2=g2))
+            state = solve_steady_state(p)
+            windows[g1, g2] = p, state, window_scan(p, state, window_frac)
+        return windows[g1, g2]
+
     def report_at(g1, g2):
-        p = prepared(replace(params, g1=g1, g2=g2))
-        return routing_report(p, window_frac=window_frac,
-                              r_reflect_min=targets.r_reflect_min)
+        p, state, scan = window_at(g1, g2)
+        return routing_report(p, state=state, window_frac=window_frac,
+                              r_reflect_min=targets.r_reflect_min, scan=scan)
 
     def blocked(g1):
         try:
@@ -420,9 +431,8 @@ def calibrate_couplings(params: SystemParams,
 
     def splitting_ok(g1, g2):
         try:
-            return window_splitting(
-                prepared(replace(params, g1=g1, g2=g2)),
-                window_frac=window_frac) > splitting_min
+            p, _, scan = window_at(g1, g2)
+            return window_splitting(p, scan=scan) > splitting_min
         except RouterError:
             return False
 

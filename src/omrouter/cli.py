@@ -39,7 +39,6 @@ def _fmt(value: float) -> str:
 def _solve(cfg: RunConfig, params):
     seed = 0.0 if cfg.branch_policy == "direct" else None
     return solve_steady_state(params, q_seed=seed, ramp_steps=cfg.ramp_steps,
-                              n_scan=cfg.scan_points,
                               residual_tol=cfg.residual_tol)
 
 
@@ -75,7 +74,7 @@ def _report_kwargs(cfg: RunConfig) -> dict:
 def _cmd_steady(cfg: RunConfig) -> int:
     _prepare_outdir(cfg)
     params = cfg.system_params()
-    branches = enumerate_branches(params, n_scan=cfg.scan_points)
+    branches = enumerate_branches(params)
     state = _solve(cfg, params)
     print(f"branches ({len(branches)}):")
     for i, q in enumerate(branches):

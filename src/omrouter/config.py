@@ -155,7 +155,6 @@ _SCHEMA = {
     "power_p": _quantity_parser("power"),
     "temperature": _quantity_parser("temperature"),
     "pump_hbar": _parse_bool,
-    "scan_points": _parse_int,
     "ramp_steps": _parse_int,
     "residual_tol": _quantity_parser("plain"),
     "branch_policy": _parse_choice({"ramp", "direct"}),
@@ -194,7 +193,6 @@ _DEFAULT_TEXT = {
     "power_p": "300nW",
     "temperature": "20mK",
     "pump_hbar": "true",
-    "scan_points": "20001",
     "ramp_steps": "11",
     "residual_tol": "1e-10",
     "branch_policy": "ramp",
@@ -236,7 +234,6 @@ class RunConfig:
     power_p: float
     temperature: float
     pump_hbar: bool
-    scan_points: int
     ramp_steps: int
     residual_tol: float
     branch_policy: str
@@ -292,8 +289,6 @@ class RunConfig:
         return params
 
     def validate(self) -> None:
-        if self.scan_points < 101:
-            raise ConfigError("scan_points must be >= 101")
         if self.ramp_steps < 2:
             raise ConfigError("ramp_steps must be >= 2")
         if not self.residual_tol > 0.0:

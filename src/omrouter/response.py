@@ -279,18 +279,28 @@ def _spectra(params: SystemParams, omega: np.ndarray, arrs) -> dict:
     }
 
 
+def _node_spectra(params, state, omega, method) -> dict:
+    """All four spectra at one frequency, as floats, from one kernel call.
+
+    Raises :class:`SingularPointError` at a singular node.
+    """
+    grid = np.atleast_1d(np.asarray(omega, dtype=float))
+    arrs, bad = _arrays(params, state, grid, method)
+    if bad[0]:
+        raise SingularPointError(
+            f"response singular at omega={float(omega)!r}")
+    return {name: float(values[0])
+            for name, values in _spectra(params, grid, arrs).items()}
+
+
 def _one_spectrum(params, state, omega, method, column):
     """One spectrum column at ``omega``: a float for scalar input, else an
     array with NaN at singular nodes."""
-    grid = np.atleast_1d(np.asarray(omega, dtype=float))
-    arrs, bad = _arrays(params, state, grid, method)
-    values = _spectra(params, grid, arrs)[column]
     if np.ndim(omega) == 0:
-        if bad[0]:
-            raise SingularPointError(
-                f"response singular at omega={float(omega)!r}")
-        return float(values[0])
-    return np.where(bad, np.nan, values)
+        return _node_spectra(params, state, omega, method)[column]
+    grid = np.asarray(omega, dtype=float)
+    arrs, bad = _arrays(params, state, grid, method)
+    return np.where(bad, np.nan, _spectra(params, grid, arrs)[column])
 
 
 def reflection(params: SystemParams, state: SteadyState, omega,

@@ -2,10 +2,11 @@
 
 With both pumps on, the static displacement of the shared resonator obeys a
 force balance between its restoring force and the two radiation-pressure
-terms, each a Lorentzian in the displacement itself.  That balance can have
-1, 3, or 5 real solutions, so the solver enumerates every branch by a
-stratified sign-change scan and selects the branch continuously connected to
-the undriven state via a power ramp.
+terms, each a Lorentzian in the displacement itself.  Clearing both
+denominators turns it into a polynomial of degree at most 5, so it has 1, 3,
+or 5 real solutions.  The solver brackets every branch by sign changes of
+the balance at samples seeded by that quintic's roots, and selects the
+branch continuously connected to the undriven state via a power ramp.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
 _Q_ABS_TOL = 1e-36
 _Q_REL_TOL = 1e-13
 
-_DEFAULT_SCAN_POINTS = 20001
 _DEFAULT_RAMP_STEPS = 11
 _DEFAULT_RESIDUAL_TOL = 1e-10
 _EQUIDISTANT_TOL = 1e-15  # metres; branch-tracking ambiguity threshold
@@ -64,6 +64,31 @@ class SteadyState:
     warnings: tuple[str, ...] = ()
 
 
+def _balance(params: SystemParams, power_scale: float):
+    """The static force balance at ``power_scale``.
+
+    Returns its coefficients ``(m_w2, num_opt, num_mw, k1sq, k2sq)`` and the
+    balance ``m_w2*q - num_mw/(k2sq + (delta_c - g2*q)**2)
+    + num_opt/(k1sq + (delta_a + g1*q)**2)`` as a function of floats or
+    arrays.  It closes over plain floats: bisection calls it thousands of
+    times across a ramp, where attribute lookups would dominate.
+    """
+    hbar = CONSTANTS.hbar
+    eps_l, eps_p = drive_amplitudes(params)
+    coeffs = (params.mass * params.omega_m**2,
+              hbar * params.g1 * power_scale * eps_l**2,
+              hbar * params.g2 * power_scale * eps_p**2,
+              (2.0 * params.kappa1) ** 2, (2.0 * params.kappa2) ** 2)
+    m_w2, num_opt, num_mw, k1sq, k2sq = coeffs
+    da, dc, g1, g2 = params.delta_a, params.delta_c, params.g1, params.g2
+
+    def balance(q):
+        return (m_w2 * q - num_mw / (k2sq + (dc - g2 * q) ** 2)
+                + num_opt / (k1sq + (da + g1 * q) ** 2))
+
+    return coeffs, balance
+
+
 def force_balance(params: SystemParams, q, power_scale: float = 1.0):
     """Net static force on the resonator at displacement ``q`` (N).
 
@@ -71,69 +96,34 @@ def force_balance(params: SystemParams, q, power_scale: float = 1.0):
     displacements.  ``power_scale`` multiplies both pump powers, which is
     what the ramp-based branch tracking varies.
     """
-    hbar = CONSTANTS.hbar
-    eps_l, eps_p = drive_amplitudes(params)
-    el2 = power_scale * eps_l**2
-    ep2 = power_scale * eps_p**2
-    q = np.asarray(q, dtype=float)
-    opt = hbar * params.g1 * el2 / ((2.0 * params.kappa1) ** 2
-                                    + (params.delta_a + params.g1 * q) ** 2)
-    mw = hbar * params.g2 * ep2 / ((2.0 * params.kappa2) ** 2
-                                   + (params.delta_c - params.g2 * q) ** 2)
-    out = params.mass * params.omega_m**2 * q - mw + opt
+    out = _balance(params, power_scale)[1](np.asarray(q, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
-def _scan_samples(params: SystemParams, power_scale: float, n_scan: int):
-    """Displacement samples that provably cover every root of the balance.
+def _quintic_samples(params: SystemParams, coeffs) -> np.ndarray:
+    """Displacement samples whose sign changes bracket every root.
 
-    Three ingredients: a coarse global grid out to the rigorous bound where
-    the restoring force dominates any possible radiation pressure, a dense
-    window around zero sized from the zero-displacement forces, and a dense
-    window around each cavity resonance (the Lorentzian in displacement can
-    be orders of magnitude narrower than the global scale, so a single
-    uniform grid would step right over its sign changes).
+    The balance times both Lorentzian denominators is a polynomial of
+    degree at most 5 in ``x = q/q_max``, where ``q_max`` bounds every root.
+    The samples are ``x = +-1``, the midpoints between the real parts of
+    its roots and the real part of each complex pair, which separates a
+    near-double root's two sign changes.  A real root itself is not a
+    sample: as a bracket end within rounding of the true root, it would stop
+    the Newton polish short (docs/derivation_notes.md).
     """
-    hbar = CONSTANTS.hbar
-    m_w2 = params.mass * params.omega_m**2
-    eps_l, eps_p = drive_amplitudes(params)
-    el2 = power_scale * eps_l**2
-    ep2 = power_scale * eps_p**2
-
-    # Peak radiation-pressure forces and zero-displacement forces.
-    peak_opt = hbar * params.g1 * el2 / (2.0 * params.kappa1) ** 2
-    peak_mw = hbar * params.g2 * ep2 / (2.0 * params.kappa2) ** 2
-    f0_opt = hbar * params.g1 * el2 / ((2.0 * params.kappa1) ** 2 + params.delta_a**2)
-    f0_mw = hbar * params.g2 * ep2 / ((2.0 * params.kappa2) ** 2 + params.delta_c**2)
-
-    q_max = 1.1 * (peak_opt + peak_mw) / m_w2
-    q_zero = 10.0 * (f0_opt + f0_mw) / m_w2
-    half0 = max(min(q_zero, q_max), q_max * 1e-6)
-    windows = [(-half0, half0)]
-
-    def resonance_window(center, width_q, peak):
-        ref = m_w2 * max(abs(center), width_q)
-        tail = width_q * np.sqrt(1.0 + peak / ref)
-        cube = (width_q**2 * peak / m_w2) ** (1.0 / 3.0)
-        half = 3.0 * max(tail, cube)
-        lo = max(center - half, -q_max)
-        hi = min(center + half, q_max)
-        return (lo, hi) if lo < hi else None
-
-    if peak_opt > 0.0:
-        win = resonance_window(-params.delta_a / params.g1,
-                               2.0 * params.kappa1 / params.g1, peak_opt)
-        if win:
-            windows.append(win)
-    if peak_mw > 0.0:
-        win = resonance_window(params.delta_c / params.g2,
-                               2.0 * params.kappa2 / params.g2, peak_mw)
-        if win:
-            windows.append(win)
-
-    parts = [np.linspace(-q_max, q_max, 2001)]
-    parts += [np.linspace(lo, hi, n_scan) for lo, hi in windows]
-    return np.unique(np.concatenate(parts))
+    m_w2, num_opt, num_mw, k1sq, k2sq = coeffs
+    q_max = 1.1 * (num_opt / k1sq + num_mw / k2sq) / m_w2
+    s1, s2 = params.g1 * q_max, params.g2 * q_max
+    da, dc = params.delta_a, params.delta_c
+    d1 = np.array([s1**2, 2.0 * da * s1, k1sq + da**2])
+    d2 = np.array([s2**2, -2.0 * dc * s2, k2sq + dc**2])
+    poly = np.polyadd(np.polymul([m_w2 * q_max, 0.0], np.polymul(d1, d2)),
+                      num_opt * d2 - num_mw * d1)
+    roots = np.roots(poly)
+    seeds = np.unique(np.clip(roots.real, -1.0, 1.0))
+    pairs = np.clip(roots.real[roots.imag != 0.0], -1.0, 1.0)
+    mids = 0.5 * (seeds[1:] + seeds[:-1])
+    return q_max * np.unique(np.concatenate((pairs, mids, [-1.0, 1.0])))
 
 
 def _bisect(func, lo, hi, f_lo, f_hi):
@@ -204,37 +194,25 @@ def _polish_root(params: SystemParams, q: float, power_scale: float,
     return best_q
 
 
-def enumerate_branches(params: SystemParams, power_scale: float = 1.0,
-                       n_scan: int = _DEFAULT_SCAN_POINTS) -> list[float]:
+def enumerate_branches(params: SystemParams,
+                       power_scale: float = 1.0) -> list[float]:
     """All real steady-state displacements, ascending.
 
-    The count is odd (1, 3, or 5) for generic parameters.  Raises
-    :class:`BracketingError` if the scan sees no sign change, which is
-    impossible for the continuous balance function and indicates a bug.
+    The balance has at most 5 real roots and, for generic parameters, an
+    odd count (1, 3, or 5).  Samples seeded by the roots of the cleared
+    quintic are checked for sign changes of the balance itself; each
+    bracket is bisected and then Newton-polished without leaving it.
+    Raises :class:`BracketingError` if no sign change is seen, which is
+    impossible for the continuous balance, since it is negative at
+    ``-q_max`` and positive at ``+q_max``, and indicates a bug.
     """
-    hbar = CONSTANTS.hbar
-    eps_l, eps_p = drive_amplitudes(params)
-    if (hbar * params.g1 * eps_l**2 == 0.0
-            and hbar * params.g2 * eps_p**2 == 0.0):
+    coeffs, func = _balance(params, power_scale)
+    _, num_opt, num_mw, _, _ = coeffs
+    if num_opt == 0.0 and num_mw == 0.0:
         return [0.0]
 
-    samples = _scan_samples(params, power_scale, n_scan)
-    values = force_balance(params, samples, power_scale)
-
-    # plain-float closure: bisection evaluates this millions of times across
-    # a ramp, and the numpy scalar round-trip would dominate the runtime
-    num_opt = hbar * params.g1 * power_scale * eps_l**2
-    num_mw = hbar * params.g2 * power_scale * eps_p**2
-    m_w2 = params.mass * params.omega_m**2
-    k1sq = (2.0 * params.kappa1) ** 2
-    k2sq = (2.0 * params.kappa2) ** 2
-    da, dc = params.delta_a, params.delta_c
-    g1, g2 = params.g1, params.g2
-
-    def func(q):
-        return (m_w2 * q - num_mw / (k2sq + (dc - g2 * q) ** 2)
-                + num_opt / (k1sq + (da + g1 * q) ** 2))
-
+    samples = _quintic_samples(params, coeffs)
+    values = func(samples)
     roots = [float(samples[i]) for i in np.nonzero(values == 0.0)[0]]
     signs = np.sign(values)
     nz = signs != 0
@@ -271,7 +249,6 @@ def _state_from_root(params: SystemParams, q: float, branch_index: int,
 
 def solve_steady_state(params: SystemParams, q_seed: float | None = None,
                        ramp_steps: int = _DEFAULT_RAMP_STEPS,
-                       n_scan: int = _DEFAULT_SCAN_POINTS,
                        residual_tol: float = _DEFAULT_RESIDUAL_TOL) -> SteadyState:
     """Solve for the physical steady state.
 
@@ -287,7 +264,7 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
     warnings: tuple[str, ...] = ()
 
     if q_seed is not None:
-        roots = enumerate_branches(params, 1.0, n_scan)
+        roots = enumerate_branches(params)
         q, ambiguous = _nearest(roots, q_seed)
         if ambiguous:
             warnings += ("branch tracking ambiguous: two roots equidistant "
@@ -298,7 +275,7 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
         prev = 0.0
         roots = [0.0]
         for scale in np.linspace(0.0, 1.0, ramp_steps)[1:]:
-            roots = enumerate_branches(params, float(scale), n_scan)
+            roots = enumerate_branches(params, float(scale))
             prev, ambiguous = _nearest(roots, prev)
             if ambiguous:
                 warnings += (f"branch tracking ambiguous at power scale "

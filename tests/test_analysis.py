@@ -7,11 +7,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import omrouter.analysis as analysis_module
+import omrouter.response as response_module
 from omrouter.analysis import (CalibrationTargets, calibrate_couplings,
                                find_extrema, power_sweep, routing_report,
                                window_splitting)
 from omrouter.errors import (AnalysisError, CalibrationError,
-                             InvalidParameterError, RouterError)
+                             InvalidParameterError, RouterError,
+                             SingularPointError)
 from omrouter.analysis import Extremum, ExtremaList
 from omrouter.response import ScanResult
 from omrouter.steady import solve_steady_state
@@ -269,6 +271,34 @@ class TestRoutingReport:
         second = routing_report(params_on)
         assert first == second
 
+    def test_one_kernel_call_per_port(self, params_on, state_on,
+                                      monkeypatch):
+        # one window scan, three local re-scans, one evaluation per port
+        real_arrays = response_module._arrays
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real_arrays(*args)
+
+        monkeypatch.setattr(response_module, "_arrays", counting)
+        report = routing_report(params_on, state=state_on)
+        assert len(report.ports) == 3
+        assert len(calls) == 7
+
+    def test_singular_port_raises(self, params_on, state_on, monkeypatch):
+        real_arrays = response_module._arrays
+
+        def singular_nodes(params, state, omega, method):
+            arrs, bad = real_arrays(params, state, omega, method)
+            if np.size(omega) == 1:
+                bad[:] = True
+            return arrs, bad
+
+        monkeypatch.setattr(response_module, "_arrays", singular_nodes)
+        with pytest.raises(SingularPointError):
+            routing_report(params_on, state=state_on)
+
 
 class TestPowerSweep:
     def test_single_power_matches_report(self, default_cfg, params_on):
@@ -369,6 +399,24 @@ class TestCalibration:
         assert min(reflect_r(g1)) > r_min
         # bisection stops within rel_tol 1e-3 of the threshold
         assert min(reflect_r(g1 * (1.0 - 1e-3))) <= r_min
+
+    def test_checks_at_one_pair_share_a_window_scan(self, params_on,
+                                                     monkeypatch):
+        # the depth-stage calibration visits 13 distinct (g1, g2) pairs;
+        # the splitting and depth checks at one pair scan its window once
+        real_scan = analysis_module.scan_spectrum
+        windows = []
+
+        def counting(params, grid, *args, **kwargs):
+            if len(grid) == analysis_module.DEFAULT_WINDOW_POINTS:
+                windows.append((params.g1, params.g2))
+            return real_scan(params, grid, *args, **kwargs)
+
+        monkeypatch.setattr(analysis_module, "scan_spectrum", counting)
+        weak = replace(params_on, g1=0.3 * params_on.g1)
+        calibrate_couplings(weak, g1_bracket=(weak.g1, params_on.g1),
+                            g2_bracket=(weak.g2, 2.0 * weak.g2))
+        assert len(windows) == len(set(windows)) <= 13
 
     def test_depth_unreachable_inside_bracket(self, params_on):
         weak = replace(params_on, g1=0.3 * params_on.g1)

@@ -91,6 +91,12 @@ class TestValueParsing:
         with pytest.raises(ConfigError, match=r"2: unknown key 'bogus_key'"):
             parse_config(path, env={})
 
+    def test_removed_scan_points_key_rejected(self, tmp_path):
+        # branch enumeration has no sampling density to set any more
+        path = write_cfg(tmp_path, "scan_points = 20001\n")
+        with pytest.raises(ConfigError, match=r"1: unknown key 'scan_points'"):
+            parse_config(path, env={})
+
     def test_unit_mismatch_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "omega_m = 48ng\n")
         with pytest.raises(ConfigError, match="frequency"):
@@ -160,7 +166,7 @@ class TestParserRobustness:
     def test_any_value_parses_or_raises_config_error(self, text):
         # the parser may reject garbage, but only ever with ConfigError
         for key in ("omega_m", "power_p", "mass", "sweep_powers",
-                    "scan_points", "splitting_mode"):
+                    "ramp_steps", "splitting_mode"):
             try:
                 parse_config(overrides=[f"{key}={text}"], env={})
             except ConfigError:

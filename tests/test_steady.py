@@ -1,11 +1,12 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from omrouter.errors import ConvergenceError
-from omrouter.model import CONSTANTS, drive_amplitudes
+from omrouter.model import CONSTANTS, SystemParams, drive_amplitudes
 from omrouter.steady import (enumerate_branches, force_balance,
                              pin_effective_detunings, solve_steady_state,
                              steady_residual, SteadyState)
@@ -24,6 +25,98 @@ def balance_oracle(params, q):
     opt = hbar * params.g1 * eps_l**2 / (
         (2 * params.kappa1) ** 2 + (params.delta_a + params.g1 * q) ** 2)
     return params.mass * params.omega_m**2 * q - mw + opt
+
+
+def reference_roots(params, power_scale=1.0):
+    """Real roots of the cleared force balance by 50-digit ``polyroots``.
+
+    The balance times both Lorentzian denominators is a polynomial of
+    degree at most 5; in ``x = q/q_max`` its real roots with ``|x| <= 1``
+    are the steady-state displacements.
+    """
+    with mp.workdps(50):
+        hbar = mp.mpf(CONSTANTS.hbar)
+        eps_l, eps_p = (mp.mpf(e) for e in drive_amplitudes(params))
+        scale = mp.mpf(power_scale)
+        m_w2 = mp.mpf(params.mass) * mp.mpf(params.omega_m) ** 2
+        n_opt = hbar * params.g1 * scale * eps_l**2
+        n_mw = hbar * params.g2 * scale * eps_p**2
+        k1 = (2 * mp.mpf(params.kappa1)) ** 2
+        k2 = (2 * mp.mpf(params.kappa2)) ** 2
+        q_max = mp.mpf(11) / 10 * (n_opt / k1 + n_mw / k2) / m_w2
+        s1, s2 = params.g1 * q_max, params.g2 * q_max
+        da, dc = mp.mpf(params.delta_a), mp.mpf(params.delta_c)
+        d1 = [s1**2, 2 * da * s1, k1 + da**2]
+        d2 = [s2**2, -2 * dc * s2, k2 + dc**2]
+        coeffs = [m_w2 * q_max * sum(d1[i] * d2[k - i]
+                                     for i in range(3) if 0 <= k - i < 3)
+                  for k in range(5)] + [mp.mpf(0)]
+        for k in range(3):
+            coeffs[3 + k] += n_opt * d2[k] - n_mw * d1[k]
+        while coeffs[0] == 0:
+            coeffs.pop(0)
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=100)
+        return sorted(float(r.real * q_max) for r in roots
+                      if abs(r.imag) <= mp.mpf(10) ** -30 and abs(r.real) <= 1)
+
+
+def criterion3_params(rng):
+    """One draw from acceptance criterion 3's parameter distribution."""
+    wm = TAU * 10 ** rng.uniform(6.0, 7.5)
+    return SystemParams(
+        omega_m=wm, mass=10 ** rng.uniform(-13.0, -10.0),
+        gamma_m=TAU * 10 ** rng.uniform(0.5, 2.5),
+        kappa1=TAU * 10 ** rng.uniform(4.0, 5.5),
+        kappa2=TAU * 10 ** rng.uniform(2.5, 4.0),
+        g1=10 ** rng.uniform(17.0, 19.5), g2=10 ** rng.uniform(18.0, 20.0),
+        delta_a=rng.uniform(-2.0, 2.0) * wm,
+        delta_c=rng.uniform(-2.0, 2.0) * wm,
+        omega_l=TAU * 195e12, omega_p=TAU * 7.1e9,
+        power_l=10 ** rng.uniform(-7.0, -3.5),
+        power_p=10 ** rng.uniform(-9.0, -6.0), temperature=0.02)
+
+
+def assert_roots_match(ours, theirs, rel=1e-12):
+    assert len(ours) == len(theirs)
+    for q, ref in zip(ours, theirs):
+        assert abs(q - ref) <= rel * abs(ref)
+
+
+# power scale of the default device's 3 -> 5 branch fold, located by
+# bisecting the reference root count to 1e-15 relative
+DEFAULT_FOLD_SCALE = 0.06623234532580656
+
+
+class TestEnumerationReference:
+    @pytest.mark.parametrize("power_scale", [0.3, 1.0])
+    def test_matches_polyroots_on_criterion3_draws(self, power_scale):
+        rng = np.random.default_rng(20260810)
+        counts = set()
+        for _ in range(24):
+            params = criterion3_params(rng)
+            ours = enumerate_branches(params, power_scale)
+            assert_roots_match(ours, reference_roots(params, power_scale))
+            counts.add(len(ours))
+        assert counts == {1, 3, 5}
+
+    def test_near_fold_finds_all_five(self, params_on):
+        before = DEFAULT_FOLD_SCALE * (1.0 - 1e-9)
+        after = DEFAULT_FOLD_SCALE * (1.0 + 1e-9)
+        assert len(reference_roots(params_on, before)) == 3
+        reference = reference_roots(params_on, after)
+        assert len(reference) == 5
+        # two of the five roots are only ~3e-5 relative apart here
+        assert_roots_match(enumerate_branches(params_on, after), reference)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(g1=0.0), dict(g2=0.0), dict(power_l=0.0), dict(power_p=0.0)])
+    def test_degenerate_balance(self, overrides):
+        # a zero coupling leaves its Lorentzian constant and drops the
+        # polynomial's degree; a zero pump removes its force term
+        params = make_params(**overrides)
+        roots = enumerate_branches(params)
+        assert len(roots) % 2 == 1
+        assert_roots_match(roots, reference_roots(params))
 
 
 class TestEnumerateBranches:

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 physics/convergence failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -270,7 +271,14 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``parse_args`` leaves it unchanged: each call gets a fresh namespace and
+    a copy of the ``--set`` default, so calls of :func:`main` do not share
+    arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="omrouter",
         description="Hybrid microwave/optical photon-router simulator.")

@@ -5,8 +5,11 @@ force balance between its restoring force and the two radiation-pressure
 terms, each a Lorentzian in the displacement itself.  Clearing both
 denominators turns it into a polynomial of degree at most 5, so it has 1, 3,
 or 5 real solutions.  The solver brackets every branch by sign changes of
-the balance at samples seeded by that quintic's roots, and selects the
-branch continuously connected to the undriven state via a power ramp.
+the balance at samples seeded by that quintic's roots, solves each bracket
+by false position, and selects the branch continuously connected to the
+undriven state via a power ramp.  The ramp enumerates all its power scales
+in one pass: one batched eigenvalue call gives the quintic's roots at every
+scale, and one array expression evaluates the balance at all their samples.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ __all__ = [
     "pin_effective_detunings",
 ]
 
-# Bisection stops once the bracket is this tight (absolute metres / relative).
+# A bracket is solved once it is this tight (absolute metres / relative).
 # The relative term matters: the fixed-point residual is judged relative to
 # the displacement, and physical roots range from femtometres down to
 # ~1e-24 m at weak coupling, so the absolute floor sits far below them all.
@@ -64,14 +67,16 @@ class SteadyState:
     warnings: tuple[str, ...] = ()
 
 
-def _balance(params: SystemParams, power_scale: float):
+def _balance(params: SystemParams, power_scale):
     """The static force balance at ``power_scale``.
 
     Returns its coefficients ``(m_w2, num_opt, num_mw, k1sq, k2sq)`` and the
     balance ``m_w2*q - num_mw/(k2sq + (delta_c - g2*q)**2)
     + num_opt/(k1sq + (delta_a + g1*q)**2)`` as a function of floats or
-    arrays.  It closes over plain floats: bisection calls it thousands of
-    times across a ramp, where attribute lookups would dominate.
+    arrays.  An array of scales gives arrays ``num_opt`` and ``num_mw`` that
+    broadcast against ``q``.  At one float scale it closes over plain
+    floats: the bracket solve calls it hundreds of times across a ramp,
+    where attribute lookups would dominate.
     """
     hbar = CONSTANTS.hbar
     eps_l, eps_p = drive_amplitudes(params)
@@ -103,43 +108,83 @@ def force_balance(params: SystemParams, q, power_scale: float = 1.0):
 def _quintic_samples(params: SystemParams, coeffs) -> np.ndarray:
     """Displacement samples whose sign changes bracket every root.
 
-    The balance times both Lorentzian denominators is a polynomial of
+    ``coeffs`` come from :func:`_balance` at a column of power scales; the
+    result holds one row of samples per scale, ascending and padded with
+    NaN.  The balance times both Lorentzian denominators is a polynomial of
     degree at most 5 in ``x = q/q_max``, where ``q_max`` bounds every root.
     The samples are ``x = +-1``, the midpoints between the real parts of
     its roots and the real part of each complex pair, which separates a
     near-double root's two sign changes.  A real root itself is not a
-    sample: as a bracket end within rounding of the true root, it would stop
-    the Newton polish short (docs/derivation_notes.md).
+    sample: as a bracket end within rounding of the true root, it would
+    stop the Newton polish short (docs/derivation_notes.md).  One
+    eigenvalue call takes the roots of every scale from the stacked
+    companion matrices.  The degree and any zero root do not depend on the
+    scale, so one trim of zero coefficients serves the whole stack.
     """
     m_w2, num_opt, num_mw, k1sq, k2sq = coeffs
     q_max = 1.1 * (num_opt / k1sq + num_mw / k2sq) / m_w2
     s1, s2 = params.g1 * q_max, params.g2 * q_max
     da, dc = params.delta_a, params.delta_c
-    d1 = np.array([s1**2, 2.0 * da * s1, k1sq + da**2])
-    d2 = np.array([s2**2, -2.0 * dc * s2, k2sq + dc**2])
-    poly = np.polyadd(np.polymul([m_w2 * q_max, 0.0], np.polymul(d1, d2)),
-                      num_opt * d2 - num_mw * d1)
-    roots = np.roots(poly)
-    seeds = np.unique(np.clip(roots.real, -1.0, 1.0))
-    pairs = np.clip(roots.real[roots.imag != 0.0], -1.0, 1.0)
-    mids = 0.5 * (seeds[1:] + seeds[:-1])
-    return q_max * np.unique(np.concatenate((pairs, mids, [-1.0, 1.0])))
+    a0, a1, a2 = s1 * s1, 2.0 * da * s1, k1sq + da**2
+    b0, b1, b2 = s2 * s2, -2.0 * dc * s2, k2sq + dc**2
+    mq = m_w2 * q_max
+    # x*D1*D2*m_w2*q_max + num_opt*D2 - num_mw*D1, highest power first
+    poly = np.concatenate((
+        mq * (a0 * b0),
+        mq * (a0 * b1 + a1 * b0),
+        mq * (a0 * b2 + a1 * b1 + a2 * b0),
+        mq * (a1 * b2 + a2 * b1) + (num_opt * b0 - num_mw * a0),
+        mq * (a2 * b2) + (num_opt * b1 - num_mw * a1),
+        num_opt * b2 - num_mw * a2), axis=1)
+    used = np.nonzero(np.any(poly != 0.0, axis=0))[0]
+    poly = poly[:, used[0]:used[-1] + 1]
+    rows, n = poly.shape[0], poly.shape[1] - 1
+    companion = np.zeros((rows, n, n))
+    companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    roots = np.concatenate((roots, np.zeros((rows, 5 - used[-1]))), axis=1)
+
+    real = np.clip(roots.real, -1.0, 1.0)
+    pairs = np.where(roots.imag != 0.0, real, np.nan)
+    seeds = np.sort(real, axis=1)
+    mids = 0.5 * (seeds[:, 1:] + seeds[:, :-1])
+    ends = np.repeat([[-1.0, 1.0]], rows, axis=0)
+    return q_max * np.sort(np.concatenate((pairs, mids, ends), axis=1),
+                           axis=1)
 
 
-def _bisect(func, lo, hi, f_lo, f_hi):
-    """Refine a sign-change bracket until it is tight in both senses."""
+def _false_position(func, lo, hi, f_lo, f_hi):
+    """Refine a sign-change bracket by Anderson-Bjorck false position.
+
+    ``b`` is the newest point and ``a`` the bracket's other end, so the two
+    always straddle a sign change and the secant point lies between them.
+    When ``a`` is kept, its value is scaled by ``1 - f_x/f_b`` (by 1/2 if
+    that is not positive), which pulls the next secant point across the
+    root.  The secant point is kept half the stopping width away from both
+    ends, so once it has converged the next step closes the bracket.  The
+    solve stops once the bracket is no wider than
+    ``_Q_ABS_TOL + _Q_REL_TOL*|mid|`` and returns its midpoint.
+    """
+    a, f_a, b, f_b = lo, f_lo, hi, f_hi
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= _Q_ABS_TOL + _Q_REL_TOL * abs(mid):
+        width = b - a
+        tol = _Q_ABS_TOL + _Q_REL_TOL * abs(0.5 * (a + b))
+        if abs(width) <= tol:
             break
-        f_mid = func(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi, f_hi = mid, f_mid
+        edge = 0.5 * tol / abs(width)
+        # the secant point as the fraction of the way from b back to a
+        x = b - min(max(f_b / (f_b - f_a), edge), 1.0 - edge) * width
+        f_x = func(x)
+        if f_x == 0.0:
+            return x
+        if (f_x < 0.0) != (f_b < 0.0):
+            a, f_a = b, f_b
         else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+            m = 1.0 - f_x / f_b
+            f_a *= m if m > 0.0 else 0.5
+        b, f_b = x, f_x
+    return 0.5 * (a + b)
 
 
 def _polish_root(params: SystemParams, q: float, power_scale: float,
@@ -148,10 +193,10 @@ def _polish_root(params: SystemParams, q: float, power_scale: float,
 
     Works on the amplitude form of the balance, i.e. the same floating-point
     expressions :func:`steady_residual` evaluates.  Near a radiation-pressure
-    resonance the two force terms dwarf their difference and bisection alone
-    leaves the *measured* relative residual pinned orders of magnitude above
-    machine precision; Newton against the metric's own arithmetic removes
-    that amplification.
+    resonance the two force terms dwarf their difference and the bracket
+    solve alone leaves the *measured* relative residual pinned orders of
+    magnitude above machine precision; Newton against the metric's own
+    arithmetic removes that amplification.
     """
     hbar = CONSTANTS.hbar
     eps_l, eps_p = drive_amplitudes(params)
@@ -194,45 +239,67 @@ def _polish_root(params: SystemParams, q: float, power_scale: float,
     return best_q
 
 
+def _enumerate(params: SystemParams, scales) -> list[list[float]]:
+    """The ascending real roots of the balance at each power scale.
+
+    The balance is undriven at every scale, with the single root 0, or at
+    no positive one.  The samples of all scales are evaluated in one array
+    expression, and sign changes are found with masks along each scale's
+    own row.  Each bracket is solved by :func:`_false_position` and then
+    Newton-polished without leaving it.
+    """
+    scales = np.asarray(scales, dtype=float)
+    coeffs, func = _balance(params, scales[:, None])
+    if not (np.any(coeffs[1]) or np.any(coeffs[2])):
+        return [[0.0] for _ in scales]
+    samples = _quintic_samples(params, coeffs)
+    values = func(samples)
+    roots: list[list[float]] = [[] for _ in scales]
+    for r, c in zip(*np.nonzero(values == 0.0)):
+        roots[r].append(float(samples[r, c]))
+    r_ok, c_ok = np.nonzero(np.isfinite(values) & (values != 0.0))
+    neg = values[r_ok, c_ok] < 0.0
+    flips = np.nonzero((r_ok[1:] == r_ok[:-1]) & (neg[1:] != neg[:-1]))[0]
+    ends_lo = (r_ok[flips], c_ok[flips])
+    ends_hi = (r_ok[flips + 1], c_ok[flips + 1])
+    scale_list = scales.tolist()
+    funcs = [_balance(params, scale)[1] for scale in scale_list]
+    for r, lo, hi, f_lo, f_hi in zip(
+            ends_lo[0].tolist(), samples[ends_lo].tolist(),
+            samples[ends_hi].tolist(), values[ends_lo].tolist(),
+            values[ends_hi].tolist()):
+        root = _false_position(funcs[r], lo, hi, f_lo, f_hi)
+        roots[r].append(_polish_root(params, root, scale_list[r], lo, hi))
+
+    for found in roots:
+        if not found:
+            raise BracketingError(
+                "no sign change found while bracketing the force balance")
+        found.sort()
+        deduped = [found[0]]
+        for q in found[1:]:
+            if abs(q - deduped[-1]) > _Q_ABS_TOL + 10.0 * _Q_REL_TOL * abs(q):
+                deduped.append(q)
+        found[:] = deduped
+    return roots
+
+
 def enumerate_branches(params: SystemParams,
                        power_scale: float = 1.0) -> list[float]:
     """All real steady-state displacements, ascending.
 
     The balance has at most 5 real roots and, for generic parameters, an
-    odd count (1, 3, or 5).  Samples seeded by the roots of the cleared
-    quintic are checked for sign changes of the balance itself; each
-    bracket is bisected and then Newton-polished without leaving it.
+    odd count (1, 3, or 5).  Samples seeded by the companion-matrix roots
+    of the cleared quintic are checked for sign changes of the balance
+    itself; each bracket is solved by Anderson-Bjorck false position and
+    then Newton-polished without leaving it.  This is the one-scale case of
+    the enumeration the power ramp of :func:`solve_steady_state` runs over
+    all its scales at once, and returns the same roots bit for bit.
     Raises :class:`BracketingError` if no sign change is seen, which is
     impossible for the continuous balance, since it is negative at
     ``-q_max`` and positive at ``+q_max``, and indicates a bug.
     """
-    coeffs, func = _balance(params, power_scale)
-    _, num_opt, num_mw, _, _ = coeffs
-    if num_opt == 0.0 and num_mw == 0.0:
-        return [0.0]
-
-    samples = _quintic_samples(params, coeffs)
-    values = func(samples)
-    roots = [float(samples[i]) for i in np.nonzero(values == 0.0)[0]]
-    signs = np.sign(values)
-    nz = signs != 0
-    idx_nz = np.nonzero(nz)[0]
-    flip = np.nonzero(signs[idx_nz][:-1] * signs[idx_nz][1:] < 0)[0]
-    for k in flip:
-        i, j = idx_nz[k], idx_nz[k + 1]
-        lo, hi = float(samples[i]), float(samples[j])
-        root = _bisect(func, lo, hi, float(values[i]), float(values[j]))
-        roots.append(_polish_root(params, root, power_scale, lo, hi))
-    if not roots:
-        raise BracketingError(
-            "no sign change found while bracketing the force balance")
-
-    roots.sort()
-    deduped = [roots[0]]
-    for r in roots[1:]:
-        if abs(r - deduped[-1]) > _Q_ABS_TOL + 10.0 * _Q_REL_TOL * abs(r):
-            deduped.append(r)
-    return deduped
+    return _enumerate(params, [power_scale])[0]
 
 
 def _state_from_root(params: SystemParams, q: float, branch_index: int,
@@ -255,8 +322,11 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
     By default the selected branch is the one continuously connected to the
     undriven system: both pump powers are ramped from zero in ``ramp_steps``
     stages and at each stage the root nearest the previous selection is
-    kept.  Passing ``q_seed`` skips the ramp and picks the full-power root
-    nearest the seed, which is what sweep continuation uses.
+    kept.  The roots of all ``ramp_steps - 1`` nonzero power scales come
+    from one pass of the enumeration behind :func:`enumerate_branches`,
+    equal bit for bit to calling it at each scale.  Passing ``q_seed`` skips
+    the ramp and picks the full-power root nearest the seed, which is what
+    sweep continuation uses.
 
     Raises :class:`ConvergenceError` if the fixed-point residual of the
     returned state exceeds ``residual_tol``.
@@ -273,9 +343,8 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
         if ramp_steps < 2:
             raise InvalidParameterError("ramp_steps must be >= 2")
         prev = 0.0
-        roots = [0.0]
-        for scale in np.linspace(0.0, 1.0, ramp_steps)[1:]:
-            roots = enumerate_branches(params, float(scale))
+        scales = np.linspace(0.0, 1.0, ramp_steps)[1:]
+        for scale, roots in zip(scales, _enumerate(params, scales)):
             prev, ambiguous = _nearest(roots, prev)
             if ambiguous:
                 warnings += (f"branch tracking ambiguous at power scale "

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import omrouter.analysis as analysis_module
-from omrouter.cli import main
+from omrouter.cli import _build_parser, main
 from omrouter.config import parse_config
 
 TAU = 2.0 * math.pi
@@ -193,3 +194,37 @@ def test_csv_float_format_is_17_significant_digits(tmp_path):
     first = lines[1].split(",")[0]
     mantissa = first.split("e")[0]
     assert len(mantissa.replace("-", "").replace(".", "")) == 17
+
+
+def test_parser_built_once_and_calls_share_no_arguments(tmp_path, capsys,
+                                                        monkeypatch):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["--out", str(first), "--oracle", "--set",
+                 "spectrum_points=7", "steady"]) == 0
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["--out", str(second), "--set", "ramp_steps=5",
+                 "steady"]) == 0
+    assert built == []
+    assert _build_parser().get_default("overrides") == []
+
+    def echo(path):
+        lines = (path / "resolved.cfg").read_text(encoding="utf-8")
+        return dict(line.split(" = ", 1) for line in lines.splitlines()
+                    if not line.startswith("#"))
+
+    defaults = parse_config(env={})
+    one, two = echo(first), echo(second)
+    assert (one["oracle"], two["oracle"]) == ("true", "false")
+    assert (one["spectrum_points"], two["spectrum_points"]) == (
+        "7", str(defaults.spectrum_points))
+    assert (one["ramp_steps"], two["ramp_steps"]) == (
+        str(defaults.ramp_steps), "5")
+    assert (one["output_dir"], two["output_dir"]) == (str(first),
+                                                      str(second))

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import omrouter.steady as steady_module
 from omrouter.errors import ConvergenceError
 from omrouter.model import CONSTANTS, SystemParams, drive_amplitudes
 from omrouter.steady import (enumerate_branches, force_balance,
@@ -117,6 +118,78 @@ class TestEnumerationReference:
         roots = enumerate_branches(params)
         assert len(roots) % 2 == 1
         assert_roots_match(roots, reference_roots(params))
+
+
+class TestRampEnumeration:
+    """The ramp enumerates all its power scales in one pass."""
+
+    def test_one_eigenvalue_call_per_ramp(self, params_on, monkeypatch):
+        shapes = []
+        real_eigvals = np.linalg.eigvals
+
+        def counting(matrices):
+            shapes.append(np.shape(matrices))
+            return real_eigvals(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        solve_steady_state(params_on, ramp_steps=11)
+        # one stack of companion matrices, one per nonzero power scale
+        assert shapes == [(10, 5, 5)]
+
+    def test_few_balance_evaluations_per_bracket(self, monkeypatch):
+        # scalar balance evaluations are the bracket solve's; each bracket
+        # is polished exactly once
+        evaluations, brackets = [0], [0]
+        real_balance = steady_module._balance
+        real_polish = steady_module._polish_root
+
+        def balance(params, power_scale):
+            coeffs, func = real_balance(params, power_scale)
+
+            def counted(q):
+                evaluations[0] += np.ndim(q) == 0
+                return func(q)
+
+            return coeffs, counted
+
+        def polish(*args):
+            brackets[0] += 1
+            return real_polish(*args)
+
+        monkeypatch.setattr(steady_module, "_balance", balance)
+        monkeypatch.setattr(steady_module, "_polish_root", polish)
+        rng = np.random.default_rng(20260810)
+        for _ in range(24):
+            params = criterion3_params(rng)
+            for power_scale in (0.3, 1.0):
+                enumerate_branches(params, power_scale)
+        assert brackets[0] > 0
+        assert evaluations[0] / brackets[0] <= 25.0
+
+    @pytest.mark.parametrize("params", [
+        *(criterion3_params(np.random.default_rng([20260810, k]))
+          for k in range(8)),
+        make_params(g1=0.0), make_params(g2=0.0),
+        make_params(power_l=0.0), make_params(power_p=0.0)],
+        ids=[*(f"criterion3-{k}" for k in range(8)),
+             "g1=0", "g2=0", "power_l=0", "power_p=0"])
+    def test_ramp_roots_equal_enumerate_branches(self, params, monkeypatch):
+        seen = []
+        real_enumerate = steady_module._enumerate
+
+        def recording(params, scales):
+            roots = real_enumerate(params, scales)
+            seen.append((list(scales), roots))
+            return roots
+
+        monkeypatch.setattr(steady_module, "_enumerate", recording)
+        solve_steady_state(params, ramp_steps=11, residual_tol=math.inf)
+        assert len(seen) == 1
+        scales, ramp_roots = seen[0]
+        assert scales == list(np.linspace(0.0, 1.0, 11)[1:])
+        for scale, roots in zip(scales, ramp_roots):
+            alone = enumerate_branches(params, scale)
+            assert [q.hex() for q in roots] == [q.hex() for q in alone]
 
 
 class TestEnumerateBranches:

@@ -12,8 +12,8 @@ hand.
 
 import numpy as np
 
-from omrouter import (drive_amplitudes, enumerate_branches, force_balance,
-                      parse_config, solve_steady_state, steady_residual)
+from omrouter import (drive_amplitudes, force_balance, parse_config,
+                      solve_steady_state, steady_residual)
 
 
 def main():
@@ -26,12 +26,11 @@ def main():
     print(f"drive amplitudes: eps_l = {eps_l:.4e} 1/s, "
           f"eps_p = {eps_p:.4e} 1/s\n")
 
-    roots = enumerate_branches(params)
-    print(f"force balance has {len(roots)} real roots (metres):")
-    for i, q in enumerate(roots):
+    state = solve_steady_state(params)
+    print(f"force balance has {len(state.branches)} real roots (metres):")
+    for i, q in enumerate(state.branches):
         print(f"  [{i}] q = {q:+.6e}   F(q) = {force_balance(params, q):+.3e} N")
 
-    state = solve_steady_state(params)
     print(f"\npower ramp selects branch {state.branch_index} "
           f"(connected to q = 0 at zero drive):")
     print(f"  q_s = {state.q_s:+.6e} m")
@@ -45,10 +44,9 @@ def main():
     print("\nbranch structure vs microwave power:")
     for power in np.array([0.0, 0.1, 0.5, 1.0, 5.0]) * 300e-9:
         p = cfg.system_params(power_p=float(power))
-        n = len(enumerate_branches(p))
-        q = solve_steady_state(p).q_s
-        print(f"  power_p = {power * 1e9:7.1f} nW: {n} branches, "
-              f"selected q_s = {q:+.3e} m")
+        state = solve_steady_state(p)
+        print(f"  power_p = {power * 1e9:7.1f} nW: {len(state.branches)} "
+              f"branches, selected q_s = {state.q_s:+.3e} m")
 
 
 if __name__ == "__main__":

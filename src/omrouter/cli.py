@@ -24,7 +24,7 @@ from .analysis import (power_sweep, routing_report, window_scan,
 from .config import RunConfig, parse_config
 from .errors import AnalysisError, ConfigError, RouterError
 from .response import closed_vs_oracle_deviation, scan_spectrum
-from .steady import enumerate_branches, solve_steady_state
+from .steady import solve_steady_state
 
 __all__ = ["main", "run_figure"]
 
@@ -75,10 +75,9 @@ def _report_kwargs(cfg: RunConfig) -> dict:
 def _cmd_steady(cfg: RunConfig) -> int:
     _prepare_outdir(cfg)
     params = cfg.system_params()
-    branches = enumerate_branches(params)
     state = _solve(cfg, params)
-    print(f"branches ({len(branches)}):")
-    for i, q in enumerate(branches):
+    print(f"branches ({len(state.branches)}):")
+    for i, q in enumerate(state.branches):
         marker = " *" if i == state.branch_index else ""
         print(f"  [{i}] q = {_fmt(q)} m{marker}")
     print(f"q_s      = {_fmt(state.q_s)} m")

@@ -5,11 +5,12 @@ force balance between its restoring force and the two radiation-pressure
 terms, each a Lorentzian in the displacement itself.  Clearing both
 denominators turns it into a polynomial of degree at most 5, so it has 1, 3,
 or 5 real solutions.  The solver brackets every branch by sign changes of
-the balance at samples seeded by that quintic's roots, solves each bracket
-by false position, and selects the branch continuously connected to the
-undriven state via a power ramp.  The ramp enumerates all its power scales
-in one pass: one batched eigenvalue call gives the quintic's roots at every
-scale, and one array expression evaluates the balance at all their samples.
+the balance at samples placed by that quintic's roots, solves each bracket
+by false position started at the quintic's real root inside it, and selects
+the branch continuously connected to the undriven state via a power ramp.
+The ramp enumerates all its power scales in one pass: one batched
+eigenvalue call gives the quintic's roots at every scale, and one array
+expression evaluates the balance at all their samples.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ class SteadyState:
     (kg*m/s, exactly zero), ``a_s``/``c_s`` the complex optical and
     microwave amplitudes, ``delta1``/``delta2`` the effective detunings
     (rad/s).  ``residual`` is the relative fixed-point mismatch and
-    ``branch_index`` the position of the selected root in the ascending
-    branch list.  ``warnings`` collects non-fatal solver notes such as
-    branch-tracking ambiguity.
+    ``branch_index`` the position of the selected root in ``branches``,
+    the ascending full-power roots it was picked from.  ``warnings``
+    collects non-fatal solver notes such as branch-tracking ambiguity.
     """
 
     q_s: float
@@ -65,9 +66,10 @@ class SteadyState:
     residual: float
     branch_index: int
     warnings: tuple[str, ...] = ()
+    branches: tuple[float, ...] = ()
 
 
-def _balance(params: SystemParams, power_scale):
+def _balance(params: SystemParams, power_scale, drives=None):
     """The static force balance at ``power_scale``.
 
     Returns its coefficients ``(m_w2, num_opt, num_mw, k1sq, k2sq)`` and the
@@ -75,11 +77,12 @@ def _balance(params: SystemParams, power_scale):
     + num_opt/(k1sq + (delta_a + g1*q)**2)`` as a function of floats or
     arrays.  An array of scales gives arrays ``num_opt`` and ``num_mw`` that
     broadcast against ``q``.  At one float scale it closes over plain
-    floats: the bracket solve calls it hundreds of times across a ramp,
-    where attribute lookups would dominate.
+    floats: the bracket solve calls it many times across a ramp, where
+    attribute lookups would dominate.  ``drives`` are the pump amplitudes
+    of :func:`drive_amplitudes`, if the caller already has them.
     """
     hbar = CONSTANTS.hbar
-    eps_l, eps_p = drive_amplitudes(params)
+    eps_l, eps_p = drive_amplitudes(params) if drives is None else drives
     coeffs = (params.mass * params.omega_m**2,
               hbar * params.g1 * power_scale * eps_l**2,
               hbar * params.g2 * power_scale * eps_p**2,
@@ -105,21 +108,23 @@ def force_balance(params: SystemParams, q, power_scale: float = 1.0):
     return float(out) if out.ndim == 0 else out
 
 
-def _quintic_samples(params: SystemParams, coeffs) -> np.ndarray:
+def _quintic_samples(params: SystemParams,
+                     coeffs) -> tuple[np.ndarray, np.ndarray]:
     """Displacement samples whose sign changes bracket every root.
 
-    ``coeffs`` come from :func:`_balance` at a column of power scales; the
-    result holds one row of samples per scale, ascending and padded with
-    NaN.  The balance times both Lorentzian denominators is a polynomial of
-    degree at most 5 in ``x = q/q_max``, where ``q_max`` bounds every root.
-    The samples are ``x = +-1``, the midpoints between the real parts of
-    its roots and the real part of each complex pair, which separates a
+    ``coeffs`` come from :func:`_balance` at a column of power scales.  The
+    balance times both Lorentzian denominators is a polynomial of degree
+    at most 5 in ``x = q/q_max``, where ``q_max`` bounds every root.  The
+    samples are ``x = +-1``, the midpoints between the real parts of its
+    roots and the real part of each complex pair, which separates a
     near-double root's two sign changes.  A real root itself is not a
     sample: as a bracket end within rounding of the true root, it would
-    stop the Newton polish short (docs/derivation_notes.md).  One
-    eigenvalue call takes the roots of every scale from the stacked
-    companion matrices.  The degree and any zero root do not depend on the
-    scale, so one trim of zero coefficients serves the whole stack.
+    stop the Newton polish short (docs/derivation_notes.md).  Returns the
+    samples (ascending, NaN-padded) and the real roots in ``q`` (NaN for
+    complex ones), one row per scale.  One eigenvalue call takes the roots
+    of every scale from the stacked companion matrices.  The degree and any
+    zero root do not depend on the scale, so one trim of zero coefficients
+    serves the whole stack.
     """
     m_w2, num_opt, num_mw, k1sq, k2sq = coeffs
     q_max = 1.1 * (num_opt / k1sq + num_mw / k2sq) / m_w2
@@ -146,17 +151,19 @@ def _quintic_samples(params: SystemParams, coeffs) -> np.ndarray:
     roots = np.concatenate((roots, np.zeros((rows, 5 - used[-1]))), axis=1)
 
     real = np.clip(roots.real, -1.0, 1.0)
-    pairs = np.where(roots.imag != 0.0, real, np.nan)
+    is_pair = roots.imag != 0.0
+    pairs = np.where(is_pair, real, np.nan)
     seeds = np.sort(real, axis=1)
     mids = 0.5 * (seeds[:, 1:] + seeds[:, :-1])
     ends = np.repeat([[-1.0, 1.0]], rows, axis=0)
-    return q_max * np.sort(np.concatenate((pairs, mids, ends), axis=1),
-                           axis=1)
+    samples = np.sort(np.concatenate((pairs, mids, ends), axis=1), axis=1)
+    return q_max * samples, q_max * np.where(is_pair, np.nan, roots.real)
 
 
-def _false_position(func, lo, hi, f_lo, f_hi):
+def _false_position(func, lo, hi, f_lo, f_hi, seed=math.nan):
     """Refine a sign-change bracket by Anderson-Bjorck false position.
 
+    The first point is ``seed`` if it lies strictly inside the bracket.
     ``b`` is the newest point and ``a`` the bracket's other end, so the two
     always straddle a sign change and the secant point lies between them.
     When ``a`` is kept, its value is scaled by ``1 - f_x/f_b`` (by 1/2 if
@@ -164,17 +171,20 @@ def _false_position(func, lo, hi, f_lo, f_hi):
     root.  The secant point is kept half the stopping width away from both
     ends, so once it has converged the next step closes the bracket.  The
     solve stops once the bracket is no wider than
-    ``_Q_ABS_TOL + _Q_REL_TOL*|mid|`` and returns its midpoint.
+    ``_Q_ABS_TOL + _Q_REL_TOL*|mid|`` and returns its midpoint, or a point
+    at which ``func`` is exactly zero.
     """
     a, f_a, b, f_b = lo, f_lo, hi, f_hi
+    x = seed if lo < seed < hi else None
     for _ in range(200):
         width = b - a
         tol = _Q_ABS_TOL + _Q_REL_TOL * abs(0.5 * (a + b))
         if abs(width) <= tol:
             break
-        edge = 0.5 * tol / abs(width)
-        # the secant point as the fraction of the way from b back to a
-        x = b - min(max(f_b / (f_b - f_a), edge), 1.0 - edge) * width
+        if x is None:
+            edge = 0.5 * tol / abs(width)
+            # the secant point as the fraction of the way from b back to a
+            x = b - min(max(f_b / (f_b - f_a), edge), 1.0 - edge) * width
         f_x = func(x)
         if f_x == 0.0:
             return x
@@ -183,42 +193,47 @@ def _false_position(func, lo, hi, f_lo, f_hi):
         else:
             m = 1.0 - f_x / f_b
             f_a *= m if m > 0.0 else 0.5
-        b, f_b = x, f_x
+        b, f_b, x = x, f_x, None
     return 0.5 * (a + b)
 
 
-def _polish_root(params: SystemParams, q: float, power_scale: float,
-                 lo: float, hi: float) -> float:
+def _amplitude_forms(params: SystemParams, drives, scales):
+    """For each scale, the balance and its slope in the amplitude form that
+    :func:`steady_residual` evaluates, for :func:`_polish_root`."""
+    hbar, m_w2 = CONSTANTS.hbar, params.mass * params.omega_m**2
+    k1, k2, g1, g2 = params.kappa1, params.kappa2, params.g1, params.g2
+    da, dc = params.delta_a, params.delta_c
+
+    def form(scale_amp):
+        es_l, es_p = scale_amp * drives[0], scale_amp * drives[1]
+
+        def balance_and_slope(x):
+            d1 = da + g1 * x
+            d2 = dc - g2 * x
+            a2 = abs(es_l / (2.0 * k1 + 1j * d1)) ** 2
+            c2 = abs(es_p / (2.0 * k2 + 1j * d2)) ** 2
+            den1 = (2.0 * k1) ** 2 + d1**2
+            den2 = (2.0 * k2) ** 2 + d2**2
+            value = m_w2 * x - hbar * g2 * c2 + hbar * g1 * a2
+            slope = (m_w2 - 2.0 * hbar * g2**2 * es_p**2 * d2 / den2**2
+                     - 2.0 * hbar * g1**2 * es_l**2 * d1 / den1**2)
+            return value, slope
+
+        return balance_and_slope
+
+    return [form(math.sqrt(scale)) for scale in scales]
+
+
+def _polish_root(balance_and_slope, q: float, lo: float, hi: float) -> float:
     """Newton-polish a bracketed root of the force balance.
 
-    Works on the amplitude form of the balance, i.e. the same floating-point
-    expressions :func:`steady_residual` evaluates.  Near a radiation-pressure
-    resonance the two force terms dwarf their difference and the bracket
-    solve alone leaves the *measured* relative residual pinned orders of
-    magnitude above machine precision; Newton against the metric's own
-    arithmetic removes that amplification.
+    Works on the amplitude form of the balance from
+    :func:`_amplitude_forms`.  Near a radiation-pressure resonance the two
+    force terms dwarf their difference and the bracket solve alone leaves
+    the *measured* relative residual pinned orders of magnitude above
+    machine precision; Newton against the metric's own arithmetic removes
+    that amplification.
     """
-    hbar = CONSTANTS.hbar
-    eps_l, eps_p = drive_amplitudes(params)
-    scale_amp = math.sqrt(power_scale)
-    es_l = scale_amp * eps_l
-    es_p = scale_amp * eps_p
-    m_w2 = params.mass * params.omega_m**2
-    k1, k2 = params.kappa1, params.kappa2
-    g1, g2 = params.g1, params.g2
-
-    def balance_and_slope(x):
-        d1 = params.delta_a + g1 * x
-        d2 = params.delta_c - g2 * x
-        a2 = abs(es_l / (2.0 * k1 + 1j * d1)) ** 2
-        c2 = abs(es_p / (2.0 * k2 + 1j * d2)) ** 2
-        den1 = (2.0 * k1) ** 2 + d1**2
-        den2 = (2.0 * k2) ** 2 + d2**2
-        value = m_w2 * x - hbar * g2 * c2 + hbar * g1 * a2
-        slope = (m_w2 - 2.0 * hbar * g2**2 * es_p**2 * d2 / den2**2
-                 - 2.0 * hbar * g1**2 * es_l**2 * d1 / den1**2)
-        return value, slope
-
     best_q = q
     best_val, slope = balance_and_slope(q)
     for _ in range(12):
@@ -245,14 +260,16 @@ def _enumerate(params: SystemParams, scales) -> list[list[float]]:
     The balance is undriven at every scale, with the single root 0, or at
     no positive one.  The samples of all scales are evaluated in one array
     expression, and sign changes are found with masks along each scale's
-    own row.  Each bracket is solved by :func:`_false_position` and then
+    own row.  Each bracket is solved by :func:`_false_position`, started at
+    the quintic's real root inside it if there is exactly one, and then
     Newton-polished without leaving it.
     """
     scales = np.asarray(scales, dtype=float)
-    coeffs, func = _balance(params, scales[:, None])
+    drives = drive_amplitudes(params)
+    coeffs, func = _balance(params, scales[:, None], drives)
     if not (np.any(coeffs[1]) or np.any(coeffs[2])):
         return [[0.0] for _ in scales]
-    samples = _quintic_samples(params, coeffs)
+    samples, real_roots = _quintic_samples(params, coeffs)
     values = func(samples)
     roots: list[list[float]] = [[] for _ in scales]
     for r, c in zip(*np.nonzero(values == 0.0)):
@@ -262,14 +279,17 @@ def _enumerate(params: SystemParams, scales) -> list[list[float]]:
     flips = np.nonzero((r_ok[1:] == r_ok[:-1]) & (neg[1:] != neg[:-1]))[0]
     ends_lo = (r_ok[flips], c_ok[flips])
     ends_hi = (r_ok[flips + 1], c_ok[flips + 1])
-    scale_list = scales.tolist()
-    funcs = [_balance(params, scale)[1] for scale in scale_list]
+    scale_list, real_rows = scales.tolist(), real_roots.tolist()
+    funcs = [_balance(params, scale, drives)[1] for scale in scale_list]
+    forms = _amplitude_forms(params, drives, scale_list)
     for r, lo, hi, f_lo, f_hi in zip(
             ends_lo[0].tolist(), samples[ends_lo].tolist(),
             samples[ends_hi].tolist(), values[ends_lo].tolist(),
             values[ends_hi].tolist()):
-        root = _false_position(funcs[r], lo, hi, f_lo, f_hi)
-        roots[r].append(_polish_root(params, root, scale_list[r], lo, hi))
+        inside = [q for q in real_rows[r] if lo < q < hi]
+        seed = inside[0] if len(inside) == 1 else math.nan
+        root = _false_position(funcs[r], lo, hi, f_lo, f_hi, seed)
+        roots[r].append(_polish_root(forms[r], root, lo, hi))
 
     for found in roots:
         if not found:
@@ -302,15 +322,17 @@ def enumerate_branches(params: SystemParams,
     return _enumerate(params, [power_scale])[0]
 
 
-def _state_from_root(params: SystemParams, q: float, branch_index: int,
+def _state_from_root(params: SystemParams, roots: list[float], index: int,
                      warnings: tuple[str, ...]) -> SteadyState:
+    q = roots[index]
     eps_l, eps_p = drive_amplitudes(params)
     delta1, delta2 = effective_detunings(params, q)
     a_s = eps_l / (2.0 * params.kappa1 + 1j * delta1)
     c_s = eps_p / (2.0 * params.kappa2 + 1j * delta2)
     state = SteadyState(q_s=q, p_s=0.0, a_s=a_s, c_s=c_s,
                         delta1=delta1, delta2=delta2, residual=0.0,
-                        branch_index=branch_index, warnings=warnings)
+                        branch_index=index, warnings=warnings,
+                        branches=tuple(roots))
     return replace(state, residual=steady_residual(params, state))
 
 
@@ -326,7 +348,8 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
     from one pass of the enumeration behind :func:`enumerate_branches`,
     equal bit for bit to calling it at each scale.  Passing ``q_seed`` skips
     the ramp and picks the full-power root nearest the seed, which is what
-    sweep continuation uses.
+    sweep continuation uses.  Either way the state carries the full-power
+    roots it was picked from as ``branches``.
 
     Raises :class:`ConvergenceError` if the fixed-point residual of the
     returned state exceeds ``residual_tol``.
@@ -335,7 +358,7 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
 
     if q_seed is not None:
         roots = enumerate_branches(params)
-        q, ambiguous = _nearest(roots, q_seed)
+        index, ambiguous = _nearest(roots, q_seed)
         if ambiguous:
             warnings += ("branch tracking ambiguous: two roots equidistant "
                          "from seed",)
@@ -345,14 +368,13 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
         prev = 0.0
         scales = np.linspace(0.0, 1.0, ramp_steps)[1:]
         for scale, roots in zip(scales, _enumerate(params, scales)):
-            prev, ambiguous = _nearest(roots, prev)
+            index, ambiguous = _nearest(roots, prev)
+            prev = roots[index]
             if ambiguous:
                 warnings += (f"branch tracking ambiguous at power scale "
                              f"{scale:.2f}",)
-        q = prev
 
-    branch_index = int(np.argmin([abs(r - q) for r in roots]))
-    state = _state_from_root(params, q, branch_index, warnings)
+    state = _state_from_root(params, roots, index, warnings)
     if state.residual > residual_tol:
         raise ConvergenceError(
             f"steady-state residual {state.residual:.3e} exceeds "
@@ -360,12 +382,14 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
     return state
 
 
-def _nearest(roots: list[float], target: float) -> tuple[float, bool]:
-    dists = np.abs(np.asarray(roots) - target)
-    order = np.argsort(dists, kind="stable")
-    ambiguous = (len(roots) > 1
+def _nearest(roots: list[float], target: float) -> tuple[int, bool]:
+    """Index of the root nearest ``target``, the first one on a tie, and
+    whether the runner-up is within ``_EQUIDISTANT_TOL`` as near."""
+    dists = [abs(r - target) for r in roots]
+    order = sorted(range(len(dists)), key=dists.__getitem__)
+    ambiguous = (len(order) > 1
                  and dists[order[1]] - dists[order[0]] < _EQUIDISTANT_TOL)
-    return roots[int(order[0])], bool(ambiguous)
+    return order[0], ambiguous
 
 
 def steady_residual(params: SystemParams, state: SteadyState) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import omrouter.analysis as analysis_module
+import omrouter.steady as steady_module
 from omrouter.cli import _build_parser, main
 from omrouter.config import parse_config
 
@@ -32,6 +33,28 @@ def test_steady_prints_branches_and_state(tmp_path, capsys):
     assert "branches (5):" in out
     assert "residual" in out
     assert (tmp_path / "resolved.cfg").exists()
+
+
+@pytest.mark.parametrize("policy", ["ramp", "direct"])
+def test_steady_enumerates_once_and_lists_those_roots(tmp_path, capsys,
+                                                      monkeypatch, policy):
+    seen = []
+    real_enumerate = steady_module._enumerate
+
+    def recording(params, scales):
+        seen.append(params)
+        return real_enumerate(params, scales)
+
+    monkeypatch.setattr(steady_module, "_enumerate", recording)
+    assert main(["--out", str(tmp_path), "--set", f"branch_policy={policy}",
+                 "steady"]) == 0
+    assert len(seen) == 1
+    listed = [line.split(" = ")[1].split(" m")[0]
+              for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  [")]
+    monkeypatch.undo()
+    roots = steady_module.enumerate_branches(seen[0])
+    assert listed == [f"{q:.16e}" for q in roots]
 
 
 def test_spectrum_writes_csv(tmp_path):

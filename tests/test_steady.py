@@ -138,13 +138,14 @@ class TestRampEnumeration:
 
     def test_few_balance_evaluations_per_bracket(self, monkeypatch):
         # scalar balance evaluations are the bracket solve's; each bracket
-        # is polished exactly once
+        # is polished exactly once.  A solve started at the quintic's own
+        # root takes about 3; from the sample ends it took 13
         evaluations, brackets = [0], [0]
         real_balance = steady_module._balance
         real_polish = steady_module._polish_root
 
-        def balance(params, power_scale):
-            coeffs, func = real_balance(params, power_scale)
+        def balance(*args):
+            coeffs, func = real_balance(*args)
 
             def counted(q):
                 evaluations[0] += np.ndim(q) == 0
@@ -164,7 +165,7 @@ class TestRampEnumeration:
             for power_scale in (0.3, 1.0):
                 enumerate_branches(params, power_scale)
         assert brackets[0] > 0
-        assert evaluations[0] / brackets[0] <= 25.0
+        assert evaluations[0] / brackets[0] <= 6.0
 
     @pytest.mark.parametrize("params", [
         *(criterion3_params(np.random.default_rng([20260810, k]))
@@ -190,6 +191,71 @@ class TestRampEnumeration:
         for scale, roots in zip(scales, ramp_roots):
             alone = enumerate_branches(params, scale)
             assert [q.hex() for q in roots] == [q.hex() for q in alone]
+
+
+class TestFalsePosition:
+    """The bracket solve, on ``q**2 - 2`` over ``[1, 2]`` unless stated."""
+
+    ROOT = math.sqrt(2.0)
+
+    @staticmethod
+    def solve(seed=None, func=lambda q: q * q - 2.0, lo=1.0, hi=2.0):
+        points = []
+
+        def recording(q):
+            points.append(q)
+            return func(q)
+
+        args = (recording, lo, hi, func(lo), func(hi))
+        root = (steady_module._false_position(*args) if seed is None
+                else steady_module._false_position(*args, seed))
+        return root, points
+
+    def assert_solved(self, root):
+        assert abs(root - self.ROOT) <= steady_module._Q_REL_TOL * self.ROOT
+
+    @pytest.mark.parametrize("seed", [None, math.nan, 1.0, 2.0, 2.5])
+    def test_without_inner_seed_starts_at_secant_point(self, seed):
+        # NaN, a bracket end or a point outside the bracket is no seed
+        root, points = self.solve(seed)
+        assert points[0] == pytest.approx(4.0 / 3.0)  # the secant point
+        assert (root, points) == self.solve()
+        self.assert_solved(root)
+
+    def test_seed_at_exact_zero_is_returned(self):
+        root, points = self.solve(0.375, func=lambda q: q - 0.375, lo=0.0)
+        assert root == 0.375
+        assert points == [0.375]
+
+    @pytest.mark.parametrize("offset", [-1e-6, -3e-13, -1e-15, 1e-15, 3e-13,
+                                        1e-6])
+    def test_seed_on_either_side_is_evaluated_first(self, offset):
+        seed = self.ROOT + offset
+        root, points = self.solve(seed)
+        assert points[0] == seed
+        assert len(points) <= 4 < len(self.solve()[1])
+        self.assert_solved(root)
+
+    def test_near_fold_pair_has_no_real_seed(self, params_on, monkeypatch):
+        # this close past the default device's 3 -> 5 fold the eigen-solver
+        # returns the two nearly coincident roots as a complex pair, so
+        # their brackets hold no real seed and start at the secant point
+        power_scale = DEFAULT_FOLD_SCALE * (1.0 + 3e-13)
+        seeds = []
+        real_solve = steady_module._false_position
+
+        def recording(func, lo, hi, f_lo, f_hi, seed=math.nan):
+            seeds.append(seed)
+            return real_solve(func, lo, hi, f_lo, f_hi, seed)
+
+        monkeypatch.setattr(steady_module, "_false_position", recording)
+        roots = enumerate_branches(params_on, power_scale)
+        assert len(seeds) == 5
+        assert sum(math.isnan(seed) for seed in seeds) == 2
+        # a double root's position is conditioned as the square root of
+        # rounding: the pair sits ~4e-12 (relative) off the 50-digit roots
+        assert_roots_match(roots, reference_roots(params_on, power_scale),
+                           rel=1e-11)
 
 
 class TestEnumerateBranches:
@@ -255,6 +321,33 @@ class TestSolveSteadyState:
         st = solve_steady_state(params_on, q_seed=roots[-1])
         assert st.q_s == pytest.approx(roots[-1], rel=1e-12)
         assert st.branch_index == len(roots) - 1
+
+    @pytest.mark.parametrize("q_seed", [None, 0.0])
+    def test_branches_are_the_full_power_roots(self, params_on, q_seed):
+        st = solve_steady_state(params_on, q_seed=q_seed)
+        assert st.branches == tuple(enumerate_branches(params_on))
+        assert st.q_s == st.branches[st.branch_index]
+
+    def test_equidistant_seed_is_ambiguous(self, params_on):
+        roots = enumerate_branches(params_on)
+        st = solve_steady_state(params_on, q_seed=0.5 * (roots[2] + roots[3]),
+                                residual_tol=math.inf)
+        assert st.branch_index in (2, 3)
+        assert st.warnings == ("branch tracking ambiguous: two roots "
+                               "equidistant from seed",)
+
+    @pytest.mark.parametrize("roots, target", [
+        ([0.0], 7.0), ([1.0, 3.0], 2.0), ([-1.0, 1.0, 5.0], 0.0),
+        ([1.0, 2.0, 3.0], 2.2), ([0.0, 1e-15, 3e-15], 2e-15),
+        ([-4e-13, 3.7e-15, 4.7e-13], 0.0), ([2.0, 1.0, 3.0], 2.0)])
+    def test_nearest_matches_stable_argsort(self, roots, target):
+        # the tie rule and the ambiguity test of numpy's stable argsort
+        dists = np.abs(np.asarray(roots) - target)
+        order = np.argsort(dists, kind="stable")
+        ambiguous = (len(roots) > 1
+                     and dists[order[1]] - dists[order[0]] < 1e-15)
+        assert steady_module._nearest(roots, target) == (int(order[0]),
+                                                         ambiguous)
 
     def test_single_root_selected_when_unique(self):
         p = make_params(power_l=1e-9, power_p=1e-13)

@@ -41,6 +41,10 @@ DEFAULT_R_REFLECT_MIN = 0.99
 DEFAULT_T_TRANSMIT_MIN = 0.95
 DEFAULT_T_BLOCKED_MAX = 0.01
 
+_REFINE_POINTS = 401  # nodes of the narrow re-scan around a coarse maximum
+_BISECT_REL_TOL = 1e-3
+_BISECT_MAX_ITER = 80
+
 _COLUMN_ALIASES = {"r": "r_refl", "R": "r_refl",
                    "t": "t_trans", "T": "t_trans"}
 
@@ -122,17 +126,15 @@ def _side_extrema(extrema, center, minima_mode):
     return lo, hi, len(entries)
 
 
-def _refine_extremum(params, state, column, omega_guess, half_width,
-                     method, minima_mode, n_points=401):
-    """Re-sample a narrow window around a coarse extremum and re-refine."""
+def _refine_extremum(params, state, column, omega_guess, half_width, method):
+    """Re-sample a narrow window around a coarse maximum and re-refine."""
     grid = np.linspace(omega_guess - half_width, omega_guess + half_width,
-                       n_points)
+                       _REFINE_POINTS)
     result = scan_spectrum(params, grid, method=method, state=state)
-    extrema = find_extrema(result, column)
-    entries = extrema.minima if minima_mode else extrema.maxima
-    if not entries:
+    maxima = find_extrema(result, column).maxima
+    if not maxima:
         return None
-    return min(entries, key=lambda e: abs(e.omega - omega_guess))
+    return min(maxima, key=lambda e: abs(e.omega - omega_guess))
 
 
 def window_splitting(params: SystemParams, mode: str = "t-minima",
@@ -243,7 +245,7 @@ def routing_report(params: SystemParams,
 
     def reflect_peak(omega_guess):
         refined = _refine_extremum(params, state, "R", omega_guess, half,
-                                   method, minima_mode=False)
+                                   method)
         return refined.omega if refined is not None else omega_guess
 
     if count == 0:
@@ -267,8 +269,7 @@ def routing_report(params: SystemParams,
 
     between = [e for e in extrema.maxima if w_lo < e.omega < w_hi]
     guess_top = max(between, key=lambda e: e.value).omega if between else wm
-    top = _refine_extremum(params, state, "T", guess_top, half, method,
-                           minima_mode=False)
+    top = _refine_extremum(params, state, "T", guess_top, half, method)
     center = top.omega if top is not None else guess_top
 
     ports = (port("transmit", center, False),
@@ -358,10 +359,11 @@ class CalibrationTargets:
     r_reflect_min: float = DEFAULT_R_REFLECT_MIN
 
 
-def _bisect_threshold(predicate, lo, hi, rel_tol=1e-3, max_iter=80):
-    """Smallest value in (lo, hi] satisfying a monotone predicate."""
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * hi:
+def _bisect_threshold(predicate, lo, hi):
+    """Smallest value in (lo, hi] satisfying a monotone predicate, to
+    ``_BISECT_REL_TOL`` relative."""
+    for _ in range(_BISECT_MAX_ITER):
+        if hi - lo <= _BISECT_REL_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if predicate(mid):

@@ -167,7 +167,6 @@ _SCHEMA = {
     "splitting_mode": _parse_choice({"t-minima", "r-maxima"}),
     "r_reflect_min": _quantity_parser("plain"),
     "t_transmit_min": _quantity_parser("plain"),
-    "t_blocked_max": _quantity_parser("plain"),
     "sweep_powers": _parse_power_list,
     "fig3_powers": _parse_power_list,
     "output_dir": lambda text, key, where: text.strip(),
@@ -205,7 +204,6 @@ _DEFAULT_TEXT = {
     "splitting_mode": "t-minima",
     "r_reflect_min": "0.99",
     "t_transmit_min": "0.95",
-    "t_blocked_max": "0.01",
     "sweep_powers": "0, 300nW, 1.5uW",
     "fig3_powers": "300nW, 1.5uW",
     "output_dir": "out",
@@ -246,7 +244,6 @@ class RunConfig:
     splitting_mode: str
     r_reflect_min: float
     t_transmit_min: float
-    t_blocked_max: float
     sweep_powers: tuple[float, ...]
     fig3_powers: tuple[float, ...]
     output_dir: str
@@ -304,7 +301,7 @@ class RunConfig:
             raise ConfigError("splitting_window must be in (0, 1)")
         if self.splitting_points < 3:
             raise ConfigError("splitting_points must be >= 3")
-        for name in ("r_reflect_min", "t_transmit_min", "t_blocked_max"):
+        for name in ("r_reflect_min", "t_transmit_min"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1)")
         if any(p < 0.0 for p in self.sweep_powers + self.fig3_powers):

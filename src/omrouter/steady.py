@@ -8,9 +8,8 @@ or 5 real solutions.  The solver brackets every branch by sign changes of
 the balance at samples placed by that quintic's roots, solves each bracket
 by false position started at the quintic's real root inside it, and selects
 the branch continuously connected to the undriven state via a power ramp.
-The ramp enumerates all its power scales in one pass: one batched
-eigenvalue call gives the quintic's roots at every scale, and one array
-expression evaluates the balance at all their samples.
+One batched eigenvalue call gives the quintic's roots at every power scale
+of the ramp; a plain loop then samples and solves one scale at a time.
 """
 
 from __future__ import annotations
@@ -77,9 +76,10 @@ def _balance(params: SystemParams, power_scale, drives=None):
     + num_opt/(k1sq + (delta_a + g1*q)**2)`` as a function of floats or
     arrays.  An array of scales gives arrays ``num_opt`` and ``num_mw`` that
     broadcast against ``q``.  At one float scale it closes over plain
-    floats: the bracket solve calls it many times across a ramp, where
-    attribute lookups would dominate.  ``drives`` are the pump amplitudes
-    of :func:`drive_amplitudes`, if the caller already has them.
+    floats: the sample checks and the bracket solve call it many times
+    across a ramp, where attribute lookups would dominate.  ``drives`` are
+    the pump amplitudes of :func:`drive_amplitudes`, if the caller already
+    has them.
     """
     hbar = CONSTANTS.hbar
     eps_l, eps_p = drive_amplitudes(params) if drives is None else drives
@@ -108,8 +108,7 @@ def force_balance(params: SystemParams, q, power_scale: float = 1.0):
     return float(out) if out.ndim == 0 else out
 
 
-def _quintic_samples(params: SystemParams,
-                     coeffs) -> tuple[np.ndarray, np.ndarray]:
+def _quintic_samples(params: SystemParams, coeffs):
     """Displacement samples whose sign changes bracket every root.
 
     ``coeffs`` come from :func:`_balance` at a column of power scales.  The
@@ -119,12 +118,12 @@ def _quintic_samples(params: SystemParams,
     roots and the real part of each complex pair, which separates a
     near-double root's two sign changes.  A real root itself is not a
     sample: as a bracket end within rounding of the true root, it would
-    stop the Newton polish short (docs/derivation_notes.md).  Returns the
-    samples (ascending, NaN-padded) and the real roots in ``q`` (NaN for
-    complex ones), one row per scale.  One eigenvalue call takes the roots
-    of every scale from the stacked companion matrices.  The degree and any
-    zero root do not depend on the scale, so one trim of zero coefficients
-    serves the whole stack.
+    stop the Newton polish short (docs/derivation_notes.md).  One
+    eigenvalue call takes the roots of every scale from the stacked
+    companion matrices.  The degree and any zero root do not depend on the
+    scale, so one trim of zero coefficients serves the whole stack.  Yields,
+    for each scale in turn, its ascending samples and its real roots, both
+    in ``q``.
     """
     m_w2, num_opt, num_mw, k1sq, k2sq = coeffs
     q_max = 1.1 * (num_opt / k1sq + num_mw / k2sq) / m_w2
@@ -147,17 +146,17 @@ def _quintic_samples(params: SystemParams,
     companion = np.zeros((rows, n, n))
     companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
     companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    roots = np.linalg.eigvals(companion)
-    roots = np.concatenate((roots, np.zeros((rows, 5 - used[-1]))), axis=1)
-
-    real = np.clip(roots.real, -1.0, 1.0)
-    is_pair = roots.imag != 0.0
-    pairs = np.where(is_pair, real, np.nan)
-    seeds = np.sort(real, axis=1)
-    mids = 0.5 * (seeds[:, 1:] + seeds[:, :-1])
-    ends = np.repeat([[-1.0, 1.0]], rows, axis=0)
-    samples = np.sort(np.concatenate((pairs, mids, ends), axis=1), axis=1)
-    return q_max * samples, q_max * np.where(is_pair, np.nan, roots.real)
+    zero_roots = [0j] * (5 - used[-1])
+    for scale_max, roots in zip(q_max[:, 0].tolist(),
+                                np.linalg.eigvals(companion).tolist()):
+        roots += zero_roots
+        real = [min(max(z.real, -1.0), 1.0) for z in roots]
+        seeds = sorted(real)
+        samples = sorted([x for x, z in zip(real, roots) if z.imag != 0.0]
+                         + [0.5 * (b + a) for a, b in zip(seeds, seeds[1:])]
+                         + [-1.0, 1.0])
+        yield ([scale_max * x for x in samples],
+               [scale_max * z.real for z in roots if z.imag == 0.0])
 
 
 def _false_position(func, lo, hi, f_lo, f_hi, seed=math.nan):
@@ -197,38 +196,35 @@ def _false_position(func, lo, hi, f_lo, f_hi, seed=math.nan):
     return 0.5 * (a + b)
 
 
-def _amplitude_forms(params: SystemParams, drives, scales):
-    """For each scale, the balance and its slope in the amplitude form that
-    :func:`steady_residual` evaluates, for :func:`_polish_root`."""
+def _amplitude_form(params: SystemParams, drives, power_scale: float):
+    """The balance and its slope at ``power_scale`` in the amplitude form
+    that :func:`steady_residual` evaluates, for :func:`_polish_root`."""
     hbar, m_w2 = CONSTANTS.hbar, params.mass * params.omega_m**2
     k1, k2, g1, g2 = params.kappa1, params.kappa2, params.g1, params.g2
     da, dc = params.delta_a, params.delta_c
+    scale_amp = math.sqrt(power_scale)
+    es_l, es_p = scale_amp * drives[0], scale_amp * drives[1]
 
-    def form(scale_amp):
-        es_l, es_p = scale_amp * drives[0], scale_amp * drives[1]
+    def balance_and_slope(x):
+        d1 = da + g1 * x
+        d2 = dc - g2 * x
+        a2 = abs(es_l / (2.0 * k1 + 1j * d1)) ** 2
+        c2 = abs(es_p / (2.0 * k2 + 1j * d2)) ** 2
+        den1 = (2.0 * k1) ** 2 + d1**2
+        den2 = (2.0 * k2) ** 2 + d2**2
+        value = m_w2 * x - hbar * g2 * c2 + hbar * g1 * a2
+        slope = (m_w2 - 2.0 * hbar * g2**2 * es_p**2 * d2 / den2**2
+                 - 2.0 * hbar * g1**2 * es_l**2 * d1 / den1**2)
+        return value, slope
 
-        def balance_and_slope(x):
-            d1 = da + g1 * x
-            d2 = dc - g2 * x
-            a2 = abs(es_l / (2.0 * k1 + 1j * d1)) ** 2
-            c2 = abs(es_p / (2.0 * k2 + 1j * d2)) ** 2
-            den1 = (2.0 * k1) ** 2 + d1**2
-            den2 = (2.0 * k2) ** 2 + d2**2
-            value = m_w2 * x - hbar * g2 * c2 + hbar * g1 * a2
-            slope = (m_w2 - 2.0 * hbar * g2**2 * es_p**2 * d2 / den2**2
-                     - 2.0 * hbar * g1**2 * es_l**2 * d1 / den1**2)
-            return value, slope
-
-        return balance_and_slope
-
-    return [form(math.sqrt(scale)) for scale in scales]
+    return balance_and_slope
 
 
 def _polish_root(balance_and_slope, q: float, lo: float, hi: float) -> float:
     """Newton-polish a bracketed root of the force balance.
 
     Works on the amplitude form of the balance from
-    :func:`_amplitude_forms`.  Near a radiation-pressure resonance the two
+    :func:`_amplitude_form`.  Near a radiation-pressure resonance the two
     force terms dwarf their difference and the bracket solve alone leaves
     the *measured* relative residual pinned orders of magnitude above
     machine precision; Newton against the metric's own arithmetic removes
@@ -258,49 +254,44 @@ def _enumerate(params: SystemParams, scales) -> list[list[float]]:
     """The ascending real roots of the balance at each power scale.
 
     The balance is undriven at every scale, with the single root 0, or at
-    no positive one.  The samples of all scales are evaluated in one array
-    expression, and sign changes are found with masks along each scale's
-    own row.  Each bracket is solved by :func:`_false_position`, started at
+    no positive one.  Otherwise each scale's samples from
+    :func:`_quintic_samples` are evaluated in turn, and every sign change
+    between neighbouring samples with a finite, nonzero balance is a
+    bracket.  Each bracket is solved by :func:`_false_position`, started at
     the quintic's real root inside it if there is exactly one, and then
     Newton-polished without leaving it.
     """
     scales = np.asarray(scales, dtype=float)
     drives = drive_amplitudes(params)
-    coeffs, func = _balance(params, scales[:, None], drives)
+    coeffs = _balance(params, scales[:, None], drives)[0]
     if not (np.any(coeffs[1]) or np.any(coeffs[2])):
         return [[0.0] for _ in scales]
-    samples, real_roots = _quintic_samples(params, coeffs)
-    values = func(samples)
-    roots: list[list[float]] = [[] for _ in scales]
-    for r, c in zip(*np.nonzero(values == 0.0)):
-        roots[r].append(float(samples[r, c]))
-    r_ok, c_ok = np.nonzero(np.isfinite(values) & (values != 0.0))
-    neg = values[r_ok, c_ok] < 0.0
-    flips = np.nonzero((r_ok[1:] == r_ok[:-1]) & (neg[1:] != neg[:-1]))[0]
-    ends_lo = (r_ok[flips], c_ok[flips])
-    ends_hi = (r_ok[flips + 1], c_ok[flips + 1])
-    scale_list, real_rows = scales.tolist(), real_roots.tolist()
-    funcs = [_balance(params, scale, drives)[1] for scale in scale_list]
-    forms = _amplitude_forms(params, drives, scale_list)
-    for r, lo, hi, f_lo, f_hi in zip(
-            ends_lo[0].tolist(), samples[ends_lo].tolist(),
-            samples[ends_hi].tolist(), values[ends_lo].tolist(),
-            values[ends_hi].tolist()):
-        inside = [q for q in real_rows[r] if lo < q < hi]
-        seed = inside[0] if len(inside) == 1 else math.nan
-        root = _false_position(funcs[r], lo, hi, f_lo, f_hi, seed)
-        roots[r].append(_polish_root(forms[r], root, lo, hi))
-
-    for found in roots:
+    roots = []
+    for scale, (samples, real_roots) in zip(scales.tolist(),
+                                            _quintic_samples(params, coeffs)):
+        func = _balance(params, scale, drives)[1]
+        form = _amplitude_form(params, drives, scale)
+        found, lo, f_lo = [], None, None
+        for hi in samples:
+            f_hi = func(hi)
+            if f_hi == 0.0:
+                found.append(hi)
+            elif math.isfinite(f_hi):
+                if lo is not None and (f_hi < 0.0) != (f_lo < 0.0):
+                    inside = [q for q in real_roots if lo < q < hi]
+                    seed = inside[0] if len(inside) == 1 else math.nan
+                    root = _false_position(func, lo, hi, f_lo, f_hi, seed)
+                    found.append(_polish_root(form, root, lo, hi))
+                lo, f_lo = hi, f_hi
         if not found:
             raise BracketingError(
                 "no sign change found while bracketing the force balance")
         found.sort()
-        deduped = [found[0]]
+        deduped = found[:1]
         for q in found[1:]:
             if abs(q - deduped[-1]) > _Q_ABS_TOL + 10.0 * _Q_REL_TOL * abs(q):
                 deduped.append(q)
-        found[:] = deduped
+        roots.append(deduped)
     return roots
 
 
@@ -314,7 +305,7 @@ def enumerate_branches(params: SystemParams,
     itself; each bracket is solved by Anderson-Bjorck false position and
     then Newton-polished without leaving it.  This is the one-scale case of
     the enumeration the power ramp of :func:`solve_steady_state` runs over
-    all its scales at once, and returns the same roots bit for bit.
+    all its scales in one call, and returns the same roots bit for bit.
     Raises :class:`BracketingError` if no sign change is seen, which is
     impossible for the continuous balance, since it is negative at
     ``-q_max`` and positive at ``+q_max``, and indicates a bug.
@@ -344,35 +335,30 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
     By default the selected branch is the one continuously connected to the
     undriven system: both pump powers are ramped from zero in ``ramp_steps``
     stages and at each stage the root nearest the previous selection is
-    kept.  The roots of all ``ramp_steps - 1`` nonzero power scales come
-    from one pass of the enumeration behind :func:`enumerate_branches`,
-    equal bit for bit to calling it at each scale.  Passing ``q_seed`` skips
-    the ramp and picks the full-power root nearest the seed, which is what
-    sweep continuation uses.  Either way the state carries the full-power
-    roots it was picked from as ``branches``.
+    kept.  Passing ``q_seed`` tracks from the seed instead, over the single
+    full-power stage, which is what sweep continuation uses.  The roots of
+    all stages come from one call of the enumeration behind
+    :func:`enumerate_branches`, equal bit for bit to calling it at each
+    scale, and the state carries the full-power roots it was picked from as
+    ``branches``.
 
     Raises :class:`ConvergenceError` if the fixed-point residual of the
     returned state exceeds ``residual_tol``.
     """
-    warnings: tuple[str, ...] = ()
-
-    if q_seed is not None:
-        roots = enumerate_branches(params)
-        index, ambiguous = _nearest(roots, q_seed)
-        if ambiguous:
-            warnings += ("branch tracking ambiguous: two roots equidistant "
-                         "from seed",)
-    else:
+    if q_seed is None:
         if ramp_steps < 2:
             raise InvalidParameterError("ramp_steps must be >= 2")
-        prev = 0.0
-        scales = np.linspace(0.0, 1.0, ramp_steps)[1:]
-        for scale, roots in zip(scales, _enumerate(params, scales)):
-            index, ambiguous = _nearest(roots, prev)
-            prev = roots[index]
-            if ambiguous:
-                warnings += (f"branch tracking ambiguous at power scale "
-                             f"{scale:.2f}",)
+        prev, scales = 0.0, np.linspace(0.0, 1.0, ramp_steps)[1:]
+        where = " at power scale {:.2f}"
+    else:
+        prev, scales = q_seed, [1.0]
+        where = ": two roots equidistant from seed"
+    warnings: tuple[str, ...] = ()
+    for scale, roots in zip(scales, _enumerate(params, scales)):
+        index, ambiguous = _nearest(roots, prev)
+        prev = roots[index]
+        if ambiguous:
+            warnings += ("branch tracking ambiguous" + where.format(scale),)
 
     state = _state_from_root(params, roots, index, warnings)
     if state.residual > residual_tol:

@@ -397,7 +397,7 @@ class TestCalibration:
 
         r_min = CalibrationTargets().r_reflect_min
         assert min(reflect_r(g1)) > r_min
-        # bisection stops within rel_tol 1e-3 of the threshold
+        # bisection stops within 1e-3 (relative) of the threshold
         assert min(reflect_r(g1 * (1.0 - 1e-3))) <= r_min
 
     def test_checks_at_one_pair_share_a_window_scan(self, params_on,

@@ -91,10 +91,14 @@ class TestValueParsing:
         with pytest.raises(ConfigError, match=r"2: unknown key 'bogus_key'"):
             parse_config(path, env={})
 
-    def test_removed_scan_points_key_rejected(self, tmp_path):
-        # branch enumeration has no sampling density to set any more
-        path = write_cfg(tmp_path, "scan_points = 20001\n")
-        with pytest.raises(ConfigError, match=r"1: unknown key 'scan_points'"):
+    @pytest.mark.parametrize("key, value", [("scan_points", "20001"),
+                                            ("t_blocked_max", "0.01")],
+                             ids=["scan_points", "t_blocked_max"])
+    def test_removed_key_rejected(self, tmp_path, key, value):
+        # branch enumeration has no sampling density to set, and no command
+        # reads a blocked-transmission threshold from the config
+        path = write_cfg(tmp_path, f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"1: unknown key '{key}'"):
             parse_config(path, env={})
 
     def test_unit_mismatch_rejected(self, tmp_path):

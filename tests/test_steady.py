@@ -137,28 +137,21 @@ class TestRampEnumeration:
         assert shapes == [(10, 5, 5)]
 
     def test_few_balance_evaluations_per_bracket(self, monkeypatch):
-        # scalar balance evaluations are the bracket solve's; each bracket
-        # is polished exactly once.  A solve started at the quintic's own
-        # root takes about 3; from the sample ends it took 13
+        # counts the balance evaluations of the bracket solve alone, once
+        # per bracket; started at the quintic's own root it takes about 3
         evaluations, brackets = [0], [0]
-        real_balance = steady_module._balance
-        real_polish = steady_module._polish_root
+        real_solve = steady_module._false_position
 
-        def balance(*args):
-            coeffs, func = real_balance(*args)
+        def solve(func, *args):
+            brackets[0] += 1
 
             def counted(q):
-                evaluations[0] += np.ndim(q) == 0
+                evaluations[0] += 1
                 return func(q)
 
-            return coeffs, counted
+            return real_solve(counted, *args)
 
-        def polish(*args):
-            brackets[0] += 1
-            return real_polish(*args)
-
-        monkeypatch.setattr(steady_module, "_balance", balance)
-        monkeypatch.setattr(steady_module, "_polish_root", polish)
+        monkeypatch.setattr(steady_module, "_false_position", solve)
         rng = np.random.default_rng(20260810)
         for _ in range(24):
             params = criterion3_params(rng)
@@ -321,6 +314,19 @@ class TestSolveSteadyState:
         st = solve_steady_state(params_on, q_seed=roots[-1])
         assert st.q_s == pytest.approx(roots[-1], rel=1e-12)
         assert st.branch_index == len(roots) - 1
+
+    def test_seed_tracks_over_the_full_power_stage_only(self, params_on,
+                                                       monkeypatch):
+        seen = []
+        real_enumerate = steady_module._enumerate
+
+        def recording(params, scales):
+            seen.append(list(scales))
+            return real_enumerate(params, scales)
+
+        monkeypatch.setattr(steady_module, "_enumerate", recording)
+        solve_steady_state(params_on, q_seed=0.0)
+        assert seen == [[1.0]]
 
     @pytest.mark.parametrize("q_seed", [None, 0.0])
     def test_branches_are_the_full_power_roots(self, params_on, q_seed):

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import AnalysisError, CalibrationError, InvalidParameterError, RouterError
 from .model import SystemParams
-from .response import ScanResult, _node_spectra, scan_spectrum, transmission
+from .response import (ScanResult, _node_spectra, _row_spectra, scan_spectrum,
+                       transmission)
 from .steady import SteadyState, pin_effective_detunings, solve_steady_state
 
 __all__ = [
@@ -64,6 +65,37 @@ class ExtremaList:
     maxima: tuple[Extremum, ...]
 
 
+def _row_extrema(x, y):
+    """Strict local extrema along the last axis of ``y`` on nodes ``x``
+    (same shape, one row or a 2-D batch of rows), parabola-refined.
+
+    Returns flat arrays over the extrema, ordered by row and then by
+    omega: ``(row, is_min, omega, value, refined)``.  The rows are
+    searched as one flat array, minus the triples that span two rows.
+    """
+    n = y.shape[-1]
+    x, y = x.ravel(), y.ravel()
+    ok = np.isfinite(y)
+    y0, y1, y2 = y[:-2], y[1:-1], y[2:]
+    finite = ok[:-2] & ok[1:-1] & ok[2:]
+    is_min = finite & (y1 < y0) & (y1 < y2)
+    is_max = finite & (y1 > y0) & (y1 > y2)
+    i = np.flatnonzero(is_min | is_max)
+    i = i[i % n < n - 2]
+
+    x0, x1, x2 = x[i], x[i + 1], x[i + 2]
+    y0, y1, y2 = y[i], y[i + 1], y[i + 2]
+    with np.errstate(all="ignore"):
+        d1 = (y1 - y0) / (x1 - x0)
+        d2 = (y2 - y1) / (x2 - x1)
+        curv = (d2 - d1) / (x2 - x0)
+        xv = 0.5 * (x0 + x1) - d1 / (2.0 * curv)
+        yv = y0 + d1 * (xv - x0) + curv * (xv - x0) * (xv - x1)
+    refined = (curv != 0.0) & np.isfinite(curv) & (x0 <= xv) & (xv <= x2)
+    return (i // n, is_min[i], np.where(refined, xv, x1),
+            np.where(refined, yv, y1), refined)
+
+
 def find_extrema(points: ScanResult, column: str) -> ExtremaList:
     """Strict local extrema of one column, parabola-refined.
 
@@ -80,25 +112,10 @@ def find_extrema(points: ScanResult, column: str) -> ExtremaList:
     if not np.all(np.diff(x) > 0.0):
         raise InvalidParameterError("omega values must be strictly increasing")
 
-    y0, y1, y2 = y[:-2], y[1:-1], y[2:]
-    finite = np.isfinite(y0) & np.isfinite(y1) & np.isfinite(y2)
-    is_min = finite & (y1 < y0) & (y1 < y2)
-    is_max = finite & (y1 > y0) & (y1 > y2)
-    i = np.flatnonzero(is_min | is_max)
-
-    x0, x1, x2 = x[i], x[i + 1], x[i + 2]
-    y0, y1, y2 = y[i], y[i + 1], y[i + 2]
-    with np.errstate(all="ignore"):
-        d1 = (y1 - y0) / (x1 - x0)
-        d2 = (y2 - y1) / (x2 - x1)
-        curv = (d2 - d1) / (x2 - x0)
-        xv = 0.5 * (x0 + x1) - d1 / (2.0 * curv)
-        yv = y0 + d1 * (xv - x0) + curv * (xv - x0) * (xv - x1)
-    refined = (curv != 0.0) & np.isfinite(curv) & (x0 <= xv) & (xv <= x2)
-    entries = [Extremum(float(w), float(v), bool(r)) for w, v, r in
-               zip(np.where(refined, xv, x1), np.where(refined, yv, y1),
-                   refined)]
-    kinds = is_min[i].tolist()
+    _, is_min, omega, value, refined = _row_extrema(x, y)
+    entries = [Extremum(w, v, r) for w, v, r in
+               zip(omega.tolist(), value.tolist(), refined.tolist())]
+    kinds = is_min.tolist()
     return ExtremaList(tuple(e for e, m in zip(entries, kinds) if m),
                        tuple(e for e, m in zip(entries, kinds) if not m))
 
@@ -126,15 +143,23 @@ def _side_extrema(extrema, center, minima_mode):
     return lo, hi, len(entries)
 
 
-def _refine_extremum(params, state, column, omega_guess, half_width, method):
-    """Re-sample a narrow window around a coarse maximum and re-refine."""
-    grid = np.linspace(omega_guess - half_width, omega_guess + half_width,
-                       _REFINE_POINTS)
-    result = scan_spectrum(params, grid, method=method, state=state)
-    maxima = find_extrema(result, column).maxima
-    if not maxima:
-        return None
-    return min(maxima, key=lambda e: abs(e.omega - omega_guess))
+def _refine_maxima(params, state, column, guesses, half_width, method):
+    """Re-sample a narrow window around each coarse maximum and re-refine.
+
+    All windows are rows of one kernel call.  Returns, per guess, the
+    refined maximum of ``column`` nearest to it, or the guess itself when
+    its window shows no maximum.
+    """
+    rows = np.stack([np.linspace(guess - half_width, guess + half_width,
+                                 _REFINE_POINTS) for guess in guesses])
+    y = _row_spectra(params, state, rows, method)[column]
+    row, is_min, omega, _, _ = _row_extrema(rows, y)
+    refined = []
+    for k, guess in enumerate(guesses):
+        maxima = omega[(row == k) & ~is_min].tolist()
+        refined.append(min(maxima, key=lambda w: abs(w - guess))
+                       if maxima else guess)
+    return refined
 
 
 def window_splitting(params: SystemParams, mode: str = "t-minima",
@@ -191,7 +216,8 @@ class RoutingReport:
     ``omega0`` is the window splitting (0 when the pump is off), ``center``
     the symmetric point of the port pattern.  ``degenerate`` marks reports
     where no mechanical structure exists at all (e.g. zero optomechanical
-    coupling) and only a bare transmit port is listed.
+    coupling) and only a bare transmit port is listed.  ``warnings`` holds
+    one note when the pump is on but fewer than three ports were found.
     """
 
     pump_on: bool
@@ -199,6 +225,7 @@ class RoutingReport:
     omega0: float
     ports: tuple[Port, ...]
     degenerate: bool = False
+    warnings: tuple[str, ...] = ()
 
 
 def routing_report(params: SystemParams,
@@ -220,6 +247,16 @@ def routing_report(params: SystemParams,
     coarse scan is :func:`window_scan` over the same window, state and
     method; a precomputed one may be passed as ``scan``.
 
+    A pumped report makes four kernel calls: the window scan, both
+    reflect-peak re-scans as one batch, the transmit re-scan, and the
+    spectra at all three ports.  Every node gets the same arithmetic as in
+    a scan of its own, so batching changes no bit of the report.  Raises
+    :class:`SingularPointError` naming the first singular port frequency.
+
+    A pumped report with fewer than three ports carries a warning: when a
+    split line lies outside the window, the report shows the pump-off
+    pattern (one reflect port, ``omega0`` = 0).
+
     Note the reflect-port midpoint sits slightly below the transmit port:
     position-type coupling pulls both hybrid modes down by about
     ``omega0**2 / (2*omega_m)``, a real second-order effect, not a grid
@@ -237,46 +274,47 @@ def routing_report(params: SystemParams,
     extrema = find_extrema(scan, "T")
     lo, hi, count = _side_extrema(extrema, wm, True)
 
-    def port(label, omega, want_reflect):
-        spectra = _node_spectra(params, state, omega, method)
-        r, t = spectra["r_refl"], spectra["t_trans"]
-        met = (r > r_reflect_min) if want_reflect else (t > t_transmit_min)
-        return Port(label, float(omega), float(r), float(t), met)
-
-    def reflect_peak(omega_guess):
-        refined = _refine_extremum(params, state, "R", omega_guess, half,
-                                   method)
-        return refined.omega if refined is not None else omega_guess
+    def report(center, omega0, specs, degenerate=False):
+        # specs: (label, omega, want_reflect) per port, evaluated together
+        spectra = _node_spectra(params, state, [w for _, w, _ in specs],
+                                method)
+        ports = tuple(
+            Port(label, float(w), s["r_refl"], s["t_trans"],
+                 s["r_refl"] > r_reflect_min if want_reflect
+                 else s["t_trans"] > t_transmit_min)
+            for (label, w, want_reflect), s in zip(specs, spectra))
+        warnings = ()
+        if pump_on and len(ports) < 3:
+            warnings = (f"pump on, but {len(ports)} of 3 ports found in "
+                        f"the +-{window_frac:g} omega_m window; a split "
+                        f"line may lie outside it",)
+        return RoutingReport(pump_on=pump_on, center=float(center),
+                             omega0=float(omega0), ports=ports,
+                             degenerate=degenerate, warnings=warnings)
 
     if count == 0:
         peaks = extrema.maxima
         omega_top = max(peaks, key=lambda e: e.value).omega if peaks else wm
-        return RoutingReport(pump_on=pump_on, center=float(omega_top),
-                             omega0=0.0,
-                             ports=(port("transmit", omega_top, False),),
-                             degenerate=True)
+        return report(omega_top, 0.0, [("transmit", omega_top, False)],
+                      degenerate=True)
 
     if lo is None or hi is None:
         dip = lo if lo is not None else hi
-        omega_dip = reflect_peak(dip.omega)
-        return RoutingReport(pump_on=pump_on, center=float(omega_dip),
-                             omega0=0.0,
-                             ports=(port("reflect", omega_dip, True),))
+        (omega_dip,) = _refine_maxima(params, state, "r_refl", [dip.omega],
+                                      half, method)
+        return report(omega_dip, 0.0, [("reflect", omega_dip, True)])
 
-    w_lo = reflect_peak(lo.omega)
-    w_hi = reflect_peak(hi.omega)
+    w_lo, w_hi = _refine_maxima(params, state, "r_refl",
+                                [lo.omega, hi.omega], half, method)
     omega0 = 0.5 * (w_hi - w_lo)
 
     between = [e for e in extrema.maxima if w_lo < e.omega < w_hi]
     guess_top = max(between, key=lambda e: e.value).omega if between else wm
-    top = _refine_extremum(params, state, "T", guess_top, half, method)
-    center = top.omega if top is not None else guess_top
-
-    ports = (port("transmit", center, False),
-             port("reflect-lower", w_lo, True),
-             port("reflect-upper", w_hi, True))
-    return RoutingReport(pump_on=pump_on, center=float(center),
-                         omega0=float(omega0), ports=ports)
+    (center,) = _refine_maxima(params, state, "t_trans", [guess_top], half,
+                               method)
+    return report(center, omega0, [("transmit", center, False),
+                                   ("reflect-lower", w_lo, True),
+                                   ("reflect-upper", w_hi, True)])
 
 
 @dataclass(frozen=True)
@@ -371,6 +409,7 @@ def _bisect_threshold(predicate, lo, hi):
         else:
             lo = mid
     return hi
+
 
 def calibrate_couplings(params: SystemParams,
                         targets: CalibrationTargets | None = None,

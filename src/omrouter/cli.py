@@ -152,6 +152,8 @@ def _cmd_route(cfg: RunConfig) -> int:
     path = out / "routing_report.json"
     path.write_text(json.dumps(payload, indent=2) + "\n",
                     encoding="utf-8", newline="\n")
+    for note in report.warnings:
+        print(f"warning: {note}", file=sys.stderr)
     print(f"wrote {path}")
     return 0
 

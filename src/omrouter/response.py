@@ -15,7 +15,14 @@ value "omega/omega_m = 1" is the lower mechanical sideband.
 
 One helper forms the four spectra (R, T, S_thermal, S_vacuum) from either
 path's coefficient arrays; :func:`scan_spectrum` returns them as the array
-columns of a :class:`ScanResult`.
+columns of a :class:`ScanResult`.  The spectra read only ``e1``, ``f1`` and
+``v``, so the spectra path forms only those; the microwave coefficients
+``e2``/``f2`` are formed only for :func:`coefficients` and
+:func:`closed_vs_oracle_deviation`.  A kernel call may cover several grids
+at once (a 2-D grid, one row per window): every node is evaluated by the
+same elementwise arithmetic, or the same 6x6 solve, whatever the size and
+shape of the call, so a node's spectra are identical bit for bit whether it
+is scanned alone, in a row or in a batch of rows.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ __all__ = [
 
 _D_FLOOR = 1e-300
 _COEFF_NAMES = ("e1", "f1", "e2", "f2", "v")
+_SPECTRA_COEFFS = ("e1", "f1", "v")  # the coefficients the spectra read
 _SCAN_COLUMNS = ("omega", "r_refl", "t_trans", "s_thermal", "s_vacuum")
 
 
@@ -121,8 +129,11 @@ def _intermediates(params: SystemParams, state: SteadyState, omega):
     return a1, b1, a2, b2, n, d
 
 
-def _closed_arrays(params: SystemParams, state: SteadyState, omega):
-    """Closed-form coefficient arrays and a bad-node mask."""
+def _closed_arrays(params: SystemParams, state: SteadyState, omega,
+                   microwave: bool = False):
+    """Closed-form coefficient arrays and a bad-node mask, elementwise on
+    ``omega`` of any shape.  ``e2``/``f2`` are formed only if ``microwave``
+    is set."""
     a1, b1, a2, b2, n, d = _intermediates(params, state, omega)
     bad = (np.abs(d) < _D_FLOOR) | ~np.isfinite(d)
     d = np.where(bad, 1.0, d)
@@ -130,7 +141,6 @@ def _closed_arrays(params: SystemParams, state: SteadyState, omega):
     a_s, c_s = state.a_s, state.c_s
     g1, g2 = params.g1, params.g2
     s1 = math.sqrt(2.0 * params.kappa1)
-    s2 = math.sqrt(2.0 * params.kappa2)
 
     # hbar multiplies only the coupling-squared terms of e1; putting it on
     # the mechanical term as well would be dimensionally inconsistent with
@@ -139,10 +149,14 @@ def _closed_arrays(params: SystemParams, state: SteadyState, omega):
                      + 2.0 * hbar * abs(c_s) ** 2 * g2**2 * state.delta2 * a1
                      + params.mass * n * a1 * a2 * b2) / d
     f1 = -1j * s1 * hbar * a_s**2 * g1**2 * a2 * b2 / d
-    e2 = -1j * s2 * hbar * g1 * g2 * a_s * np.conj(c_s) * a1 * a2 / d
-    f2 = 1j * s2 * hbar * g1 * g2 * a_s * c_s * a1 * b2 / d
     v = a_s * g1 * a1 * a2 * b2 / d
-    return {"e1": e1, "f1": f1, "e2": e2, "f2": f2, "v": v}, bad
+    arrs = {"e1": e1, "f1": f1, "v": v}
+    if microwave:
+        s2 = math.sqrt(2.0 * params.kappa2)
+        arrs["e2"] = (-1j * s2 * hbar * g1 * g2 * a_s * np.conj(c_s)
+                      * a1 * a2 / d)
+        arrs["f2"] = 1j * s2 * hbar * g1 * g2 * a_s * c_s * a1 * b2 / d
+    return arrs, bad
 
 
 def _oracle_system(params: SystemParams, state: SteadyState, omega):
@@ -150,7 +164,9 @@ def _oracle_system(params: SystemParams, state: SteadyState, omega):
 
     Frequencies are scaled by the mechanical frequency and the mechanical
     coordinates by ``sqrt(hbar/(m*omega_m))`` so the matrix entries stay
-    near unity despite the SI magnitudes.
+    near unity despite the SI magnitudes.  One matrix per node of
+    ``omega``, flattened; the right-hand side columns follow
+    ``_COEFF_NAMES``.
     """
     wm = params.omega_m
     x_s = math.sqrt(CONSTANTS.hbar / (params.mass * wm))
@@ -161,7 +177,7 @@ def _oracle_system(params: SystemParams, state: SteadyState, omega):
     d1t = state.delta1 / wm
     d2t = state.delta2 / wm
     gmt = params.gamma_m / wm
-    om = np.atleast_1d(np.asarray(omega, dtype=float)) / wm
+    om = np.asarray(omega, dtype=float).reshape(-1) / wm
     n = om.size
     a_s, c_s = state.a_s, state.c_s
 
@@ -192,16 +208,20 @@ def _oracle_system(params: SystemParams, state: SteadyState, omega):
     return mat, rhs
 
 
-def _oracle_arrays(params: SystemParams, state: SteadyState, omega):
-    """Matrix-solve coefficient arrays and a bad-node mask."""
+def _oracle_arrays(params: SystemParams, state: SteadyState, omega,
+                   microwave: bool = False):
+    """Matrix-solve coefficient arrays and a bad-node mask, shaped like
+    ``omega``.  ``e2``/``f2`` are solved for only if ``microwave`` is set."""
+    names = _COEFF_NAMES if microwave else _SPECTRA_COEFFS
     mat, rhs = _oracle_system(params, state, omega)
+    rhs = rhs[:, [_COEFF_NAMES.index(name) for name in names]]
     n = mat.shape[0]
     bad = np.zeros(n, dtype=bool)
     try:
         sol = np.linalg.solve(mat, rhs[None, :, :])
         row = sol[:, 0, :]
     except np.linalg.LinAlgError:
-        row = np.zeros((n, 5), dtype=complex)
+        row = np.zeros((n, len(names)), dtype=complex)
         for i in range(n):
             try:
                 row[i] = np.linalg.solve(mat[i], rhs)[0]
@@ -210,15 +230,19 @@ def _oracle_arrays(params: SystemParams, state: SteadyState, omega):
                 row[i] = np.nan
     nonfinite = ~np.isfinite(row).all(axis=1)
     bad |= nonfinite
-    return {name: row[:, k] for k, name in enumerate(_COEFF_NAMES)}, bad
+    shape = np.shape(omega)
+    return ({name: row[:, k].reshape(shape) for k, name in enumerate(names)},
+            bad.reshape(shape))
 
 
-def _arrays(params, state, omega, method):
+def _arrays(params, state, omega, method, microwave=False):
+    """One kernel call: coefficient arrays and a bad-node mask on the
+    nodes of ``omega`` (at least 1-D, any shape) by either path."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if method == "closed":
-        return _closed_arrays(params, state, omega)
+        return _closed_arrays(params, state, omega, microwave)
     if method == "oracle":
-        return _oracle_arrays(params, state, omega)
+        return _oracle_arrays(params, state, omega, microwave)
     raise InvalidParameterError(f"unknown evaluation method {method!r}")
 
 
@@ -242,7 +266,7 @@ def coefficients(params: SystemParams, state: SteadyState, omega: float,
     carries the 6x6 system's condition estimate there.
     """
     omega = float(omega)
-    arrs, bad = _arrays(params, state, omega, method)
+    arrs, bad = _arrays(params, state, omega, method, True)
     if bad[0]:
         mat, _ = _oracle_system(params, state, omega)
         try:
@@ -261,7 +285,8 @@ def coefficients(params: SystemParams, state: SteadyState, omega: float,
 
 
 def _spectra(params: SystemParams, omega: np.ndarray, arrs) -> dict:
-    """The four spectrum columns from coefficient arrays on ``omega``.
+    """The four spectrum columns from the ``e1``, ``f1`` and ``v`` arrays
+    on ``omega`` (any shape).
 
     The thermal column is evaluated at 1 rad/s where omega = 0, since it
     is singular there; callers mask those nodes.
@@ -279,25 +304,62 @@ def _spectra(params: SystemParams, omega: np.ndarray, arrs) -> dict:
     }
 
 
-def _node_spectra(params, state, omega, method) -> dict:
-    """All four spectra at one frequency, as floats, from one kernel call.
+def _masked_spectra(params: SystemParams, grid: np.ndarray, arrs, singular):
+    """Spectrum columns with failed nodes masked, and the failure masks.
 
-    Raises :class:`SingularPointError` at a singular node.
+    Returns ``(cols, zero, nonfinite)``.  A node fails, by precedence, on
+    a singular denominator (``singular``: all columns NaN), at omega = 0
+    (``zero``: thermal column NaN) or on a non-finite value
+    (``nonfinite``: all columns NaN).  Elementwise on ``grid`` of any
+    shape.
     """
-    grid = np.atleast_1d(np.asarray(omega, dtype=float))
+    cols = _spectra(params, grid, arrs)
+    zero = (grid == 0.0) & ~singular
+    finite = np.isfinite(np.stack(list(cols.values()))).all(axis=0)
+    nonfinite = ~finite & ~singular & ~zero
+    failed = singular | nonfinite
+    cols = {name: np.where(failed, np.nan, values)
+            for name, values in cols.items()}
+    cols["s_thermal"][zero] = np.nan
+    return cols, zero, nonfinite
+
+
+def _row_spectra(params, state, rows, method) -> dict:
+    """Masked spectrum columns on every row of a 2-D grid, from one kernel
+    call.
+
+    Each row is checked and masked as :func:`scan_spectrum` checks and
+    masks its grid, and its columns are bit for bit the ones that
+    :func:`scan_spectrum` returns for that row alone.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if not np.all(np.diff(rows, axis=-1) > 0.0):
+        raise InvalidParameterError("omega grid must be strictly increasing")
+    arrs, singular = _arrays(params, state, rows, method)
+    return _masked_spectra(params, rows, arrs, singular)[0]
+
+
+def _node_spectra(params, state, nodes, method) -> list[dict]:
+    """All four spectra at each frequency of ``nodes``, as floats, from one
+    kernel call.
+
+    Raises :class:`SingularPointError` naming the first singular node.
+    """
+    grid = np.atleast_1d(np.asarray(nodes, dtype=float))
     arrs, bad = _arrays(params, state, grid, method)
-    if bad[0]:
-        raise SingularPointError(
-            f"response singular at omega={float(omega)!r}")
-    return {name: float(values[0])
-            for name, values in _spectra(params, grid, arrs).items()}
+    if bad.any():
+        omega = float(grid[np.argmax(bad)])
+        raise SingularPointError(f"response singular at omega={omega!r}")
+    cols = _spectra(params, grid, arrs)
+    return [{name: float(values[i]) for name, values in cols.items()}
+            for i in range(grid.size)]
 
 
 def _one_spectrum(params, state, omega, method, column):
     """One spectrum column at ``omega``: a float for scalar input, else an
     array with NaN at singular nodes."""
     if np.ndim(omega) == 0:
-        return _node_spectra(params, state, omega, method)[column]
+        return _node_spectra(params, state, omega, method)[0][column]
     grid = np.asarray(omega, dtype=float)
     arrs, bad = _arrays(params, state, grid, method)
     return np.where(bad, np.nan, _spectra(params, grid, arrs)[column])
@@ -359,14 +421,7 @@ def scan_spectrum(params: SystemParams, omega_grid, method: str = "closed",
         state = solve_steady_state(params)
 
     arrs, singular = _arrays(params, state, grid, method)
-    cols = _spectra(params, grid, arrs)
-    zero = (grid == 0.0) & ~singular
-    finite = np.isfinite(np.stack(list(cols.values()))).all(axis=0)
-    nonfinite = ~finite & ~singular & ~zero
-    failed = singular | nonfinite
-    cols = {name: np.where(failed, np.nan, values)
-            for name, values in cols.items()}
-    cols["s_thermal"][zero] = np.nan
+    cols, zero, nonfinite = _masked_spectra(params, grid, arrs, singular)
 
     errors = []
     for i in np.flatnonzero(singular | zero | nonfinite).tolist():
@@ -388,8 +443,8 @@ def closed_vs_oracle_deviation(params: SystemParams, state: SteadyState,
     coefficients that are identically zero compare cleanly.
     """
     grid = np.asarray(omega_grid, dtype=float)
-    closed, bad_c = _closed_arrays(params, state, grid)
-    oracle, bad_o = _oracle_arrays(params, state, grid)
+    closed, bad_c = _closed_arrays(params, state, grid, microwave=True)
+    oracle, bad_o = _oracle_arrays(params, state, grid, microwave=True)
     if np.any(bad_c) or np.any(bad_o):
         raise SingularPointError("deviation grid hits a singular node")
     out: dict[str, float] = {}

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,15 +11,16 @@ import omrouter.analysis as analysis_module
 import omrouter.response as response_module
 from omrouter.analysis import (CalibrationTargets, calibrate_couplings,
                                find_extrema, power_sweep, routing_report,
-                               window_splitting)
+                               window_scan, window_splitting)
 from omrouter.errors import (AnalysisError, CalibrationError,
                              InvalidParameterError, RouterError,
                              SingularPointError)
 from omrouter.analysis import Extremum, ExtremaList
-from omrouter.response import ScanResult
+from omrouter.response import ScanResult, scan_spectrum
 from omrouter.steady import solve_steady_state
 
 from test_model import make_params
+from test_steady import criterion3_params
 
 TAU = 2.0 * math.pi
 
@@ -271,33 +273,142 @@ class TestRoutingReport:
         second = routing_report(params_on)
         assert first == second
 
-    def test_one_kernel_call_per_port(self, params_on, state_on,
-                                      monkeypatch):
-        # one window scan, three local re-scans, one evaluation per port
+    def test_one_kernel_call_per_port(self, params_on, state_on, params_off,
+                                      state_off, monkeypatch):
+        # pump on: the window scan, both reflect-peak re-scans as one 2-row
+        # batch, the transmit re-scan, and one call for all three ports;
+        # pump off: the window scan, one re-scan and the one port
         real_arrays = response_module._arrays
-        calls = []
+        shapes = []
 
         def counting(*args):
-            calls.append(args)
+            shapes.append(np.shape(args[2]))
             return real_arrays(*args)
 
         monkeypatch.setattr(response_module, "_arrays", counting)
+        window = (analysis_module.DEFAULT_WINDOW_POINTS,)
+        refine = analysis_module._REFINE_POINTS
         report = routing_report(params_on, state=state_on)
         assert len(report.ports) == 3
-        assert len(calls) == 7
+        assert shapes == [window, (2, refine), (1, refine), (3,)]
+        shapes.clear()
+        routing_report(params_off, state=state_off)
+        assert shapes == [window, (1, refine), (1,)]
 
     def test_singular_port_raises(self, params_on, state_on, monkeypatch):
+        ports = routing_report(params_on, state=state_on).ports
         real_arrays = response_module._arrays
+        flagged = []
 
-        def singular_nodes(params, state, omega, method):
+        def singular_ports(params, state, omega, method):
+            # the port batch is the only 1-D call with at most 3 nodes
             arrs, bad = real_arrays(params, state, omega, method)
-            if np.size(omega) == 1:
-                bad[:] = True
+            if np.ndim(omega) == 1 and np.size(omega) <= 3:
+                bad[flagged] = True
             return arrs, bad
 
-        monkeypatch.setattr(response_module, "_arrays", singular_nodes)
-        with pytest.raises(SingularPointError):
+        monkeypatch.setattr(response_module, "_arrays", singular_ports)
+        # every port singular: the error names the first, the transmit port
+        flagged[:] = [0, 1, 2]
+        with pytest.raises(SingularPointError, match=re.escape(
+                f"omega={ports[0].omega!r}") + "$"):
             routing_report(params_on, state=state_on)
+        # one port singular: the error names that port
+        flagged[:] = [2]
+        with pytest.raises(SingularPointError, match=re.escape(
+                f"omega={ports[2].omega!r}") + "$"):
+            routing_report(params_on, state=state_on)
+
+    @pytest.mark.parametrize("power_p, warns", [
+        (0.0, False), (1.5e-6, False), (2.5e-6, True)])
+    def test_collapsed_pumped_report_warns(self, default_cfg, power_p,
+                                           warns):
+        # above about 1.95 uW the lower split line leaves the default
+        # window and the report shows a single reflect port
+        report = routing_report(default_cfg.system_params(power_p=power_p))
+        assert report.pump_on == (power_p > 0.0)
+        assert bool(report.warnings) == warns
+        if warns:
+            assert [p.label for p in report.ports] == ["reflect"]
+            assert report.omega0 == 0.0
+            assert "1 of 3 ports" in report.warnings[0]
+
+
+def _reference_refine(params, state, column, omega_guess, half_width,
+                      method):
+    """The serial re-scan that the batched refinement must reproduce."""
+    grid = np.linspace(omega_guess - half_width, omega_guess + half_width,
+                       analysis_module._REFINE_POINTS)
+    maxima = find_extrema(scan_spectrum(params, grid, method=method,
+                                        state=state), column).maxima
+    if not maxima:
+        return omega_guess
+    return min(maxima, key=lambda e: abs(e.omega - omega_guess)).omega
+
+
+def reference_report(params, state, method="closed"):
+    """Port frequencies and spectra by the serial loop: one re-scan per
+    refined port and one single-node kernel call per port, as
+    ``(center, omega0, [(label, omega, R, T), ...])``."""
+    wm = params.omega_m
+    half = 4.0 * 2.0 * analysis_module.DEFAULT_WINDOW_FRAC * wm / (
+        analysis_module.DEFAULT_WINDOW_POINTS - 1)
+    scan = window_scan(params, state, method=method)
+    extrema = find_extrema(scan, "T")
+    lo, hi, count = analysis_module._side_extrema(extrema, wm, True)
+
+    def port(label, omega):
+        node = response_module._node_spectra(params, state, omega, method)
+        return label, omega, node[0]["r_refl"], node[0]["t_trans"]
+
+    if count == 0:
+        peaks = extrema.maxima
+        top = max(peaks, key=lambda e: e.value).omega if peaks else wm
+        return top, 0.0, [port("transmit", top)]
+    if lo is None or hi is None:
+        dip = lo if lo is not None else hi
+        w = _reference_refine(params, state, "R", dip.omega, half, method)
+        return w, 0.0, [port("reflect", w)]
+    w_lo = _reference_refine(params, state, "R", lo.omega, half, method)
+    w_hi = _reference_refine(params, state, "R", hi.omega, half, method)
+    between = [e for e in extrema.maxima if w_lo < e.omega < w_hi]
+    guess = max(between, key=lambda e: e.value).omega if between else wm
+    center = _reference_refine(params, state, "T", guess, half, method)
+    return center, 0.5 * (w_hi - w_lo), [port("transmit", center),
+                                         port("reflect-lower", w_lo),
+                                         port("reflect-upper", w_hi)]
+
+
+def _hex(center, omega0, ports):
+    return (center.hex(), omega0.hex(),
+            [(label, w.hex(), r.hex(), t.hex()) for label, w, r, t in ports])
+
+
+def batched_report(params, state, method="closed"):
+    report = routing_report(params, state=state, method=method)
+    return report.center, report.omega0, [
+        (p.label, p.omega, p.r_value, p.t_value) for p in report.ports]
+
+
+class TestBatchedRefinement:
+    """The batched report against the serial per-port loop, bit for bit."""
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_default_device_power_range(self, default_cfg, method):
+        for power_p in np.linspace(0.0, 1.6e-6, 30).tolist():
+            params = default_cfg.system_params(power_p=power_p)
+            state = solve_steady_state(params)
+            assert _hex(*batched_report(params, state, method)) == _hex(
+                *reference_report(params, state, method))
+
+    def test_criterion_3_draws(self):
+        # criterion 3's 100 parameter sets; each of them gives a report
+        rng = np.random.default_rng(20260810)
+        for _ in range(100):
+            params = criterion3_params(rng)
+            state = solve_steady_state(params)
+            assert _hex(*batched_report(params, state)) == _hex(
+                *reference_report(params, state))
 
 
 class TestPowerSweep:

@@ -104,8 +104,9 @@ def test_route_pump_on_three_ports(tmp_path):
 
 
 def test_route_scans_window_once(tmp_path, monkeypatch):
-    # routing report and window splitting share one window scan; only the
-    # narrow port refinements scan again
+    # routing report and window splitting share one window scan, the only
+    # scan_spectrum call; the narrow port refinements are batched kernel
+    # calls below it
     window_nodes = parse_config(env={}).splitting_points
     real_scan = analysis_module.scan_spectrum
     sizes = []
@@ -116,7 +117,18 @@ def test_route_scans_window_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(analysis_module, "scan_spectrum", counting)
     assert main(["--out", str(tmp_path), "route"]) == 0
-    assert sizes.count(window_nodes) == 1
+    assert sizes == [window_nodes]
+
+
+@pytest.mark.parametrize("power_p, warns", [("1.5e-06", False),
+                                            ("2.5e-06", True)])
+def test_route_warns_on_collapsed_pumped_report(tmp_path, capsys, power_p,
+                                                warns):
+    # the report itself is written unchanged; the warning goes to stderr
+    assert main(["--out", str(tmp_path), "--set", f"power_p={power_p}",
+                 "route"]) == 0
+    err = capsys.readouterr().err
+    assert ("warning: pump on, but 1 of 3 ports" in err) == warns
 
 
 def test_route_honors_splitting_mode(tmp_path):

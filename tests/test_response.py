@@ -320,6 +320,71 @@ class TestScan:
             assert np.all(np.isfinite(result.column(name)))
 
 
+_COLUMNS = ("r_refl", "t_trans", "s_thermal", "s_vacuum")
+
+
+class TestKernelInvariance:
+    """A node's spectra are the same bits whether it is evaluated alone, in
+    a 401-node row or in a batch of rows: the batched port refinement of
+    ``routing_report`` reproduces the serial one because of this."""
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_alone_in_row_and_in_batch(self, params_on, state_on, method):
+        wm = params_on.omega_m
+        rows = np.stack([np.linspace(c - 0.01 * wm, c + 0.01 * wm, 401)
+                         for c in (0.9 * wm, 1.1 * wm)])
+        batch = response_module._row_spectra(params_on, state_on, rows,
+                                             method)
+        nodes = [0, 1, 57, 200, 343, 399, 400]
+        for k, row in enumerate(rows):
+            scan = scan_spectrum(params_on, row, method=method,
+                                 state=state_on)
+            for name in _COLUMNS:
+                assert (batch[name][k].tobytes()
+                        == scan.column(name).tobytes())
+            together = response_module._node_spectra(
+                params_on, state_on, row[nodes], method)
+            for i, node in zip(nodes, together):
+                alone = response_module._node_spectra(
+                    params_on, state_on, row[i], method)
+                assert alone == [node]
+                for name in _COLUMNS:
+                    assert (node[name].hex()
+                            == float(scan.column(name)[i]).hex())
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_spectra_coefficients_match_full_coefficients(
+            self, params_on, state_on, method):
+        # the spectra path skips e2/f2; e1, f1 and v keep every bit
+        grid = params_on.omega_m * np.linspace(0.8, 1.2, 9)
+        arrs, _ = response_module._arrays(params_on, state_on, grid, method)
+        assert set(arrs) == {"e1", "f1", "v"}
+        for i, omega in enumerate(grid):
+            full = response_module.coefficients(params_on, state_on, omega,
+                                                method)
+            for name in ("e1", "f1", "v"):
+                assert complex(arrs[name][i]) == getattr(full, name)
+
+    def test_batch_masks_like_scan(self, params_on, state_on):
+        # a row through omega = 0 masks its thermal column as a scan does
+        wm = params_on.omega_m
+        rows = np.stack([np.linspace(-wm, wm, 401),
+                         np.linspace(0.5 * wm, 1.5 * wm, 401)])
+        assert rows[0, 200] == 0.0
+        batch = response_module._row_spectra(params_on, state_on, rows,
+                                             "closed")
+        scan = scan_spectrum(params_on, rows[0], state=state_on)
+        assert np.isnan(batch["s_thermal"][0, 200])
+        for name in _COLUMNS:
+            assert batch[name][0].tobytes() == scan.column(name).tobytes()
+
+    def test_batch_rejects_non_increasing_row(self, params_on, state_on):
+        rows = np.array([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0]])
+        with pytest.raises(InvalidParameterError, match="strictly"):
+            response_module._row_spectra(params_on, state_on, rows,
+                                         "closed")
+
+
 @pytest.fixture(scope="module")
 def toy():
     # slow, mildly stiff toy magnitudes so explicit RK4 settles quickly;

@@ -5,7 +5,9 @@ the device: dip and peak locations, the splitting of the transparency window
 when the microwave pump is on, a port-by-port routing report, power sweeps,
 and a calibration routine for the two couplings.  Scans stay columnar
 ``ScanResult`` arrays throughout, and one :func:`window_scan` can serve
-both :func:`window_splitting` and :func:`routing_report`.
+both :func:`window_splitting` and :func:`routing_report`.  Routing reads
+only reflection and transmission, so its scans and port spectra form only
+those two columns.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import numpy as np
 
 from .errors import AnalysisError, CalibrationError, InvalidParameterError, RouterError
 from .model import SystemParams
-from .response import (ScanResult, _node_spectra, _row_spectra, scan_spectrum,
-                       transmission)
+from .response import (_RT_COEFFS, ScanResult, _node_spectra, _row_spectra,
+                       _scan, transmission)
 from .steady import SteadyState, pin_effective_detunings, solve_steady_state
 
 __all__ = [
@@ -104,8 +106,13 @@ def find_extrema(points: ScanResult, column: str) -> ExtremaList:
     skipped.  Each extremum moves to the vertex of the parabola through its
     triple unless they are collinear or the vertex escapes the triple.
     Requires at least 3 points on a strictly increasing frequency grid.
+    The scan is immutable, so the result is kept on it: a second call for
+    the same column returns the same object.
     """
-    y = points.column(_COLUMN_ALIASES.get(column, column))
+    name = _COLUMN_ALIASES.get(column, column)
+    y = points.column(name)
+    if name in points._extrema:
+        return points._extrema[name]
     if len(points) < 3:
         raise InvalidParameterError("need at least 3 points to find extrema")
     x = points.omega
@@ -116,20 +123,30 @@ def find_extrema(points: ScanResult, column: str) -> ExtremaList:
     entries = [Extremum(w, v, r) for w, v, r in
                zip(omega.tolist(), value.tolist(), refined.tolist())]
     kinds = is_min.tolist()
-    return ExtremaList(tuple(e for e, m in zip(entries, kinds) if m),
-                       tuple(e for e, m in zip(entries, kinds) if not m))
+    points._extrema[name] = ExtremaList(
+        tuple(e for e, m in zip(entries, kinds) if m),
+        tuple(e for e, m in zip(entries, kinds) if not m))
+    return points._extrema[name]
 
 
 def window_scan(params: SystemParams, state: SteadyState,
                 window_frac: float = DEFAULT_WINDOW_FRAC,
                 n_points: int = DEFAULT_WINDOW_POINTS,
                 method: str = "closed") -> ScanResult:
-    """Spectra on ``n_points`` nodes over ``[1-window_frac,
-    1+window_frac]*omega_m``: the scan that :func:`window_splitting` and
-    :func:`routing_report` analyse, and may share."""
+    """Reflection and transmission on ``n_points`` nodes over
+    ``[1-window_frac, 1+window_frac]*omega_m``: the scan that
+    :func:`window_splitting` and :func:`routing_report` analyse, and may
+    share.
+
+    Only ``r_refl`` and ``t_trans`` are formed, bit for bit as
+    :func:`~omrouter.response.scan_spectrum` forms them; ``s_thermal`` and
+    ``s_vacuum`` are ``None``, and ``column()`` raises
+    :class:`InvalidParameterError` for them.  The ``errors`` therefore
+    cover R and T only: a singular denominator or a non-finite R or T.
+    """
     wm = params.omega_m
     grid = wm * np.linspace(1.0 - window_frac, 1.0 + window_frac, n_points)
-    return scan_spectrum(params, grid, method=method, state=state)
+    return _scan(params, grid, method, state, _RT_COEFFS)
 
 
 def _side_extrema(extrema, center, minima_mode):
@@ -319,9 +336,13 @@ def routing_report(params: SystemParams,
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One power of a sweep: its report's ``omega0``, ports and
+    warnings."""
+
     power_p: float
     omega0: float
     ports: tuple[Port, ...]
+    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -347,7 +368,8 @@ def power_sweep(params: SystemParams, powers,
 
     Rows run in ascending power order and the steady-state branch is tracked
     from row to row (the previous displacement seeds the next solve).
-    Errors in one row are recorded and the sweep continues.  When the
+    Errors in one row are recorded and the sweep continues; each row
+    carries its routing report's warnings.  When the
     detunings are operated in pinned mode the pinning is re-resolved per
     row, since the static displacement changes with power.
     """
@@ -378,7 +400,8 @@ def power_sweep(params: SystemParams, powers,
             rows.append(SweepRow(power, float("nan"), ()))
             continue
         q_prev = state.q_s
-        rows.append(SweepRow(power, report.omega0, report.ports))
+        rows.append(SweepRow(power, report.omega0, report.ports,
+                             report.warnings))
     return SweepResult(rows, errors)
 
 

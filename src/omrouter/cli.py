@@ -189,9 +189,11 @@ def _cmd_sweep_power(cfg: RunConfig) -> int:
                 "center_r[1]", "center_t[1]", "lower_omega[rad/s]",
                 "lower_r[1]", "upper_omega[rad/s]", "upper_r[1]", "status"],
                (row_values(i, row) for i, row in enumerate(result.rows)))
-    for i, power, message in result.errors:
-        print(f"warning: row {i} (power_p={power!r}): {message}",
-              file=sys.stderr)
+    for i, row in enumerate(result.rows):
+        notes = [messages[i]] if i in messages else row.warnings
+        for note in notes:
+            print(f"warning: row {i} (power_p={row.power_p!r}): {note}",
+                  file=sys.stderr)
     print(f"wrote {path}")
     return 0
 

@@ -13,22 +13,26 @@ matrix solve (see docs/derivation_notes.md).  The probe frequency ``omega``
 is measured relative to the optical pump carrier, so the conventional axis
 value "omega/omega_m = 1" is the lower mechanical sideband.
 
-One helper forms the four spectra (R, T, S_thermal, S_vacuum) from either
+One helper forms the spectra (R, T, S_thermal, S_vacuum) from either
 path's coefficient arrays; :func:`scan_spectrum` returns them as the array
-columns of a :class:`ScanResult`.  The spectra read only ``e1``, ``f1`` and
-``v``, so the spectra path forms only those; the microwave coefficients
-``e2``/``f2`` are formed only for :func:`coefficients` and
-:func:`closed_vs_oracle_deviation`.  A kernel call may cover several grids
-at once (a 2-D grid, one row per window): every node is evaluated by the
-same elementwise arithmetic, or the same 6x6 solve, whatever the size and
-shape of the call, so a node's spectra are identical bit for bit whether it
-is scanned alone, in a row or in a batch of rows.
+columns of a :class:`ScanResult`.  A kernel call forms only the
+coefficients its caller reads: R and T read ``e1`` alone, S_vacuum ``f1``
+and S_thermal ``v``.  So :func:`scan_spectrum` forms ``e1``, ``f1`` and
+``v``; the routing path (the analysis module's window scan, port
+refinement and port spectra) and the scalar reflection and transmission
+form ``e1`` alone; and the microwave coefficients ``e2``/``f2`` are formed
+only for :func:`coefficients` and :func:`closed_vs_oracle_deviation`.
+Leaving a coefficient out changes no bit of the others.  A kernel call may
+cover several grids at once (a 2-D grid, one row per window): every node is
+evaluated by the same elementwise arithmetic, or the same 6x6 solve,
+whatever the size and shape of the call, so a node's spectra are identical
+bit for bit whether it is scanned alone, in a row or in a batch of rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +57,10 @@ __all__ = [
 _D_FLOOR = 1e-300
 _COEFF_NAMES = ("e1", "f1", "e2", "f2", "v")
 _SPECTRA_COEFFS = ("e1", "f1", "v")  # the coefficients the spectra read
+_RT_COEFFS = ("e1",)  # reflection and transmission read e1 alone
+# the coefficient each spectrum column is formed from
+_COLUMN_COEFF = {"r_refl": "e1", "t_trans": "e1", "s_thermal": "v",
+                 "s_vacuum": "f1"}
 _SCAN_COLUMNS = ("omega", "r_refl", "t_trans", "s_thermal", "s_vacuum")
 
 
@@ -87,32 +95,45 @@ class ScanResult:
 
     ``omega``, ``r_refl``, ``t_trans``, ``s_thermal`` and ``s_vacuum`` hold
     one value per grid node (all but ``omega`` dimensionless).  The columns
-    are read-only copies of the arrays passed in.  Nodes that failed carry
-    NaN in the affected columns and contribute an entry
-    ``(index, omega, message)`` to ``errors``.
+    are read-only copies of the arrays passed in.  A column the scan did
+    not form is ``None``: the analysis module's window scan forms R and T
+    only.  Nodes that failed carry NaN in the affected columns and
+    contribute an entry ``(index, omega, message)`` to ``errors``.  The
+    instance is immutable, so the analysis module keeps the extrema it
+    finds in a column in ``_extrema``, by column name.
     """
 
     omega: np.ndarray
     r_refl: np.ndarray
     t_trans: np.ndarray
-    s_thermal: np.ndarray
-    s_vacuum: np.ndarray
+    s_thermal: np.ndarray | None
+    s_vacuum: np.ndarray | None
     errors: list[tuple[int, float, str]]
+    _extrema: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in _SCAN_COLUMNS:
-            values = np.array(getattr(self, name), dtype=float)
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+            if getattr(self, name) is not None:
+                values = np.array(getattr(self, name), dtype=float)
+                values.flags.writeable = False
+                object.__setattr__(self, name, values)
 
     def __len__(self):
         return self.omega.size
 
     def column(self, name: str) -> np.ndarray:
-        """One column by field name, as a read-only array."""
+        """One column by field name, as a read-only array.
+
+        Raises :class:`InvalidParameterError` for an unknown name or a
+        column this scan did not form.
+        """
         if name not in _SCAN_COLUMNS:
             raise InvalidParameterError(f"unknown spectrum column {name!r}")
-        return getattr(self, name)
+        values = getattr(self, name)
+        if values is None:
+            raise InvalidParameterError(
+                f"spectrum column {name!r} was not formed by this scan")
+        return values
 
 
 def _intermediates(params: SystemParams, state: SteadyState, omega):
@@ -129,11 +150,9 @@ def _intermediates(params: SystemParams, state: SteadyState, omega):
     return a1, b1, a2, b2, n, d
 
 
-def _closed_arrays(params: SystemParams, state: SteadyState, omega,
-                   microwave: bool = False):
+def _closed_arrays(params: SystemParams, state: SteadyState, omega, names):
     """Closed-form coefficient arrays and a bad-node mask, elementwise on
-    ``omega`` of any shape.  ``e2``/``f2`` are formed only if ``microwave``
-    is set."""
+    ``omega`` of any shape.  Forms the coefficients in ``names`` only."""
     a1, b1, a2, b2, n, d = _intermediates(params, state, omega)
     bad = (np.abs(d) < _D_FLOOR) | ~np.isfinite(d)
     d = np.where(bad, 1.0, d)
@@ -145,18 +164,19 @@ def _closed_arrays(params: SystemParams, state: SteadyState, omega,
     # hbar multiplies only the coupling-squared terms of e1; putting it on
     # the mechanical term as well would be dimensionally inconsistent with
     # the shared denominator (docs/derivation_notes.md, verified vs oracle).
-    e1 = -1j * s1 * (hbar * abs(a_s) ** 2 * g1**2 * a2 * b2
-                     + 2.0 * hbar * abs(c_s) ** 2 * g2**2 * state.delta2 * a1
-                     + params.mass * n * a1 * a2 * b2) / d
-    f1 = -1j * s1 * hbar * a_s**2 * g1**2 * a2 * b2 / d
-    v = a_s * g1 * a1 * a2 * b2 / d
-    arrs = {"e1": e1, "f1": f1, "v": v}
-    if microwave:
-        s2 = math.sqrt(2.0 * params.kappa2)
-        arrs["e2"] = (-1j * s2 * hbar * g1 * g2 * a_s * np.conj(c_s)
-                      * a1 * a2 / d)
-        arrs["f2"] = 1j * s2 * hbar * g1 * g2 * a_s * c_s * a1 * b2 / d
-    return arrs, bad
+    s2 = math.sqrt(2.0 * params.kappa2)
+    formulas = {
+        "e1": lambda: -1j * s1 * (
+            hbar * abs(a_s) ** 2 * g1**2 * a2 * b2
+            + 2.0 * hbar * abs(c_s) ** 2 * g2**2 * state.delta2 * a1
+            + params.mass * n * a1 * a2 * b2) / d,
+        "f1": lambda: -1j * s1 * hbar * a_s**2 * g1**2 * a2 * b2 / d,
+        "e2": lambda: (-1j * s2 * hbar * g1 * g2 * a_s * np.conj(c_s)
+                       * a1 * a2 / d),
+        "f2": lambda: 1j * s2 * hbar * g1 * g2 * a_s * c_s * a1 * b2 / d,
+        "v": lambda: a_s * g1 * a1 * a2 * b2 / d,
+    }
+    return {name: formulas[name]() for name in names}, bad
 
 
 def _oracle_system(params: SystemParams, state: SteadyState, omega):
@@ -208,11 +228,10 @@ def _oracle_system(params: SystemParams, state: SteadyState, omega):
     return mat, rhs
 
 
-def _oracle_arrays(params: SystemParams, state: SteadyState, omega,
-                   microwave: bool = False):
+def _oracle_arrays(params: SystemParams, state: SteadyState, omega, names):
     """Matrix-solve coefficient arrays and a bad-node mask, shaped like
-    ``omega``.  ``e2``/``f2`` are solved for only if ``microwave`` is set."""
-    names = _COEFF_NAMES if microwave else _SPECTRA_COEFFS
+    ``omega``.  Solves for the coefficients in ``names`` only, one
+    right-hand side each."""
     mat, rhs = _oracle_system(params, state, omega)
     rhs = rhs[:, [_COEFF_NAMES.index(name) for name in names]]
     n = mat.shape[0]
@@ -235,14 +254,15 @@ def _oracle_arrays(params: SystemParams, state: SteadyState, omega,
             bad.reshape(shape))
 
 
-def _arrays(params, state, omega, method, microwave=False):
-    """One kernel call: coefficient arrays and a bad-node mask on the
-    nodes of ``omega`` (at least 1-D, any shape) by either path."""
+def _arrays(params, state, omega, method, names):
+    """One kernel call: the coefficient arrays in ``names`` and a bad-node
+    mask on the nodes of ``omega`` (at least 1-D, any shape) by either
+    path."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if method == "closed":
-        return _closed_arrays(params, state, omega, microwave)
+        return _closed_arrays(params, state, omega, names)
     if method == "oracle":
-        return _oracle_arrays(params, state, omega, microwave)
+        return _oracle_arrays(params, state, omega, names)
     raise InvalidParameterError(f"unknown evaluation method {method!r}")
 
 
@@ -266,7 +286,7 @@ def coefficients(params: SystemParams, state: SteadyState, omega: float,
     carries the 6x6 system's condition estimate there.
     """
     omega = float(omega)
-    arrs, bad = _arrays(params, state, omega, method, True)
+    arrs, bad = _arrays(params, state, omega, method, _COEFF_NAMES)
     if bad[0]:
         mat, _ = _oracle_system(params, state, omega)
         try:
@@ -285,47 +305,54 @@ def coefficients(params: SystemParams, state: SteadyState, omega: float,
 
 
 def _spectra(params: SystemParams, omega: np.ndarray, arrs) -> dict:
-    """The four spectrum columns from the ``e1``, ``f1`` and ``v`` arrays
-    on ``omega`` (any shape).
+    """The spectrum columns that the coefficient arrays ``arrs`` on
+    ``omega`` (any shape) allow: R and T from ``e1``, S_thermal from ``v``
+    and S_vacuum from ``f1``, for those present.
 
     The thermal column is evaluated at 1 rad/s where omega = 0, since it
     is singular there; callers mask those nodes.
     """
-    z = math.sqrt(2.0 * params.kappa1) * arrs["e1"]
-    safe = np.where(omega == 0.0, 1.0, omega)
-    nbar = np.atleast_1d(thermal_occupation(np.abs(safe), params.temperature))
-    return {
-        "r_refl": np.abs(z - 1.0) ** 2,
-        "t_trans": np.abs(z) ** 2,
-        "s_thermal": (4.0 * params.kappa1 * np.abs(arrs["v"]) ** 2
-                      * CONSTANTS.hbar * params.gamma_m * params.mass
-                      * np.abs(safe) * (nbar + (safe < 0.0))),
-        "s_vacuum": 4.0 * params.kappa1 * np.abs(arrs["f1"]) ** 2,
-    }
+    cols = {}
+    if "e1" in arrs:
+        z = math.sqrt(2.0 * params.kappa1) * arrs["e1"]
+        cols["r_refl"] = np.abs(z - 1.0) ** 2
+        cols["t_trans"] = np.abs(z) ** 2
+    if "v" in arrs:
+        safe = np.where(omega == 0.0, 1.0, omega)
+        nbar = np.atleast_1d(thermal_occupation(np.abs(safe),
+                                                params.temperature))
+        cols["s_thermal"] = (4.0 * params.kappa1 * np.abs(arrs["v"]) ** 2
+                             * CONSTANTS.hbar * params.gamma_m * params.mass
+                             * np.abs(safe) * (nbar + (safe < 0.0)))
+    if "f1" in arrs:
+        cols["s_vacuum"] = 4.0 * params.kappa1 * np.abs(arrs["f1"]) ** 2
+    return cols
 
 
 def _masked_spectra(params: SystemParams, grid: np.ndarray, arrs, singular):
     """Spectrum columns with failed nodes masked, and the failure masks.
 
-    Returns ``(cols, zero, nonfinite)``.  A node fails, by precedence, on
-    a singular denominator (``singular``: all columns NaN), at omega = 0
-    (``zero``: thermal column NaN) or on a non-finite value
-    (``nonfinite``: all columns NaN).  Elementwise on ``grid`` of any
-    shape.
+    Returns ``(cols, zero, nonfinite)`` for the columns :func:`_spectra`
+    forms from ``arrs``.  A node fails, by precedence, on a singular
+    denominator (``singular``: all columns NaN), at omega = 0 when the
+    thermal column is formed (``zero``: thermal column NaN) or on a
+    non-finite value in a formed column (``nonfinite``: all columns NaN).
+    Elementwise on ``grid`` of any shape.
     """
     cols = _spectra(params, grid, arrs)
-    zero = (grid == 0.0) & ~singular
+    zero = (grid == 0.0) & ~singular & ("s_thermal" in cols)
     finite = np.isfinite(np.stack(list(cols.values()))).all(axis=0)
     nonfinite = ~finite & ~singular & ~zero
     failed = singular | nonfinite
     cols = {name: np.where(failed, np.nan, values)
             for name, values in cols.items()}
-    cols["s_thermal"][zero] = np.nan
+    if "s_thermal" in cols:
+        cols["s_thermal"][zero] = np.nan
     return cols, zero, nonfinite
 
 
 def _row_spectra(params, state, rows, method) -> dict:
-    """Masked spectrum columns on every row of a 2-D grid, from one kernel
+    """Masked R and T columns on every row of a 2-D grid, from one kernel
     call.
 
     Each row is checked and masked as :func:`scan_spectrum` checks and
@@ -335,18 +362,20 @@ def _row_spectra(params, state, rows, method) -> dict:
     rows = np.asarray(rows, dtype=float)
     if not np.all(np.diff(rows, axis=-1) > 0.0):
         raise InvalidParameterError("omega grid must be strictly increasing")
-    arrs, singular = _arrays(params, state, rows, method)
+    arrs, singular = _arrays(params, state, rows, method, _RT_COEFFS)
     return _masked_spectra(params, rows, arrs, singular)[0]
 
 
-def _node_spectra(params, state, nodes, method) -> list[dict]:
-    """All four spectra at each frequency of ``nodes``, as floats, from one
-    kernel call.
+def _node_spectra(params, state, nodes, method,
+                  names=_RT_COEFFS) -> list[dict]:
+    """The spectra that the coefficients ``names`` give (R and T by
+    default) at each frequency of ``nodes``, as floats, from one kernel
+    call.
 
     Raises :class:`SingularPointError` naming the first singular node.
     """
     grid = np.atleast_1d(np.asarray(nodes, dtype=float))
-    arrs, bad = _arrays(params, state, grid, method)
+    arrs, bad = _arrays(params, state, grid, method, names)
     if bad.any():
         omega = float(grid[np.argmax(bad)])
         raise SingularPointError(f"response singular at omega={omega!r}")
@@ -356,12 +385,13 @@ def _node_spectra(params, state, nodes, method) -> list[dict]:
 
 
 def _one_spectrum(params, state, omega, method, column):
-    """One spectrum column at ``omega``: a float for scalar input, else an
-    array with NaN at singular nodes."""
+    """One spectrum column at ``omega``, formed from its one coefficient:
+    a float for scalar input, else an array with NaN at singular nodes."""
+    names = (_COLUMN_COEFF[column],)
     if np.ndim(omega) == 0:
-        return _node_spectra(params, state, omega, method)[0][column]
+        return _node_spectra(params, state, omega, method, names)[0][column]
     grid = np.asarray(omega, dtype=float)
-    arrs, bad = _arrays(params, state, grid, method)
+    arrs, bad = _arrays(params, state, grid, method, names)
     return np.where(bad, np.nan, _spectra(params, grid, arrs)[column])
 
 
@@ -412,26 +442,40 @@ def scan_spectrum(params: SystemParams, omega_grid, method: str = "closed",
     omega = 0 (thermal column NaN), then a non-finite value (all columns
     NaN).
     """
+    return _scan(params, omega_grid, method, state, _SPECTRA_COEFFS)
+
+
+def _scan(params, omega_grid, method, state, names) -> ScanResult:
+    """:func:`scan_spectrum` forming only the columns that the coefficients
+    ``names`` give; the others are ``None``, and the errors cover only the
+    columns formed."""
     grid = np.asarray(omega_grid, dtype=float)
+    errors: list[tuple[int, float, str]] = []
     if grid.size == 0:
-        return ScanResult(*[np.empty(0)] * len(_SCAN_COLUMNS), errors=[])
-    if grid.ndim != 1 or (grid.size > 1 and not np.all(np.diff(grid) > 0.0)):
-        raise InvalidParameterError("omega grid must be strictly increasing")
-    if state is None:
-        state = solve_steady_state(params)
-
-    arrs, singular = _arrays(params, state, grid, method)
-    cols, zero, nonfinite = _masked_spectra(params, grid, arrs, singular)
-
-    errors = []
-    for i in np.flatnonzero(singular | zero | nonfinite).tolist():
-        if singular[i]:
-            errors.append((i, float(grid[i]), "singular response denominator"))
-        elif zero[i]:
-            errors.append((i, 0.0, "thermal spectrum singular at omega = 0"))
-        else:
-            errors.append((i, float(grid[i]), "non-finite spectrum value"))
-    return ScanResult(omega=grid, errors=errors, **cols)
+        grid = np.empty(0)
+        cols = {name: grid for name in _SCAN_COLUMNS[1:]
+                if _COLUMN_COEFF[name] in names}
+    else:
+        if grid.ndim != 1 or (grid.size > 1
+                              and not np.all(np.diff(grid) > 0.0)):
+            raise InvalidParameterError(
+                "omega grid must be strictly increasing")
+        if state is None:
+            state = solve_steady_state(params)
+        arrs, singular = _arrays(params, state, grid, method, names)
+        cols, zero, nonfinite = _masked_spectra(params, grid, arrs, singular)
+        for i in np.flatnonzero(singular | zero | nonfinite).tolist():
+            if singular[i]:
+                errors.append((i, float(grid[i]),
+                               "singular response denominator"))
+            elif zero[i]:
+                errors.append((i, 0.0,
+                               "thermal spectrum singular at omega = 0"))
+            else:
+                errors.append((i, float(grid[i]),
+                               "non-finite spectrum value"))
+    return ScanResult(omega=grid, errors=errors,
+                      **{name: cols.get(name) for name in _SCAN_COLUMNS[1:]})
 
 
 def closed_vs_oracle_deviation(params: SystemParams, state: SteadyState,
@@ -443,8 +487,8 @@ def closed_vs_oracle_deviation(params: SystemParams, state: SteadyState,
     coefficients that are identically zero compare cleanly.
     """
     grid = np.asarray(omega_grid, dtype=float)
-    closed, bad_c = _closed_arrays(params, state, grid, microwave=True)
-    oracle, bad_o = _oracle_arrays(params, state, grid, microwave=True)
+    closed, bad_c = _closed_arrays(params, state, grid, _COEFF_NAMES)
+    oracle, bad_o = _oracle_arrays(params, state, grid, _COEFF_NAMES)
     if np.any(bad_c) or np.any(bad_o):
         raise SingularPointError("deviation grid hits a singular node")
     out: dict[str, float] = {}

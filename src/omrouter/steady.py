@@ -9,7 +9,10 @@ the balance at samples placed by that quintic's roots, solves each bracket
 by false position started at the quintic's real root inside it, and selects
 the branch continuously connected to the undriven state via a power ramp.
 One batched eigenvalue call gives the quintic's roots at every power scale
-of the ramp; a plain loop then samples and solves one scale at a time.
+of the ramp; a plain loop then samples and solves one scale at a time.  The
+ramp tracks a branch rather than enumerating them: an intermediate stage
+solves only the brackets that can hold the root nearest the previous
+stage's, and only the full-power stage solves them all.
 """
 
 from __future__ import annotations
@@ -250,49 +253,114 @@ def _polish_root(balance_and_slope, q: float, lo: float, hi: float) -> float:
     return best_q
 
 
-def _enumerate(params: SystemParams, scales) -> list[list[float]]:
-    """The ascending real roots of the balance at each power scale.
+def _stages(params: SystemParams, scales):
+    """Each power scale's balance in turn, as the ``stage`` argument of
+    :func:`_stage_roots`.
 
-    The balance is undriven at every scale, with the single root 0, or at
-    no positive one.  Otherwise each scale's samples from
-    :func:`_quintic_samples` are evaluated in turn, and every sign change
-    between neighbouring samples with a finite, nonzero balance is a
-    bracket.  Each bracket is solved by :func:`_false_position`, started at
-    the quintic's real root inside it if there is exactly one, and then
-    Newton-polished without leaving it.
+    Yields ``None`` at every scale when the balance is undriven, which it
+    is at every scale or at no positive one.  Otherwise yields
+    ``(func, form, samples, real_roots)``: the scalar balance, its
+    amplitude form for the Newton polish, and the samples and real roots
+    that :func:`_quintic_samples` gives from its one eigenvalue call.
     """
     scales = np.asarray(scales, dtype=float)
     drives = drive_amplitudes(params)
     coeffs = _balance(params, scales[:, None], drives)[0]
     if not (np.any(coeffs[1]) or np.any(coeffs[2])):
-        return [[0.0] for _ in scales]
-    roots = []
+        yield from [None] * len(scales)
+        return
     for scale, (samples, real_roots) in zip(scales.tolist(),
                                             _quintic_samples(params, coeffs)):
-        func = _balance(params, scale, drives)[1]
-        form = _amplitude_form(params, drives, scale)
-        found, lo, f_lo = [], None, None
-        for hi in samples:
-            f_hi = func(hi)
-            if f_hi == 0.0:
-                found.append(hi)
-            elif math.isfinite(f_hi):
-                if lo is not None and (f_hi < 0.0) != (f_lo < 0.0):
-                    inside = [q for q in real_roots if lo < q < hi]
-                    seed = inside[0] if len(inside) == 1 else math.nan
-                    root = _false_position(func, lo, hi, f_lo, f_hi, seed)
-                    found.append(_polish_root(form, root, lo, hi))
-                lo, f_lo = hi, f_hi
-        if not found:
-            raise BracketingError(
-                "no sign change found while bracketing the force balance")
-        found.sort()
-        deduped = found[:1]
-        for q in found[1:]:
-            if abs(q - deduped[-1]) > _Q_ABS_TOL + 10.0 * _Q_REL_TOL * abs(q):
-                deduped.append(q)
-        roots.append(deduped)
-    return roots
+        yield (_balance(params, scale, drives)[1],
+               _amplitude_form(params, drives, scale), samples, real_roots)
+
+
+def _stage_roots(stage, track: float | None = None) -> list[float]:
+    """The ascending real roots of the balance at one power scale.
+
+    ``stage`` comes from :func:`_stages`; an undriven balance has the
+    single root 0.  The samples are evaluated in turn: a sample at which
+    the balance is exactly zero is a root, and every sign change between
+    neighbouring samples with a finite, nonzero balance is a bracket.  A
+    bracket is solved by :func:`_false_position`, started at the
+    quintic's real root inside it if there is exactly one, and then
+    Newton-polished without leaving it.  Roots closer than the dedupe
+    tolerance ``_Q_ABS_TOL + 10*_Q_REL_TOL*|q|`` to the last one kept are
+    dropped.
+
+    Without ``track`` every bracket is solved.  With ``track``, the root
+    the power ramp kept at the previous scale, the brackets are solved in
+    ascending order of their distance from ``track`` (0 for a bracket that
+    contains it), and the solve stops at the first bracket farther than
+    ``d + _EQUIDISTANT_TOL + 2*n*T``.  Here ``d`` is the distance of the
+    nearest root found so far, ``n`` the number of samples and ``T`` the
+    dedupe tolerance at ``q_max`` (the outermost sample), which bounds the
+    tolerance of every root.  ``_nearest(roots, track)`` then gives the
+    same root and the same ambiguity flag as on all the roots:
+
+    * There are at most ``n`` roots, one per sample at most, so a cluster
+      of roots with neighbours no more than ``T`` apart spans less than
+      ``n*T``.  The dedupe keeps the first root of each cluster and decides
+      within a cluster from that cluster alone.
+    * A skipped root is farther than ``d + _EQUIDISTANT_TOL + 2*n*T``.
+      The cluster of the nearest solved root lies within ``d + n*T``, so
+      it holds no skipped root, and its first root, which is kept, is
+      within ``d + n*T`` on both lists.
+    * Every root that shares a cluster with a skipped root is farther than
+      ``d + n*T + _EQUIDISTANT_TOL``.  It is neither the nearest root nor
+      a runner-up within the ambiguity threshold, on either list.  All
+      roots nearer than that come from clusters without a skipped root,
+      which the dedupe treats alike on both lists.
+
+    The roots that are solved are bit for bit the ones a full solve gives.
+    """
+    if stage is None:
+        return [0.0]
+    func, form, samples, real_roots = stage
+    found, brackets, lo, f_lo = [], [], None, None
+    for hi in samples:
+        f_hi = func(hi)
+        if f_hi == 0.0:
+            found.append(hi)
+        elif math.isfinite(f_hi):
+            if lo is not None and (f_hi < 0.0) != (f_lo < 0.0):
+                # the root takes the bracket's place in sample order
+                brackets.append((len(found), lo, hi, f_lo, f_hi))
+                found.append(None)
+            lo, f_lo = hi, f_hi
+    if not found:
+        raise BracketingError(
+            "no sign change found while bracketing the force balance")
+
+    def solve(at, lo, hi, f_lo, f_hi):
+        inside = [q for q in real_roots if lo < q < hi]
+        seed = inside[0] if len(inside) == 1 else math.nan
+        root = _false_position(func, lo, hi, f_lo, f_hi, seed)
+        found[at] = _polish_root(form, root, lo, hi)
+        return found[at]
+
+    if track is None:
+        for bracket in brackets:
+            solve(*bracket)
+    else:
+        gaps = [0.0 if lo <= track <= hi
+                else min(abs(lo - track), abs(hi - track))
+                for _, lo, hi, _, _ in brackets]
+        dedupe_tol = _Q_ABS_TOL + 10.0 * _Q_REL_TOL * samples[-1]
+        margin = _EQUIDISTANT_TOL + 2.0 * len(samples) * dedupe_tol
+        nearest = min([abs(q - track) for q in found if q is not None],
+                      default=math.inf)
+        for k in sorted(range(len(brackets)), key=gaps.__getitem__):
+            if gaps[k] > nearest + margin:
+                break
+            nearest = min(nearest, abs(solve(*brackets[k]) - track))
+        found = [q for q in found if q is not None]
+    found.sort()
+    deduped = found[:1]
+    for q in found[1:]:
+        if abs(q - deduped[-1]) > _Q_ABS_TOL + 10.0 * _Q_REL_TOL * abs(q):
+            deduped.append(q)
+    return deduped
 
 
 def enumerate_branches(params: SystemParams,
@@ -303,14 +371,14 @@ def enumerate_branches(params: SystemParams,
     odd count (1, 3, or 5).  Samples seeded by the companion-matrix roots
     of the cleared quintic are checked for sign changes of the balance
     itself; each bracket is solved by Anderson-Bjorck false position and
-    then Newton-polished without leaving it.  This is the one-scale case of
-    the enumeration the power ramp of :func:`solve_steady_state` runs over
-    all its scales in one call, and returns the same roots bit for bit.
+    then Newton-polished without leaving it.  The full-power stage of
+    :func:`solve_steady_state` runs the same per-scale code, so its
+    ``branches`` are these roots bit for bit.
     Raises :class:`BracketingError` if no sign change is seen, which is
     impossible for the continuous balance, since it is negative at
     ``-q_max`` and positive at ``+q_max``, and indicates a bug.
     """
-    return _enumerate(params, [power_scale])[0]
+    return _stage_roots(next(_stages(params, [power_scale])))
 
 
 def _state_from_root(params: SystemParams, roots: list[float], index: int,
@@ -336,11 +404,15 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
     undriven system: both pump powers are ramped from zero in ``ramp_steps``
     stages and at each stage the root nearest the previous selection is
     kept.  Passing ``q_seed`` tracks from the seed instead, over the single
-    full-power stage, which is what sweep continuation uses.  The roots of
-    all stages come from one call of the enumeration behind
-    :func:`enumerate_branches`, equal bit for bit to calling it at each
-    scale, and the state carries the full-power roots it was picked from as
-    ``branches``.
+    full-power stage, which is what sweep continuation uses.  One
+    eigenvalue call serves all stages.  An intermediate stage does not
+    return every root: it solves only the brackets that can hold the root
+    nearest the previous selection (see :func:`_stage_roots`), and that
+    root and its ambiguity flag are the ones all roots would give.  The
+    full-power stage solves every bracket through the same per-scale code
+    as :func:`enumerate_branches`, so the state carries, as ``branches``,
+    the full-power roots it was picked from, equal bit for bit to
+    ``enumerate_branches(params)``.
 
     Raises :class:`ConvergenceError` if the fixed-point residual of the
     returned state exceeds ``residual_tol``.
@@ -354,7 +426,10 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
         prev, scales = q_seed, [1.0]
         where = ": two roots equidistant from seed"
     warnings: tuple[str, ...] = ()
-    for scale, roots in zip(scales, _enumerate(params, scales)):
+    last = len(scales) - 1
+    for i, (scale, stage) in enumerate(zip(scales, _stages(params, scales))):
+        # an intermediate stage only needs the root nearest the last one
+        roots = _stage_roots(stage, None if i == last else prev)
         index, ambiguous = _nearest(roots, prev)
         prev = roots[index]
         if ambiguous:

@@ -175,6 +175,13 @@ class TestFindExtrema:
         assert len(result.maxima) == 1
         assert abs(result.maxima[0].omega) < 1e-3
 
+    def test_second_call_returns_the_same_object(self):
+        x = np.linspace(-1.0, 1.0, 9)
+        points = t_points(x, x**2)
+        first = find_extrema(points, "T")
+        assert find_extrema(points, "t_trans") is first
+        assert find_extrema(points, "R") is not first
+
     def test_nan_nodes_skipped(self):
         # failed scan nodes carry NaN columns; triples touching them are
         # ignored rather than poisoning the extrema list
@@ -184,6 +191,30 @@ class TestFindExtrema:
         result = find_extrema(t_points(x, y), "T")
         assert len(result.minima) == 1
         assert result.minima[0].omega == pytest.approx(0.5, abs=1e-12)
+
+
+class TestWindowScan:
+    """The routing path's scan forms R and T only, bit for bit as the
+    full scan does."""
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    @pytest.mark.parametrize("power_p", [0.0, 30e-9, 1.5e-6, 2.5e-6])
+    def test_rt_equal_full_scan(self, default_cfg, method, power_p):
+        params = default_cfg.system_params(power_p=power_p)
+        state = solve_steady_state(params)
+        scan = window_scan(params, state, method=method)
+        full = scan_spectrum(params, scan.omega, method=method, state=state)
+        assert scan.omega.tobytes() == full.omega.tobytes()
+        for name in ("r_refl", "t_trans"):
+            assert scan.column(name).tobytes() == full.column(name).tobytes()
+        assert scan.errors == full.errors == []
+
+    def test_noise_columns_not_formed(self, params_on, state_on):
+        scan = window_scan(params_on, state_on)
+        assert scan.s_thermal is None and scan.s_vacuum is None
+        for name in ("s_thermal", "s_vacuum"):
+            with pytest.raises(InvalidParameterError, match="not formed"):
+                scan.column(name)
 
 
 class TestWindowSplitting:
@@ -281,28 +312,31 @@ class TestRoutingReport:
         real_arrays = response_module._arrays
         shapes = []
 
-        def counting(*args):
-            shapes.append(np.shape(args[2]))
-            return real_arrays(*args)
+        def counting(params, state, omega, method, names):
+            shapes.append((np.shape(omega), names))
+            return real_arrays(params, state, omega, method, names)
 
         monkeypatch.setattr(response_module, "_arrays", counting)
-        window = (analysis_module.DEFAULT_WINDOW_POINTS,)
+        # every call forms e1 alone, the one coefficient R and T read
+        window = ((analysis_module.DEFAULT_WINDOW_POINTS,), ("e1",))
         refine = analysis_module._REFINE_POINTS
         report = routing_report(params_on, state=state_on)
         assert len(report.ports) == 3
-        assert shapes == [window, (2, refine), (1, refine), (3,)]
+        assert shapes == [window, ((2, refine), ("e1",)),
+                          ((1, refine), ("e1",)), ((3,), ("e1",))]
         shapes.clear()
         routing_report(params_off, state=state_off)
-        assert shapes == [window, (1, refine), (1,)]
+        assert shapes == [window, ((1, refine), ("e1",)), ((1,), ("e1",))]
 
     def test_singular_port_raises(self, params_on, state_on, monkeypatch):
         ports = routing_report(params_on, state=state_on).ports
         real_arrays = response_module._arrays
         flagged = []
 
-        def singular_ports(params, state, omega, method):
+        def singular_ports(params, state, omega, method, names):
             # the port batch is the only 1-D call with at most 3 nodes
-            arrs, bad = real_arrays(params, state, omega, method)
+            assert names == ("e1",)
+            arrs, bad = real_arrays(params, state, omega, method, names)
             if np.ndim(omega) == 1 and np.size(omega) <= 3:
                 bad[flagged] = True
             return arrs, bad
@@ -443,6 +477,15 @@ class TestPowerSweep:
         with pytest.raises(InvalidParameterError):
             power_sweep(params_on, [1e-9, 1e-9])
 
+    def test_rows_carry_report_warnings(self, params_on):
+        # past about 1.95 uW the pinned report collapses and warns
+        result = power_sweep(params_on, [1.5e-6, 2.5e-6],
+                             pin_optical=True, pin_microwave=True)
+        assert result.errors == []
+        assert result.rows[0].warnings == ()
+        assert len(result.rows[1].warnings) == 1
+        assert "1 of 3 ports" in result.rows[1].warnings[0]
+
     def test_row_errors_recorded(self, params_on, monkeypatch):
         real_solve = analysis_module.solve_steady_state
 
@@ -515,7 +558,7 @@ class TestCalibration:
                                                      monkeypatch):
         # the depth-stage calibration visits 13 distinct (g1, g2) pairs;
         # the splitting and depth checks at one pair scan its window once
-        real_scan = analysis_module.scan_spectrum
+        real_scan = analysis_module._scan
         windows = []
 
         def counting(params, grid, *args, **kwargs):
@@ -523,7 +566,7 @@ class TestCalibration:
                 windows.append((params.g1, params.g2))
             return real_scan(params, grid, *args, **kwargs)
 
-        monkeypatch.setattr(analysis_module, "scan_spectrum", counting)
+        monkeypatch.setattr(analysis_module, "_scan", counting)
         weak = replace(params_on, g1=0.3 * params_on.g1)
         calibrate_couplings(weak, g1_bracket=(weak.g1, params_on.g1),
                             g2_bracket=(weak.g2, 2.0 * weak.g2))

@@ -39,13 +39,13 @@ def test_steady_prints_branches_and_state(tmp_path, capsys):
 def test_steady_enumerates_once_and_lists_those_roots(tmp_path, capsys,
                                                       monkeypatch, policy):
     seen = []
-    real_enumerate = steady_module._enumerate
+    real_stages = steady_module._stages
 
     def recording(params, scales):
         seen.append(params)
-        return real_enumerate(params, scales)
+        return real_stages(params, scales)
 
-    monkeypatch.setattr(steady_module, "_enumerate", recording)
+    monkeypatch.setattr(steady_module, "_stages", recording)
     assert main(["--out", str(tmp_path), "--set", f"branch_policy={policy}",
                  "steady"]) == 0
     assert len(seen) == 1
@@ -105,19 +105,26 @@ def test_route_pump_on_three_ports(tmp_path):
 
 def test_route_scans_window_once(tmp_path, monkeypatch):
     # routing report and window splitting share one window scan, the only
-    # scan_spectrum call; the narrow port refinements are batched kernel
-    # calls below it
+    # scan call, and one extrema search over it; the narrow port
+    # refinements are batched kernel calls below it
     window_nodes = parse_config(env={}).splitting_points
-    real_scan = analysis_module.scan_spectrum
-    sizes = []
+    real_scan = analysis_module._scan
+    real_extrema = analysis_module._row_extrema
+    sizes, searched = [], []
 
     def counting(params, omega_grid, *args, **kwargs):
         sizes.append(len(omega_grid))
         return real_scan(params, omega_grid, *args, **kwargs)
 
-    monkeypatch.setattr(analysis_module, "scan_spectrum", counting)
+    def searching(x, y):
+        searched.append(np.shape(y))
+        return real_extrema(x, y)
+
+    monkeypatch.setattr(analysis_module, "_scan", counting)
+    monkeypatch.setattr(analysis_module, "_row_extrema", searching)
     assert main(["--out", str(tmp_path), "route"]) == 0
     assert sizes == [window_nodes]
+    assert searched.count((window_nodes,)) == 1
 
 
 @pytest.mark.parametrize("power_p, warns", [("1.5e-06", False),
@@ -213,6 +220,18 @@ def test_sweep_power_ordering(tmp_path):
     assert omega0[0] == 0.0
     assert omega0[1] > 0.0 and omega0[2] > omega0[1]
     assert cols["status"] == ["ok", "ok", "ok"]
+
+
+def test_sweep_power_warns_on_collapsed_rows(tmp_path, capsys):
+    # the CSV is unchanged; the collapsed row's report warning goes to
+    # stderr, tagged with its row
+    assert main(["--out", str(tmp_path), "--set",
+                 "sweep_powers=1.5uW, 2.5uW", "sweep-power"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: row 1 (power_p=2.4999")
+    assert "): pump on, but 1 of 3 ports" in err[0]
+    assert read_csv(tmp_path / "sweep_power.csv")["status"] == ["ok", "ok"]
 
 
 def test_resolved_config_written_next_to_outputs(tmp_path):

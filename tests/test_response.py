@@ -264,6 +264,15 @@ class TestScan:
         assert math.isfinite(result.r_refl[1])
         assert math.isfinite(result.s_thermal[0])
 
+    def test_rt_only_scan_has_no_zero_node_error(self, params_on, state_on):
+        # without a thermal column, omega = 0 is an ordinary node
+        wm = params_on.omega_m
+        result = response_module._scan(params_on, [-wm, 0.0, wm], "closed",
+                                       state_on, ("e1",))
+        assert result.errors == []
+        assert result.s_thermal is None and result.s_vacuum is None
+        assert np.all(np.isfinite(result.r_refl))
+
     @pytest.mark.parametrize("singular, nonfinite, expected", [
         ([0, 2], [3], [(0, "singular response denominator"),
                        (2, "singular response denominator"),
@@ -321,12 +330,15 @@ class TestScan:
 
 
 _COLUMNS = ("r_refl", "t_trans", "s_thermal", "s_vacuum")
+_RT = ("r_refl", "t_trans")
 
 
 class TestKernelInvariance:
     """A node's spectra are the same bits whether it is evaluated alone, in
-    a 401-node row or in a batch of rows: the batched port refinement of
-    ``routing_report`` reproduces the serial one because of this."""
+    a 401-node row or in a batch of rows, and whether its kernel call forms
+    e1 alone (R and T) or e1, f1 and v (all four): the batched port
+    refinement of ``routing_report`` reproduces the serial one because of
+    this."""
 
     @pytest.mark.parametrize("method", ["closed", "oracle"])
     def test_alone_in_row_and_in_batch(self, params_on, state_on, method):
@@ -335,48 +347,63 @@ class TestKernelInvariance:
                          for c in (0.9 * wm, 1.1 * wm)])
         batch = response_module._row_spectra(params_on, state_on, rows,
                                              method)
+        assert set(batch) == set(_RT)
         nodes = [0, 1, 57, 200, 343, 399, 400]
         for k, row in enumerate(rows):
             scan = scan_spectrum(params_on, row, method=method,
                                  state=state_on)
-            for name in _COLUMNS:
+            for name in _RT:
                 assert (batch[name][k].tobytes()
                         == scan.column(name).tobytes())
-            together = response_module._node_spectra(
-                params_on, state_on, row[nodes], method)
-            for i, node in zip(nodes, together):
-                alone = response_module._node_spectra(
-                    params_on, state_on, row[i], method)
-                assert alone == [node]
-                for name in _COLUMNS:
-                    assert (node[name].hex()
-                            == float(scan.column(name)[i]).hex())
+            for names, columns in ((("e1",), _RT),
+                                   (("e1", "f1", "v"), _COLUMNS)):
+                together = response_module._node_spectra(
+                    params_on, state_on, row[nodes], method, names)
+                for i, node in zip(nodes, together):
+                    alone = response_module._node_spectra(
+                        params_on, state_on, row[i], method, names)
+                    assert alone == [node]
+                    assert set(node) == set(columns)
+                    for name in columns:
+                        assert (node[name].hex()
+                                == float(scan.column(name)[i]).hex())
 
     @pytest.mark.parametrize("method", ["closed", "oracle"])
     def test_spectra_coefficients_match_full_coefficients(
             self, params_on, state_on, method):
-        # the spectra path skips e2/f2; e1, f1 and v keep every bit
+        # a call forms only the coefficients asked for; each keeps every bit
         grid = params_on.omega_m * np.linspace(0.8, 1.2, 9)
-        arrs, _ = response_module._arrays(params_on, state_on, grid, method)
-        assert set(arrs) == {"e1", "f1", "v"}
-        for i, omega in enumerate(grid):
-            full = response_module.coefficients(params_on, state_on, omega,
-                                                method)
-            for name in ("e1", "f1", "v"):
-                assert complex(arrs[name][i]) == getattr(full, name)
+        for names in (("e1",), ("e1", "f1", "v")):
+            arrs, _ = response_module._arrays(params_on, state_on, grid,
+                                              method, names)
+            assert set(arrs) == set(names)
+            for i, omega in enumerate(grid):
+                full = response_module.coefficients(params_on, state_on,
+                                                    omega, method)
+                for name in names:
+                    assert complex(arrs[name][i]) == getattr(full, name)
 
     def test_batch_masks_like_scan(self, params_on, state_on):
-        # a row through omega = 0 masks its thermal column as a scan does
+        # a row through omega = 0 masks its thermal column as a scan does,
+        # and an R/T-only batch has no thermal column to mask there
         wm = params_on.omega_m
         rows = np.stack([np.linspace(-wm, wm, 401),
                          np.linspace(0.5 * wm, 1.5 * wm, 401)])
         assert rows[0, 200] == 0.0
+        arrs, singular = response_module._arrays(
+            params_on, state_on, rows, "closed", ("e1", "f1", "v"))
+        full, zero, _ = response_module._masked_spectra(params_on, rows,
+                                                        arrs, singular)
         batch = response_module._row_spectra(params_on, state_on, rows,
                                              "closed")
         scan = scan_spectrum(params_on, rows[0], state=state_on)
-        assert np.isnan(batch["s_thermal"][0, 200])
+        assert np.isnan(full["s_thermal"][0, 200])
+        assert np.flatnonzero(zero).tolist() == [200]
         for name in _COLUMNS:
+            assert full[name][0].tobytes() == scan.column(name).tobytes()
+        for name in _RT:
             assert batch[name][0].tobytes() == scan.column(name).tobytes()
+        assert np.all(np.isfinite(batch["r_refl"]))
 
     def test_batch_rejects_non_increasing_row(self, params_on, state_on):
         rows = np.array([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0]])

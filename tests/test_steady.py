@@ -121,7 +121,8 @@ class TestEnumerationReference:
 
 
 class TestRampEnumeration:
-    """The ramp enumerates all its power scales in one pass."""
+    """The ramp takes every power scale's quintic roots in one pass and
+    tracks one branch across them."""
 
     def test_one_eigenvalue_call_per_ramp(self, params_on, monkeypatch):
         shapes = []
@@ -168,22 +169,58 @@ class TestRampEnumeration:
         ids=[*(f"criterion3-{k}" for k in range(8)),
              "g1=0", "g2=0", "power_l=0", "power_p=0"])
     def test_ramp_roots_equal_enumerate_branches(self, params, monkeypatch):
-        seen = []
-        real_enumerate = steady_module._enumerate
+        # an intermediate stage solves only the brackets that can hold the
+        # root nearest the previous one; at every scale the tracked root
+        # and its ambiguity flag are those that all the roots give
+        tracked = []
+        real_nearest = steady_module._nearest
 
-        def recording(params, scales):
-            roots = real_enumerate(params, scales)
-            seen.append((list(scales), roots))
-            return roots
+        def recording(roots, target):
+            index, ambiguous = real_nearest(roots, target)
+            tracked.append((roots[index].hex(), ambiguous))
+            return index, ambiguous
 
-        monkeypatch.setattr(steady_module, "_enumerate", recording)
-        solve_steady_state(params, ramp_steps=11, residual_tol=math.inf)
-        assert len(seen) == 1
-        scales, ramp_roots = seen[0]
-        assert scales == list(np.linspace(0.0, 1.0, 11)[1:])
-        for scale, roots in zip(scales, ramp_roots):
-            alone = enumerate_branches(params, scale)
-            assert [q.hex() for q in roots] == [q.hex() for q in alone]
+        monkeypatch.setattr(steady_module, "_nearest", recording)
+        state = solve_steady_state(params, ramp_steps=11,
+                                   residual_tol=math.inf)
+        monkeypatch.undo()
+        expected, prev = [], 0.0
+        for scale in np.linspace(0.0, 1.0, 11)[1:]:
+            roots = enumerate_branches(params, scale)
+            index, ambiguous = steady_module._nearest(roots, prev)
+            prev = roots[index]
+            expected.append((prev.hex(), ambiguous))
+        assert tracked == expected
+        # the full-power stage still solves every bracket
+        assert [q.hex() for q in state.branches] == [q.hex() for q in roots]
+
+    @pytest.mark.parametrize("power_p, brackets", [(None, 14), (0.0, 12)])
+    def test_one_bracket_per_intermediate_stage(self, params_on, monkeypatch,
+                                                power_p, brackets):
+        # the default device: one bracket at each of the 9 intermediate
+        # stages, then all 5 (pumped) or 3 (pump off) at full power
+        params = (params_on if power_p is None
+                  else replace(params_on, power_p=power_p))
+        calls = [0]
+        real_solve = steady_module._false_position
+
+        def counting(*args):
+            calls[0] += 1
+            return real_solve(*args)
+
+        monkeypatch.setattr(steady_module, "_false_position", counting)
+        state = solve_steady_state(params)
+        assert calls[0] == brackets
+        assert len(state.branches) == brackets - 9
+
+    def test_ambiguous_intermediate_stage_still_warns(self):
+        # a criterion-3 draw whose root at power scale 0.1 is within the
+        # ambiguity threshold of its runner-up
+        params = criterion3_params(np.random.default_rng([0, 1882]))
+        state = solve_steady_state(params)
+        assert state.warnings == (
+            "branch tracking ambiguous at power scale 0.10",)
+        assert state.branch_index == 1
 
 
 class TestFalsePosition:
@@ -318,13 +355,13 @@ class TestSolveSteadyState:
     def test_seed_tracks_over_the_full_power_stage_only(self, params_on,
                                                        monkeypatch):
         seen = []
-        real_enumerate = steady_module._enumerate
+        real_stages = steady_module._stages
 
         def recording(params, scales):
             seen.append(list(scales))
-            return real_enumerate(params, scales)
+            return real_stages(params, scales)
 
-        monkeypatch.setattr(steady_module, "_enumerate", recording)
+        monkeypatch.setattr(steady_module, "_stages", recording)
         solve_steady_state(params_on, q_seed=0.0)
         assert seen == [[1.0]]
 

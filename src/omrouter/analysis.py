@@ -438,8 +438,6 @@ def calibrate_couplings(params: SystemParams,
                         targets: CalibrationTargets | None = None,
                         g1_bracket: tuple[float, float] | None = None,
                         g2_bracket: tuple[float, float] | None = None,
-                        pin_detunings: bool = True,
-                        window_frac: float = DEFAULT_WINDOW_FRAC,
                         ) -> tuple[float, float]:
     """Find couplings that realize the router's advertised behaviour.
 
@@ -452,7 +450,10 @@ def calibrate_couplings(params: SystemParams,
     More ``g1`` keeps the pump-off window blocked but shifts the splitting
     slightly, so ``g2`` is re-bisected once, only if the splitting was
     lost; that last step does not check its bracket and never raises.
-    Couplings that already meet a stage's target are kept.
+    Couplings that already meet a stage's target are kept.  Every check
+    first pins both effective detunings to ``omega_m``
+    (:func:`pin_effective_detunings`) and reads the
+    ``+-DEFAULT_WINDOW_FRAC`` window.
 
     Raises :class:`CalibrationError`, with the closest couplings tried in
     ``closest``, when a stage's target is unreachable inside its bracket.
@@ -463,28 +464,25 @@ def calibrate_couplings(params: SystemParams,
     g1_lo, g1_hi = g1_bracket or (params.g1, max(params.g1, 1.0) * 1e3)
     g2_lo, g2_hi = g2_bracket or (params.g2, max(params.g2, 1.0) * 1e3)
 
-    def prepared(p):
-        return pin_effective_detunings(p) if pin_detunings else p
-
     def t_center_off(g1):
-        p = prepared(replace(params, g1=g1, power_p=0.0))
+        p = pin_effective_detunings(replace(params, g1=g1, power_p=0.0))
         state = solve_steady_state(p)
         return transmission(p, state, p.omega_m)
 
     windows = {}
 
     def window_at(g1, g2):
-        # both pump-on checks at one pair share the prepared params, steady
+        # both pump-on checks at one pair share the pinned params, steady
         # state and window scan
         if (g1, g2) not in windows:
-            p = prepared(replace(params, g1=g1, g2=g2))
+            p = pin_effective_detunings(replace(params, g1=g1, g2=g2))
             state = solve_steady_state(p)
-            windows[g1, g2] = p, state, window_scan(p, state, window_frac)
+            windows[g1, g2] = p, state, window_scan(p, state)
         return windows[g1, g2]
 
     def report_at(g1, g2):
         p, state, scan = window_at(g1, g2)
-        return routing_report(p, state=state, window_frac=window_frac,
+        return routing_report(p, state=state,
                               r_reflect_min=targets.r_reflect_min, scan=scan)
 
     def blocked(g1):

@@ -6,6 +6,11 @@ literally.  Precedence, lowest to highest: built-in defaults, ``OMROUTER_*``
 environment variables, the config file, inline overrides.  Unknown keys are
 rejected with the offending line.
 
+Each key is declared once, as a :class:`RunConfig` field whose metadata
+holds its parser and its canonical default string; the key lookup, the
+built-in :data:`DEFAULTS` and the ``resolved.cfg`` echo order all derive
+from that field list.
+
 The bundled defaults describe the calibrated reference device; ``g1``/``g2``
 are calibration choices produced by :func:`omrouter.analysis.calibrate_couplings`
 (the experimental record this parameter set is modelled on does not fix
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, InvalidParameterError
 from .model import SystemParams
@@ -138,115 +143,69 @@ def _detuning_parser(text, key, where):
     return _parse_quantity(text, "angular", key, where)
 
 
-# key -> parser; insertion order is the canonical echo order
-_SCHEMA = {
-    "omega_m": _quantity_parser("angular"),
-    "mass": _quantity_parser("mass"),
-    "gamma_m": _quantity_parser("angular"),
-    "kappa1": _quantity_parser("angular"),
-    "kappa2": _quantity_parser("angular"),
-    "g1": _quantity_parser("coupling"),
-    "g2": _quantity_parser("coupling"),
-    "delta_a": _detuning_parser,
-    "delta_c": _detuning_parser,
-    "omega_l": _quantity_parser("angular"),
-    "omega_p": _quantity_parser("angular"),
-    "power_l": _quantity_parser("power"),
-    "power_p": _quantity_parser("power"),
-    "temperature": _quantity_parser("temperature"),
-    "pump_hbar": _parse_bool,
-    "ramp_steps": _parse_int,
-    "residual_tol": _quantity_parser("plain"),
-    "branch_policy": _parse_choice({"ramp", "direct"}),
-    "oracle": _parse_bool,
-    "spectrum_min": _quantity_parser("plain"),
-    "spectrum_max": _quantity_parser("plain"),
-    "spectrum_points": _parse_int,
-    "splitting_window": _quantity_parser("plain"),
-    "splitting_points": _parse_int,
-    "splitting_mode": _parse_choice({"t-minima", "r-maxima"}),
-    "r_reflect_min": _quantity_parser("plain"),
-    "t_transmit_min": _quantity_parser("plain"),
-    "sweep_powers": _parse_power_list,
-    "fig3_powers": _parse_power_list,
-    "output_dir": lambda text, key, where: text.strip(),
-}
+_ANGULAR = _quantity_parser("angular")
+_COUPLING = _quantity_parser("coupling")
+_POWER = _quantity_parser("power")
+_MASS = _quantity_parser("mass")
+_TEMPERATURE = _quantity_parser("temperature")
+_PLAIN = _quantity_parser("plain")
 
-# Canonical default strings, run through the same parsers as config files so
-# that the bundled reference file and the built-in defaults can never drift
-# apart by a rounding step.
-_DEFAULT_TEXT = {
-    # reference device (toroid + microwave LC sharing one membrane-scale NR)
-    "omega_m": "2pi*10.56MHz",
-    "mass": "48ng",
-    "gamma_m": "2pi*32Hz",
-    "kappa1": "2pi*100kHz",
-    "kappa2": "2pi*1kHz",
-    "g1": "5.0e19",          # calibrated, see module docstring
-    "g2": "1.2e20",          # calibrated
-    "delta_a": "auto",
-    "delta_c": "auto",
-    "omega_l": "2pi*195THz",
-    "omega_p": "2pi*7.1GHz",
-    "power_l": "130uW",
-    "power_p": "300nW",
-    "temperature": "20mK",
-    "pump_hbar": "true",
-    "ramp_steps": "11",
-    "residual_tol": "1e-10",
-    "branch_policy": "ramp",
-    "oracle": "false",
-    "spectrum_min": "0.7",
-    "spectrum_max": "1.3",
-    "spectrum_points": "4001",
-    "splitting_window": "0.30",
-    "splitting_points": "4001",
-    "splitting_mode": "t-minima",
-    "r_reflect_min": "0.99",
-    "t_transmit_min": "0.95",
-    "sweep_powers": "0, 300nW, 1.5uW",
-    "fig3_powers": "300nW, 1.5uW",
-    "output_dir": "out",
-}
 
-DEFAULTS: dict = {key: _SCHEMA[key](text, key, "builtin default")
-                  for key, text in _DEFAULT_TEXT.items()}
+def _parse_text(text, key, where):
+    return text.strip()
+
+
+def _key(parse, default: str):
+    """Declare one configuration key: its parser and canonical default.
+
+    The default is a config-file string run through the same parser as a
+    config file, so the bundled reference file and the built-in defaults
+    can never drift apart by a rounding step.
+    """
+    return field(metadata={"parse": parse, "default": default})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration (physics plus solver knobs)."""
+    """Fully resolved run configuration (physics plus solver knobs).
 
-    omega_m: float
-    mass: float
-    gamma_m: float
-    kappa1: float
-    kappa2: float
-    g1: float
-    g2: float
-    delta_a: float | str
-    delta_c: float | str
-    omega_l: float
-    omega_p: float
-    power_l: float
-    power_p: float
-    temperature: float
-    pump_hbar: bool
-    ramp_steps: int
-    residual_tol: float
-    branch_policy: str
-    oracle: bool
-    spectrum_min: float
-    spectrum_max: float
-    spectrum_points: int
-    splitting_window: float
-    splitting_points: int
-    splitting_mode: str
-    r_reflect_min: float
-    t_transmit_min: float
-    sweep_powers: tuple[float, ...]
-    fig3_powers: tuple[float, ...]
-    output_dir: str
+    The field list is the configuration schema: field order is the echo
+    order, and each field carries its parser and its default string.
+    """
+
+    # reference device (toroid + microwave LC sharing one membrane-scale NR)
+    omega_m: float = _key(_ANGULAR, "2pi*10.56MHz")
+    mass: float = _key(_MASS, "48ng")
+    gamma_m: float = _key(_ANGULAR, "2pi*32Hz")
+    kappa1: float = _key(_ANGULAR, "2pi*100kHz")
+    kappa2: float = _key(_ANGULAR, "2pi*1kHz")
+    g1: float = _key(_COUPLING, "5.0e19")   # calibrated, see module docstring
+    g2: float = _key(_COUPLING, "1.2e20")   # calibrated
+    delta_a: float | str = _key(_detuning_parser, "auto")
+    delta_c: float | str = _key(_detuning_parser, "auto")
+    omega_l: float = _key(_ANGULAR, "2pi*195THz")
+    omega_p: float = _key(_ANGULAR, "2pi*7.1GHz")
+    power_l: float = _key(_POWER, "130uW")
+    power_p: float = _key(_POWER, "300nW")
+    temperature: float = _key(_TEMPERATURE, "20mK")
+    pump_hbar: bool = _key(_parse_bool, "true")
+    ramp_steps: int = _key(_parse_int, "11")
+    residual_tol: float = _key(_PLAIN, "1e-10")
+    branch_policy: str = _key(_parse_choice({"ramp", "direct"}), "ramp")
+    oracle: bool = _key(_parse_bool, "false")
+    spectrum_min: float = _key(_PLAIN, "0.7")
+    spectrum_max: float = _key(_PLAIN, "1.3")
+    spectrum_points: int = _key(_parse_int, "4001")
+    splitting_window: float = _key(_PLAIN, "0.30")
+    splitting_points: int = _key(_parse_int, "4001")
+    splitting_mode: str = _key(_parse_choice({"t-minima", "r-maxima"}),
+                               "t-minima")
+    r_reflect_min: float = _key(_PLAIN, "0.99")
+    t_transmit_min: float = _key(_PLAIN, "0.95")
+    sweep_powers: tuple[float, ...] = _key(_parse_power_list,
+                                           "0, 300nW, 1.5uW")
+    fig3_powers: tuple[float, ...] = _key(_parse_power_list, "300nW, 1.5uW")
+    output_dir: str = _key(_parse_text, "out")
 
     @property
     def method(self) -> str:
@@ -262,16 +221,13 @@ class RunConfig:
 
     def base_params(self) -> SystemParams:
         """System parameters with ``auto`` detunings left at omega_m."""
-        da = self.omega_m if self.pin_optical else float(self.delta_a)
-        dc = self.omega_m if self.pin_microwave else float(self.delta_c)
+        values = {f.name: getattr(self, f.name) for f in fields(SystemParams)}
+        if self.pin_optical:
+            values["delta_a"] = self.omega_m
+        if self.pin_microwave:
+            values["delta_c"] = self.omega_m
         try:
-            return SystemParams(
-                omega_m=self.omega_m, mass=self.mass, gamma_m=self.gamma_m,
-                kappa1=self.kappa1, kappa2=self.kappa2, g1=self.g1,
-                g2=self.g2, delta_a=da, delta_c=dc, omega_l=self.omega_l,
-                omega_p=self.omega_p, power_l=self.power_l,
-                power_p=self.power_p, temperature=self.temperature,
-                pump_hbar=self.pump_hbar)
+            return SystemParams(**values)
         except InvalidParameterError as exc:
             raise ConfigError(f"invalid physics configuration: {exc}") from exc
 
@@ -314,7 +270,7 @@ class RunConfig:
         """Canonical serialization; parsing it back reproduces this config."""
         lines = ["# omrouter resolved configuration",
                  "# values in SI (rad/s, kg, W, K); couplings in rad/(s*m)"]
-        for key in _SCHEMA:
+        for key in (f.name for f in fields(self)):
             value = getattr(self, key)
             if isinstance(value, bool):
                 text = "true" if value else "false"
@@ -326,6 +282,14 @@ class RunConfig:
                 text = str(value)
             lines.append(f"{key} = {text}")
         return lines
+
+
+# key -> parser, in echo order
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
+
+DEFAULTS: dict = {f.name: f.metadata["parse"](f.metadata["default"], f.name,
+                                              "builtin default")
+                  for f in fields(RunConfig)}
 
 
 def _read_file_entries(path) -> list[tuple[str, str, str]]:
@@ -361,9 +325,9 @@ def parse_config(path=None, overrides=(), env=None) -> RunConfig:
     merged = dict(DEFAULTS)
 
     def apply(key, text, where):
-        if key not in _SCHEMA:
+        if key not in _PARSERS:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        merged[key] = _SCHEMA[key](text, key, where)
+        merged[key] = _PARSERS[key](text, key, where)
 
     for name in sorted(k for k in env if k.startswith(ENV_PREFIX)):
         apply(name[len(ENV_PREFIX):].lower(), env[name], f"environment {name}")
@@ -379,7 +343,6 @@ def parse_config(path=None, overrides=(), env=None) -> RunConfig:
         key, _, value = item.partition("=")
         apply(key.strip(), value.strip(), f"override {key.strip()!r}")
 
-    known = {f.name for f in fields(RunConfig)}
-    config = RunConfig(**{k: v for k, v in merged.items() if k in known})
+    config = RunConfig(**merged)
     config.validate()
     return config

@@ -44,6 +44,9 @@ _Q_REL_TOL = 1e-13
 _DEFAULT_RAMP_STEPS = 11
 _DEFAULT_RESIDUAL_TOL = 1e-10
 _EQUIDISTANT_TOL = 1e-15  # metres; branch-tracking ambiguity threshold
+# one-sided detuning pinning: tolerance relative to omega_m, and solve budget
+_PIN_TOL = 1e-9
+_PIN_MAX_ITER = 64
 
 
 @dataclass(frozen=True)
@@ -479,21 +482,21 @@ def steady_residual(params: SystemParams, state: SteadyState) -> float:
 
 
 def pin_effective_detunings(params: SystemParams, pin_optical: bool = True,
-                            pin_microwave: bool = True,
-                            target: float | None = None,
-                            tol: float = 1e-9,
-                            max_iter: int = 64) -> SystemParams:
+                            pin_microwave: bool = True) -> SystemParams:
     """Return params whose bare detunings put the *effective* detunings on
-    target (default: the mechanical frequency) at the converged steady state.
+    the mechanical frequency at the converged steady state.
 
     This realizes the usual operating condition in which each pump sits on
     its lower mechanical sideband regardless of the static displacement the
     drives themselves induce.  With both sides pinned the construction is
-    closed-form; pinning one side iterates the solve/update cycle.
+    closed-form.  Pinning one side iterates the solve/update cycle until
+    the pinned effective detuning is within ``_PIN_TOL * omega_m`` of
+    ``omega_m``, and raises :class:`ConvergenceError` after
+    ``_PIN_MAX_ITER`` solves.
     """
     if not (pin_optical or pin_microwave):
         return params
-    t = params.omega_m if target is None else target
+    t = params.omega_m
     hbar = CONSTANTS.hbar
     m_w2 = params.mass * params.omega_m**2
 
@@ -508,14 +511,14 @@ def pin_effective_detunings(params: SystemParams, pin_optical: bool = True,
     current = replace(params,
                       delta_a=t if pin_optical else params.delta_a,
                       delta_c=t if pin_microwave else params.delta_c)
-    for _ in range(max_iter):
+    for _ in range(_PIN_MAX_ITER):
         state = solve_steady_state(current)
         err = 0.0
         if pin_optical:
             err = max(err, abs(state.delta1 - t))
         if pin_microwave:
             err = max(err, abs(state.delta2 - t))
-        if err <= tol * params.omega_m:
+        if err <= _PIN_TOL * params.omega_m:
             return current
         current = replace(
             current,

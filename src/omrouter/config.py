@@ -265,6 +265,9 @@ class RunConfig:
         if any(b <= a for a, b in zip(self.sweep_powers,
                                       self.sweep_powers[1:])):
             raise ConfigError("sweep_powers must be strictly increasing")
+        if "#" in self.output_dir:
+            raise ConfigError("output_dir must not contain '#', which starts "
+                              "a comment in resolved.cfg")
 
     def echo_lines(self) -> list[str]:
         """Canonical serialization; parsing it back reproduces this config."""

@@ -147,6 +147,13 @@ def test_route_honors_splitting_mode(tmp_path):
                                                      rel=0.02)
 
 
+def test_hash_in_output_dir_exits_2(tmp_path, capsys):
+    out = tmp_path / "a#b"
+    assert main(["--out", str(out), "steady"]) == 2
+    assert "output_dir" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.cfg"), "steady"])
     assert code == 2

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from omrouter.config import parse_config
+from omrouter.config import RunConfig, parse_config
 from omrouter.errors import ConfigError
 
 TAU = 2.0 * math.pi
@@ -159,6 +159,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="increasing"):
             parse_config(overrides=["sweep_powers=1nW, 1nW"], env={})
 
+    def test_hash_in_output_dir_rejected(self):
+        # resolved.cfg echoes output_dir verbatim, and '#' would cut it short
+        with pytest.raises(ConfigError, match="output_dir"):
+            parse_config(overrides=["output_dir=run#1"], env={})
+
     def test_invalid_physics_surfaces_as_config_error(self):
         cfg = parse_config(overrides=["mass=-1"], env={})
         with pytest.raises(ConfigError, match="mass"):
@@ -201,6 +206,15 @@ class TestEchoRoundTrip:
         echo = write_cfg(tmp_path, "\n".join(cfg.echo_lines()) + "\n")
         again = parse_config(echo, env={})
         assert again == cfg
+
+
+def test_readme_names_every_key():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    missing = [f.name for f in fields(RunConfig)
+               if f"`{f.name}`" not in section]
+    assert missing == []
 
 
 class TestSystemParams:

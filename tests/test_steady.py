@@ -456,6 +456,25 @@ class TestPinning:
         assert abs(st.delta1 - base.omega_m) <= 1e-9 * base.omega_m
         assert pinned.delta_c == base.delta_c
 
+    def test_single_side_iterative_microwave(self):
+        base = make_params(delta_a=1.1 * TAU * 10.56e6)
+        pinned = pin_effective_detunings(base, pin_optical=False,
+                                         pin_microwave=True)
+        st = solve_steady_state(pinned)
+        assert abs(st.delta2 - base.omega_m) <= 1e-9 * base.omega_m
+        assert pinned.delta_a == base.delta_a
+
+    @pytest.mark.parametrize("pin_optical", [True, False])
+    def test_single_side_budget_exhausted(self, monkeypatch, pin_optical):
+        # each side needs several solve/update cycles from here
+        monkeypatch.setattr(steady_module, "_PIN_MAX_ITER", 1)
+        base = make_params(delta_a=1.1 * TAU * 10.56e6,
+                           delta_c=1.1 * TAU * 10.56e6)
+        with pytest.raises(ConvergenceError,
+                           match="detuning pinning did not converge"):
+            pin_effective_detunings(base, pin_optical=pin_optical,
+                                    pin_microwave=not pin_optical)
+
     def test_noop_without_flags(self):
         p = make_params()
         assert pin_effective_detunings(p, False, False) is p

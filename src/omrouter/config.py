@@ -34,19 +34,19 @@ ENV_PREFIX = "OMROUTER_"
 
 _TAU = 2.0 * math.pi
 
-# unit suffix -> (dimension, multiplier to SI)
+# unit suffix -> (dimension, power of ten to SI)
 _UNITS = {
-    "Hz": ("frequency", 1.0), "kHz": ("frequency", 1e3),
-    "MHz": ("frequency", 1e6), "GHz": ("frequency", 1e9),
-    "THz": ("frequency", 1e12),
-    "W": ("power", 1.0), "mW": ("power", 1e-3), "uW": ("power", 1e-6),
-    "µW": ("power", 1e-6), "nW": ("power", 1e-9), "pW": ("power", 1e-12),
-    "kg": ("mass", 1.0), "g": ("mass", 1e-3), "mg": ("mass", 1e-6),
-    "ug": ("mass", 1e-9), "µg": ("mass", 1e-9), "ng": ("mass", 1e-12),
-    "pg": ("mass", 1e-15),
-    "K": ("temperature", 1.0), "mK": ("temperature", 1e-3),
-    "uK": ("temperature", 1e-6), "µK": ("temperature", 1e-6),
-    "nK": ("temperature", 1e-9),
+    "Hz": ("frequency", 0), "kHz": ("frequency", 3),
+    "MHz": ("frequency", 6), "GHz": ("frequency", 9),
+    "THz": ("frequency", 12),
+    "W": ("power", 0), "mW": ("power", -3), "uW": ("power", -6),
+    "µW": ("power", -6), "nW": ("power", -9), "pW": ("power", -12),
+    "kg": ("mass", 0), "g": ("mass", -3), "mg": ("mass", -6),
+    "ug": ("mass", -9), "µg": ("mass", -9), "ng": ("mass", -12),
+    "pg": ("mass", -15),
+    "K": ("temperature", 0), "mK": ("temperature", -3),
+    "uK": ("temperature", -6), "µK": ("temperature", -6),
+    "nK": ("temperature", -9),
 }
 
 _VALUE_RE = re.compile(
@@ -60,6 +60,10 @@ def _parse_quantity(text: str, kind: str, key: str, where: str) -> float:
     ``kind``: "angular" (rad/s; accepts ``2pi*<f><Hz-unit>``), "coupling"
     (rad/(s*m); accepts a ``2pi*`` multiplier), or "power"/"mass"/
     "temperature"/"plain" (SI number, matching unit suffix allowed).
+
+    A unit suffix shifts the decimal exponent, so ``300nW`` is the double
+    nearest 3e-7, as ``float("300e-9")`` gives.  A ``2pi*`` frequency is
+    ``2*pi * num * 10**exponent`` in floating point.
     """
     m = _VALUE_RE.match(text.strip())
     if not m:
@@ -71,7 +75,7 @@ def _parse_quantity(text: str, kind: str, key: str, where: str) -> float:
     if unit:
         if unit not in _UNITS:
             raise ConfigError(f"{where}: unknown unit {unit!r} for {key}")
-        dim, mult = _UNITS[unit]
+        dim, exponent = _UNITS[unit]
         if kind == "angular":
             if dim != "frequency":
                 raise ConfigError(
@@ -80,14 +84,19 @@ def _parse_quantity(text: str, kind: str, key: str, where: str) -> float:
                 raise ConfigError(
                     f"{where}: {key} is angular; write 2pi*{text.strip()} "
                     f"or give the rad/s number directly")
-            return _TAU * num * mult
+            return _TAU * num * 10**exponent
         if dim != kind:
             raise ConfigError(
                 f"{where}: {key} expects {kind}, got {unit!r} ({dim})")
         if tau:
             raise ConfigError(f"{where}: 2pi* is only valid with "
                               f"frequency-like keys, not {key}")
-        return num * mult
+        mantissa, _, shift = m.group("num").lower().partition("e")
+        try:
+            return float(f"{mantissa}e{int(shift or 0) + exponent}")
+        except ValueError:  # int() refuses exponents of over 4300 digits
+            raise ConfigError(f"{where}: exponent of {key} is too long") \
+                from None
 
     if tau:
         if kind not in ("angular", "coupling"):

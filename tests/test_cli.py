@@ -236,7 +236,7 @@ def test_sweep_power_warns_on_collapsed_rows(tmp_path, capsys):
                  "sweep_powers=1.5uW, 2.5uW", "sweep-power"]) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("warning: row 1 (power_p=2.4999")
+    assert err[0].startswith("warning: row 1 (power_p=2.5e-06)")
     assert "): pump on, but 1 of 3 ports" in err[0]
     assert read_csv(tmp_path / "sweep_power.csv")["status"] == ["ok", "ok"]
 

@@ -86,6 +86,26 @@ class TestValueParsing:
         cfg = parse_config(path, env={})
         assert cfg.sweep_powers == pytest.approx((0.0, 300e-9, 1.5e-6))
 
+    @pytest.mark.parametrize("key, text, value", [
+        ("power_p", "300nW", 3e-07), ("power_p", "2.5uW", 2.5e-06),
+        ("power_p", "3e2nW", 3e-07), ("power_l", "130uW", 1.3e-04),
+        ("mass", "48ng", 4.8e-11), ("temperature", "20mK", 0.02),
+        ("sweep_powers", "0, 300nW, 2.5uW", (0.0, 3e-07, 2.5e-06))])
+    def test_unit_suffix_gives_nearest_double(self, key, text, value):
+        # 300 * 1e-9 rounds twice and lands one ulp above 3e-07
+        cfg = parse_config(overrides=[f"{key}={text}"], env={})
+        assert getattr(cfg, key) == value
+
+    def test_two_pi_values_keep_their_bits(self, default_cfg):
+        assert default_cfg.omega_m.hex() == (TAU * 10.56 * 1e6).hex()
+        assert default_cfg.kappa1.hex() == (TAU * 100.0 * 1e3).hex()
+        assert default_cfg.omega_l.hex() == (TAU * 195.0 * 1e12).hex()
+
+    def test_overlong_exponent_rejected(self):
+        with pytest.raises(ConfigError, match="power_p"):
+            parse_config(overrides=["power_p=1e" + "1" * 5000 + "nW"],
+                         env={})
+
     def test_unknown_key_names_key_and_line(self, tmp_path):
         path = write_cfg(tmp_path, "omega_m = 1e7\nbogus_key = 3\n")
         with pytest.raises(ConfigError, match=r"2: unknown key 'bogus_key'"):

@@ -282,8 +282,8 @@ class RunConfig:
         """Canonical serialization; parsing it back reproduces this config."""
         lines = ["# omrouter resolved configuration",
                  "# values in SI (rad/s, kg, W, K); couplings in rad/(s*m)"]
-        for key in (f.name for f in fields(self)):
-            value = getattr(self, key)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if isinstance(value, bool):
                 text = "true" if value else "false"
             elif isinstance(value, tuple):
@@ -292,7 +292,7 @@ class RunConfig:
                 text = repr(value)
             else:
                 text = str(value)
-            lines.append(f"{key} = {text}")
+            lines.append(f"{f.name} = {text}")
         return lines
 
 

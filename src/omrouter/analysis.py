@@ -4,20 +4,21 @@ Turns reflection/transmission scans into the quantities one would quote for
 the device: dip and peak locations, the splitting of the transparency window
 when the microwave pump is on, a port-by-port routing report, power sweeps,
 and a calibration routine for the two couplings.  Scans stay columnar
-``ScanResult`` arrays throughout, and one :func:`window_scan` can serve
-both :func:`window_splitting` and :func:`routing_report`.  Routing reads
-only reflection and transmission, so its scans and port spectra form only
-those two columns.
+``ScanResult`` arrays throughout, and one :func:`window_scan`, sized from
+the solved state, can serve both :func:`window_splitting` and
+:func:`routing_report`.  Routing reads only reflection and transmission,
+so its scans and port spectra form only those two columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AnalysisError, CalibrationError, InvalidParameterError, RouterError
-from .model import SystemParams
+from .model import CONSTANTS, SystemParams
 from .response import (_RT_COEFFS, ScanResult, _node_spectra, _row_spectra,
                        _scan, transmission)
 from .steady import SteadyState, pin_effective_detunings, solve_steady_state
@@ -129,14 +130,30 @@ def find_extrema(points: ScanResult, column: str) -> ExtremaList:
     return points._extrema[name]
 
 
+def _window(params: SystemParams, state: SteadyState) -> tuple[float, int]:
+    """Half-width (units of omega_m) and node count of the routing window
+    (``docs/derivation_notes.md``, "Analysis window")."""
+    wm = params.omega_m
+    coupling = params.g2 * math.sqrt(
+        CONSTANTS.hbar / (2.0 * params.mass * wm)) * abs(state.c_s)
+    lower = 1.0 - 2.0 * coupling / wm
+    need = (1.0 - math.sqrt(lower) + 2.0 * params.kappa1 / wm
+            if lower > 0.0 else 1.0)
+    if need <= DEFAULT_WINDOW_FRAC:
+        return DEFAULT_WINDOW_FRAC, DEFAULT_WINDOW_POINTS
+    step = 2.0 * DEFAULT_WINDOW_FRAC / (DEFAULT_WINDOW_POINTS - 1)
+    half = min(math.ceil(need / step), math.ceil(1.0 / step) - 1)
+    return half * step, 2 * half + 1
+
+
 def window_scan(params: SystemParams, state: SteadyState,
-                window_frac: float = DEFAULT_WINDOW_FRAC,
-                n_points: int = DEFAULT_WINDOW_POINTS,
                 method: str = "closed") -> ScanResult:
-    """Reflection and transmission on ``n_points`` nodes over
-    ``[1-window_frac, 1+window_frac]*omega_m``: the scan that
+    """Reflection and transmission over the routing window: the scan that
     :func:`window_splitting` and :func:`routing_report` analyse, and may
-    share.
+    share.  The window is ``+-DEFAULT_WINDOW_FRAC*omega_m`` on
+    ``DEFAULT_WINDOW_POINTS`` nodes, widened at the same grid step (to
+    just under ``+-omega_m``) when the microwave-mechanical normal-mode
+    splitting of ``state`` predicts the lower port outside it.
 
     Only ``r_refl`` and ``t_trans`` are formed, bit for bit as
     :func:`~omrouter.response.scan_spectrum` forms them; ``s_thermal`` and
@@ -144,8 +161,8 @@ def window_scan(params: SystemParams, state: SteadyState,
     :class:`InvalidParameterError` for them.  The ``errors`` therefore
     cover R and T only: a singular denominator or a non-finite R or T.
     """
-    wm = params.omega_m
-    grid = wm * np.linspace(1.0 - window_frac, 1.0 + window_frac, n_points)
+    frac, n_points = _window(params, state)
+    grid = params.omega_m * np.linspace(1.0 - frac, 1.0 + frac, n_points)
     return _scan(params, grid, method, state, _RT_COEFFS)
 
 
@@ -180,20 +197,18 @@ def _refine_maxima(params, state, column, guesses, half_width, method):
 
 
 def window_splitting(params: SystemParams, mode: str = "t-minima",
-                     window_frac: float = DEFAULT_WINDOW_FRAC,
-                     n_points: int = DEFAULT_WINDOW_POINTS,
                      state: SteadyState | None = None,
                      method: str = "closed",
                      scan: ScanResult | None = None) -> float:
     """Half the separation of the split transparency window (rad/s).
 
-    Scans the transmission over ``[1-window_frac, 1+window_frac]*omega_m``
-    and measures the two minima straddling the mechanical frequency; with
-    the microwave pump off only one minimum exists and the splitting is 0.
+    Scans the transmission over the :func:`window_scan` window and measures
+    the two minima straddling the mechanical frequency; with the microwave
+    pump off only one minimum exists and the splitting is 0.
     ``mode="r-maxima"`` measures the separation of the two reflection peaks
     instead; both definitions agree within grid refinement.  A precomputed
-    :func:`window_scan` may be passed as ``scan``; the window arguments and
-    ``state`` are then not used.
+    :func:`window_scan` may be passed as ``scan``; ``state`` and ``method``
+    are then not used.
 
     Raises :class:`AnalysisError` when the scan shows no extremum at all,
     which signals parameters outside the transparency regime.
@@ -203,7 +218,7 @@ def window_splitting(params: SystemParams, mode: str = "t-minima",
     if scan is None:
         if state is None:
             state = solve_steady_state(params)
-        scan = window_scan(params, state, window_frac, n_points, method)
+        scan = window_scan(params, state, method)
     minima_mode = mode == "t-minima"
     extrema = find_extrema(scan, "T" if minima_mode else "R")
     lo, hi, count = _side_extrema(extrema, params.omega_m, minima_mode)
@@ -247,8 +262,6 @@ class RoutingReport:
 
 def routing_report(params: SystemParams,
                    state: SteadyState | None = None,
-                   window_frac: float = DEFAULT_WINDOW_FRAC,
-                   n_points: int = DEFAULT_WINDOW_POINTS,
                    r_reflect_min: float = DEFAULT_R_REFLECT_MIN,
                    t_transmit_min: float = DEFAULT_T_TRANSMIT_MIN,
                    method: str = "closed",
@@ -261,8 +274,8 @@ def routing_report(params: SystemParams,
     from their midpoint.  Port frequencies come from a coarse scan followed
     by a dense local re-scan at the relevant column (reflection for reflect
     ports), so they are far more accurate than the coarse grid step.  The
-    coarse scan is :func:`window_scan` over the same window, state and
-    method; a precomputed one may be passed as ``scan``.
+    coarse scan is :func:`window_scan` for the same state and method; a
+    precomputed one may be passed as ``scan``.
 
     A pumped report makes four kernel calls: the window scan, both
     reflect-peak re-scans as one batch, the transmit re-scan, and the
@@ -270,9 +283,9 @@ def routing_report(params: SystemParams,
     a scan of its own, so batching changes no bit of the report.  Raises
     :class:`SingularPointError` naming the first singular port frequency.
 
-    A pumped report with fewer than three ports carries a warning: when a
-    split line lies outside the window, the report shows the pump-off
-    pattern (one reflect port, ``omega0`` = 0).
+    A pumped report with fewer than three ports carries a warning naming
+    the scan's window: the report then shows the pump-off pattern (one
+    reflect port, ``omega0`` = 0).
 
     Note the reflect-port midpoint sits slightly below the transmit port:
     position-type coupling pulls both hybrid modes down by about
@@ -283,11 +296,12 @@ def routing_report(params: SystemParams,
         state = solve_steady_state(params)
     pump_on = params.power_p > 0.0
     wm = params.omega_m
-    coarse_step = 2.0 * window_frac * wm / (n_points - 1)
+    coarse_step = (2.0 * DEFAULT_WINDOW_FRAC * wm
+                   / (DEFAULT_WINDOW_POINTS - 1))
     half = 4.0 * coarse_step
 
     if scan is None:
-        scan = window_scan(params, state, window_frac, n_points, method)
+        scan = window_scan(params, state, method)
     extrema = find_extrema(scan, "T")
     lo, hi, count = _side_extrema(extrema, wm, True)
 
@@ -302,8 +316,9 @@ def routing_report(params: SystemParams,
             for (label, w, want_reflect), s in zip(specs, spectra))
         warnings = ()
         if pump_on and len(ports) < 3:
+            frac = (scan.omega[-1] - scan.omega[0]) / (2.0 * wm)
             warnings = (f"pump on, but {len(ports)} of 3 ports found in "
-                        f"the +-{window_frac:g} omega_m window; a split "
+                        f"the +-{frac:g} omega_m window; a split "
                         f"line may lie outside it",)
         return RoutingReport(pump_on=pump_on, center=float(center),
                              omega0=float(omega0), ports=ports,
@@ -359,8 +374,6 @@ class SweepResult:
 
 def power_sweep(params: SystemParams, powers,
                 pin_optical: bool = False, pin_microwave: bool = False,
-                window_frac: float = DEFAULT_WINDOW_FRAC,
-                n_points: int = DEFAULT_WINDOW_POINTS,
                 r_reflect_min: float = DEFAULT_R_REFLECT_MIN,
                 t_transmit_min: float = DEFAULT_T_TRANSMIT_MIN,
                 method: str = "closed") -> SweepResult:
@@ -369,8 +382,8 @@ def power_sweep(params: SystemParams, powers,
     Rows run in ascending power order and the steady-state branch is tracked
     from row to row (the previous displacement seeds the next solve).
     Errors in one row are recorded and the sweep continues; each row
-    carries its routing report's warnings.  When the
-    detunings are operated in pinned mode the pinning is re-resolved per
+    carries its routing report's warnings, and each report sizes its own
+    :func:`window_scan`.  In pinned mode the detunings are re-pinned per
     row, since the static displacement changes with power.
     """
     powers = [float(p) for p in powers]
@@ -390,8 +403,6 @@ def power_sweep(params: SystemParams, powers,
                     row_params, pin_optical, pin_microwave)
             state = solve_steady_state(row_params, q_seed=q_prev)
             report = routing_report(row_params, state=state,
-                                    window_frac=window_frac,
-                                    n_points=n_points,
                                     r_reflect_min=r_reflect_min,
                                     t_transmit_min=t_transmit_min,
                                     method=method)
@@ -452,8 +463,7 @@ def calibrate_couplings(params: SystemParams,
     lost; that last step does not check its bracket and never raises.
     Couplings that already meet a stage's target are kept.  Every check
     first pins both effective detunings to ``omega_m``
-    (:func:`pin_effective_detunings`) and reads the
-    ``+-DEFAULT_WINDOW_FRAC`` window.
+    (:func:`pin_effective_detunings`) and reads the :func:`window_scan`.
 
     Raises :class:`CalibrationError`, with the closest couplings tried in
     ``closest``, when a stage's target is unreachable inside its bracket.

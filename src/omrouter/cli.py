@@ -65,11 +65,8 @@ def _spectrum_grid(cfg: RunConfig) -> np.ndarray:
 
 
 def _report_kwargs(cfg: RunConfig) -> dict:
-    return dict(window_frac=cfg.splitting_window,
-                n_points=cfg.splitting_points,
-                r_reflect_min=cfg.r_reflect_min,
-                t_transmit_min=cfg.t_transmit_min,
-                method=cfg.method)
+    return dict(r_reflect_min=cfg.r_reflect_min,
+                t_transmit_min=cfg.t_transmit_min, method=cfg.method)
 
 
 def _cmd_steady(cfg: RunConfig) -> int:
@@ -116,8 +113,7 @@ def _cmd_route(cfg: RunConfig) -> int:
     out = _prepare_outdir(cfg)
     params = cfg.system_params()
     state = _solve(cfg, params)
-    scan = window_scan(params, state, cfg.splitting_window,
-                       cfg.splitting_points, cfg.method)
+    scan = window_scan(params, state, cfg.method)
     report = routing_report(params, state=state, scan=scan,
                             **_report_kwargs(cfg))
     try:

@@ -205,8 +205,6 @@ class RunConfig:
     spectrum_min: float = _key(_PLAIN, "0.7")
     spectrum_max: float = _key(_PLAIN, "1.3")
     spectrum_points: int = _key(_parse_int, "4001")
-    splitting_window: float = _key(_PLAIN, "0.30")
-    splitting_points: int = _key(_parse_int, "4001")
     splitting_mode: str = _key(_parse_choice({"t-minima", "r-maxima"}),
                                "t-minima")
     r_reflect_min: float = _key(_PLAIN, "0.99")
@@ -262,10 +260,6 @@ class RunConfig:
             raise ConfigError("spectrum_min must be < spectrum_max")
         if not 0.0 < self.spectrum_min:
             raise ConfigError("spectrum_min must be > 0")
-        if not 0.0 < self.splitting_window < 1.0:
-            raise ConfigError("splitting_window must be in (0, 1)")
-        if self.splitting_points < 3:
-            raise ConfigError("splitting_points must be >= 3")
         for name in ("r_reflect_min", "t_transmit_min"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1)")
@@ -274,9 +268,9 @@ class RunConfig:
         if any(b <= a for a, b in zip(self.sweep_powers,
                                       self.sweep_powers[1:])):
             raise ConfigError("sweep_powers must be strictly increasing")
-        if "#" in self.output_dir:
-            raise ConfigError("output_dir must not contain '#', which starts "
-                              "a comment in resolved.cfg")
+        if any(c in self.output_dir for c in "#\n\r"):
+            raise ConfigError("output_dir must not contain '#' or a line "
+                              "break, which would cut its resolved.cfg line")
 
     def echo_lines(self) -> list[str]:
         """Canonical serialization; parsing it back reproduces this config."""

@@ -209,6 +209,15 @@ class TestWindowScan:
             assert scan.column(name).tobytes() == full.column(name).tobytes()
         assert scan.errors == full.errors == []
 
+    @pytest.mark.parametrize("power_p", [0.0, 30e-9, 1.5e-6, 1.6e-6])
+    def test_default_window_kept(self, default_cfg, power_p):
+        # below about 1.78 uW every port fits in +-0.30 omega_m, and the
+        # grid is the fixed one, bit for bit
+        params = default_cfg.system_params(power_p=power_p)
+        scan = window_scan(params, solve_steady_state(params))
+        grid = params.omega_m * np.linspace(0.7, 1.3, 4001)
+        assert scan.omega.tobytes() == grid.tobytes()
+
     def test_noise_columns_not_formed(self, params_on, state_on):
         scan = window_scan(params_on, state_on)
         assert scan.s_thermal is None and scan.s_vacuum is None
@@ -354,11 +363,11 @@ class TestRoutingReport:
             routing_report(params_on, state=state_on)
 
     @pytest.mark.parametrize("power_p, warns", [
-        (0.0, False), (1.5e-6, False), (2.5e-6, True)])
+        (0.0, False), (1.5e-6, False), (2.5e-6, False), (2e-5, True)])
     def test_collapsed_pumped_report_warns(self, default_cfg, power_p,
                                            warns):
-        # above about 1.95 uW the lower split line leaves the default
-        # window and the report shows a single reflect port
+        # at 2.5 uW the window widens to hold the lower split line; at
+        # 20 uW the widened window still shows a single reflect port
         report = routing_report(default_cfg.system_params(power_p=power_p))
         assert report.pump_on == (power_p > 0.0)
         assert bool(report.warnings) == warns
@@ -478,13 +487,14 @@ class TestPowerSweep:
             power_sweep(params_on, [1e-9, 1e-9])
 
     def test_rows_carry_report_warnings(self, params_on):
-        # past about 1.95 uW the pinned report collapses and warns
-        result = power_sweep(params_on, [1.5e-6, 2.5e-6],
+        # at 20 uW the pinned report collapses and warns
+        result = power_sweep(params_on, [1.5e-6, 2.5e-6, 2e-5],
                              pin_optical=True, pin_microwave=True)
         assert result.errors == []
-        assert result.rows[0].warnings == ()
-        assert len(result.rows[1].warnings) == 1
-        assert "1 of 3 ports" in result.rows[1].warnings[0]
+        assert result.rows[0].warnings == result.rows[1].warnings == ()
+        assert len(result.rows[1].ports) == 3
+        assert len(result.rows[2].warnings) == 1
+        assert "1 of 3 ports" in result.rows[2].warnings[0]
 
     def test_row_errors_recorded(self, params_on, monkeypatch):
         real_solve = analysis_module.solve_steady_state

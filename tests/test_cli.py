@@ -1,14 +1,18 @@
 import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import omrouter.analysis as analysis_module
 import omrouter.steady as steady_module
-from omrouter.cli import _build_parser, main
+from omrouter.analysis import routing_report
+from omrouter.cli import _build_parser, _solve, main
 from omrouter.config import parse_config
+from omrouter.response import scan_spectrum
 
 TAU = 2.0 * math.pi
 
@@ -107,7 +111,7 @@ def test_route_scans_window_once(tmp_path, monkeypatch):
     # routing report and window splitting share one window scan, the only
     # scan call, and one extrema search over it; the narrow port
     # refinements are batched kernel calls below it
-    window_nodes = parse_config(env={}).splitting_points
+    window_nodes = analysis_module.DEFAULT_WINDOW_POINTS
     real_scan = analysis_module._scan
     real_extrema = analysis_module._row_extrema
     sizes, searched = [], []
@@ -128,14 +132,65 @@ def test_route_scans_window_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("power_p, warns", [("1.5e-06", False),
-                                            ("2.5e-06", True)])
+                                            ("2.5e-06", False),
+                                            ("2e-05", True)])
 def test_route_warns_on_collapsed_pumped_report(tmp_path, capsys, power_p,
                                                 warns):
-    # the report itself is written unchanged; the warning goes to stderr
+    # the report itself is written unchanged; the warning goes to stderr.
+    # At 20 uW the widened window still shows a single reflect port.
     assert main(["--out", str(tmp_path), "--set", f"power_p={power_p}",
                  "route"]) == 0
     err = capsys.readouterr().err
     assert ("warning: pump on, but 1 of 3 ports" in err) == warns
+
+
+@pytest.mark.parametrize("power_p", ["2uW", "2.5uW", "3uW", "4uW", "5uW"])
+def test_route_three_ports_past_default_window(tmp_path, power_p):
+    # the lower split line lies outside +-0.30 omega_m; the widened window
+    # finds the ports a +-0.6 window with the same step finds (measured:
+    # within 1.4e-14 relative)
+    assert main(["--out", str(tmp_path), "--set", f"power_p={power_p}",
+                 "route"]) == 0
+    payload = json.loads((tmp_path / "routing_report.json").read_text())
+    ports = {p["label"]: p for p in payload["ports"]}
+    assert list(ports) == ["transmit", "reflect-lower", "reflect-upper"]
+    lower, mid, upper = (ports[k]["omega"] for k in
+                         ("reflect-lower", "transmit", "reflect-upper"))
+    assert lower < mid < upper
+    assert ports["reflect-lower"]["r"] > 0.99
+    assert ports["reflect-upper"]["r"] > 0.99
+
+    cfg = parse_config(overrides=[f"power_p={power_p}"], env={})
+    params = cfg.system_params()
+    state = _solve(cfg, params)
+    grid = params.omega_m * np.linspace(0.4, 1.6, 8001)
+    reference = routing_report(params, state=state,
+                               scan=scan_spectrum(params, grid, state=state))
+    assert [p.label for p in reference.ports] == list(ports)
+    for port in reference.ports:
+        assert ports[port.label]["omega"] == pytest.approx(port.omega,
+                                                           rel=1e-13)
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    # every command of README's example block, with its output directory
+    # moved under tmp_path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("Example:\n\n```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.strip()]
+    assert len(commands) >= 4
+    for i, argv in enumerate(commands):
+        assert argv[0] == "omrouter"
+        argv = argv[1:]
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+        else:
+            argv = ["--out", str(tmp_path / f"run{i}")] + argv
+        assert main(argv) == 0, argv
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_route_honors_splitting_mode(tmp_path):
@@ -152,6 +207,14 @@ def test_hash_in_output_dir_exits_2(tmp_path, capsys):
     assert main(["--out", str(out), "steady"]) == 2
     assert "output_dir" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\rb"], ids=["lf", "cr"])
+def test_line_break_in_output_dir_exits_2(tmp_path, capsys, name):
+    # resolved.cfg would echo output_dir over two lines
+    assert main(["--out", str(tmp_path / name), "steady"]) == 2
+    assert "output_dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -233,12 +296,12 @@ def test_sweep_power_warns_on_collapsed_rows(tmp_path, capsys):
     # the CSV is unchanged; the collapsed row's report warning goes to
     # stderr, tagged with its row
     assert main(["--out", str(tmp_path), "--set",
-                 "sweep_powers=1.5uW, 2.5uW", "sweep-power"]) == 0
+                 "sweep_powers=1.5uW, 2.5uW, 20uW", "sweep-power"]) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("warning: row 1 (power_p=2.5e-06)")
+    assert err[0].startswith("warning: row 2 (power_p=2e-05)")
     assert "): pump on, but 1 of 3 ports" in err[0]
-    assert read_csv(tmp_path / "sweep_power.csv")["status"] == ["ok", "ok"]
+    assert read_csv(tmp_path / "sweep_power.csv")["status"] == ["ok"] * 3
 
 
 def test_resolved_config_written_next_to_outputs(tmp_path):

@@ -112,11 +112,15 @@ class TestValueParsing:
             parse_config(path, env={})
 
     @pytest.mark.parametrize("key, value", [("scan_points", "20001"),
-                                            ("t_blocked_max", "0.01")],
-                             ids=["scan_points", "t_blocked_max"])
+                                            ("t_blocked_max", "0.01"),
+                                            ("splitting_window", "0.30"),
+                                            ("splitting_points", "4001")],
+                             ids=["scan_points", "t_blocked_max",
+                                  "splitting_window", "splitting_points"])
     def test_removed_key_rejected(self, tmp_path, key, value):
-        # branch enumeration has no sampling density to set, and no command
-        # reads a blocked-transmission threshold from the config
+        # branch enumeration has no sampling density to set, no command
+        # reads a blocked-transmission threshold from the config, and the
+        # routing window is sized from the solved state
         path = write_cfg(tmp_path, f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=rf"1: unknown key '{key}'"):
             parse_config(path, env={})
@@ -183,6 +187,12 @@ class TestValidation:
         # resolved.cfg echoes output_dir verbatim, and '#' would cut it short
         with pytest.raises(ConfigError, match="output_dir"):
             parse_config(overrides=["output_dir=run#1"], env={})
+
+    @pytest.mark.parametrize("text", ["a\nb", "a\rb"], ids=["lf", "cr"])
+    def test_line_break_in_output_dir_rejected(self, text):
+        # a line break would split the resolved.cfg echo over two lines
+        with pytest.raises(ConfigError, match="output_dir"):
+            parse_config(overrides=[f"output_dir={text}"], env={})
 
     def test_invalid_physics_surfaces_as_config_error(self):
         cfg = parse_config(overrides=["mass=-1"], env={})

@@ -4,10 +4,11 @@ Turns reflection/transmission scans into the quantities one would quote for
 the device: dip and peak locations, the splitting of the transparency window
 when the microwave pump is on, a port-by-port routing report, power sweeps,
 and a calibration routine for the two couplings.  Scans stay columnar
-``ScanResult`` arrays throughout, and one :func:`window_scan`, sized from
-the solved state, can serve both :func:`window_splitting` and
-:func:`routing_report`.  Routing reads only reflection and transmission,
-so its scans and port spectra form only those two columns.
+``ScanResult`` arrays throughout.  :func:`routing_report` makes one
+:func:`window_scan`, sized from the solved state, and measures both the
+ports and the window splitting from it; :func:`window_splitting` reads
+that splitting off the report.  Routing reads only reflection and
+transmission, so its scans and port spectra form only those two columns.
 """
 
 from __future__ import annotations
@@ -107,13 +108,8 @@ def find_extrema(points: ScanResult, column: str) -> ExtremaList:
     skipped.  Each extremum moves to the vertex of the parabola through its
     triple unless they are collinear or the vertex escapes the triple.
     Requires at least 3 points on a strictly increasing frequency grid.
-    The scan is immutable, so the result is kept on it: a second call for
-    the same column returns the same object.
     """
-    name = _COLUMN_ALIASES.get(column, column)
-    y = points.column(name)
-    if name in points._extrema:
-        return points._extrema[name]
+    y = points.column(_COLUMN_ALIASES.get(column, column))
     if len(points) < 3:
         raise InvalidParameterError("need at least 3 points to find extrema")
     x = points.omega
@@ -124,10 +120,8 @@ def find_extrema(points: ScanResult, column: str) -> ExtremaList:
     entries = [Extremum(w, v, r) for w, v, r in
                zip(omega.tolist(), value.tolist(), refined.tolist())]
     kinds = is_min.tolist()
-    points._extrema[name] = ExtremaList(
-        tuple(e for e, m in zip(entries, kinds) if m),
-        tuple(e for e, m in zip(entries, kinds) if not m))
-    return points._extrema[name]
+    return ExtremaList(tuple(e for e, m in zip(entries, kinds) if m),
+                       tuple(e for e, m in zip(entries, kinds) if not m))
 
 
 def _window(params: SystemParams, state: SteadyState) -> tuple[float, int]:
@@ -149,8 +143,7 @@ def _window(params: SystemParams, state: SteadyState) -> tuple[float, int]:
 def window_scan(params: SystemParams, state: SteadyState,
                 method: str = "closed") -> ScanResult:
     """Reflection and transmission over the routing window: the scan that
-    :func:`window_splitting` and :func:`routing_report` analyse, and may
-    share.  The window is ``+-DEFAULT_WINDOW_FRAC*omega_m`` on
+    :func:`routing_report` analyses.  The window is ``+-DEFAULT_WINDOW_FRAC*omega_m`` on
     ``DEFAULT_WINDOW_POINTS`` nodes, widened at the same grid step (to
     just under ``+-omega_m``) when the microwave-mechanical normal-mode
     splitting of ``state`` predicts the lower port outside it.
@@ -166,15 +159,13 @@ def window_scan(params: SystemParams, state: SteadyState,
     return _scan(params, grid, method, state, _RT_COEFFS)
 
 
-def _side_extrema(extrema, center, minima_mode):
-    """Deepest extremum on each side of the centre frequency."""
-    entries = extrema.minima if minima_mode else extrema.maxima
-    lower = [e for e in entries if e.omega < center]
-    upper = [e for e in entries if e.omega >= center]
-    pick = min if minima_mode else max
-    lo = pick(lower, key=lambda e: e.value) if lower else None
-    hi = pick(upper, key=lambda e: e.value) if upper else None
-    return lo, hi, len(entries)
+def _side_extrema(extrema, center):
+    """Deepest minimum on each side of the centre frequency."""
+    lower = [e for e in extrema.minima if e.omega < center]
+    upper = [e for e in extrema.minima if e.omega >= center]
+    lo = min(lower, key=lambda e: e.value) if lower else None
+    hi = min(upper, key=lambda e: e.value) if upper else None
+    return lo, hi, len(extrema.minima)
 
 
 def _refine_maxima(params, state, column, guesses, half_width, method):
@@ -196,38 +187,24 @@ def _refine_maxima(params, state, column, guesses, half_width, method):
     return refined
 
 
-def window_splitting(params: SystemParams, mode: str = "t-minima",
+def window_splitting(params: SystemParams,
                      state: SteadyState | None = None,
-                     method: str = "closed",
-                     scan: ScanResult | None = None) -> float:
+                     method: str = "closed") -> float:
     """Half the separation of the split transparency window (rad/s).
 
-    Scans the transmission over the :func:`window_scan` window and measures
-    the two minima straddling the mechanical frequency; with the microwave
+    The :func:`routing_report` measure ``omega0_window``: half the distance
+    between the deepest transmission minima on either side of the
+    mechanical frequency in the :func:`window_scan`.  With the microwave
     pump off only one minimum exists and the splitting is 0.
-    ``mode="r-maxima"`` measures the separation of the two reflection peaks
-    instead; both definitions agree within grid refinement.  A precomputed
-    :func:`window_scan` may be passed as ``scan``; ``state`` and ``method``
-    are then not used.
 
-    Raises :class:`AnalysisError` when the scan shows no extremum at all,
+    Raises :class:`AnalysisError` when the scan shows no minimum at all,
     which signals parameters outside the transparency regime.
     """
-    if mode not in ("t-minima", "r-maxima"):
-        raise InvalidParameterError(f"unknown splitting mode {mode!r}")
-    if scan is None:
-        if state is None:
-            state = solve_steady_state(params)
-        scan = window_scan(params, state, method)
-    minima_mode = mode == "t-minima"
-    extrema = find_extrema(scan, "T" if minima_mode else "R")
-    lo, hi, count = _side_extrema(extrema, params.omega_m, minima_mode)
-    if count == 0:
+    omega0 = routing_report(params, state=state, method=method).omega0_window
+    if omega0 is None:
         raise AnalysisError(
             "no transparency structure found in the scan window")
-    if lo is None or hi is None:
-        return 0.0
-    return 0.5 * (hi.omega - lo.omega)
+    return omega0
 
 
 @dataclass(frozen=True)
@@ -245,8 +222,11 @@ class Port:
 class RoutingReport:
     """Routing summary: where the probe photon goes and how cleanly.
 
-    ``omega0`` is the window splitting (0 when the pump is off), ``center``
-    the symmetric point of the port pattern.  ``degenerate`` marks reports
+    ``omega0`` is the splitting of the reflect ports (0 when the pump is
+    off), ``center`` the symmetric point of the port pattern.
+    ``omega0_window`` is half the distance between the two transmission
+    dips of the window scan (:func:`window_splitting`): 0.0 with one dip,
+    ``None`` when the scan shows none.  ``degenerate`` marks reports
     where no mechanical structure exists at all (e.g. zero optomechanical
     coupling) and only a bare transmit port is listed.  ``warnings`` holds
     one note when the pump is on but fewer than three ports were found.
@@ -258,14 +238,14 @@ class RoutingReport:
     ports: tuple[Port, ...]
     degenerate: bool = False
     warnings: tuple[str, ...] = ()
+    omega0_window: float | None = None
 
 
 def routing_report(params: SystemParams,
                    state: SteadyState | None = None,
                    r_reflect_min: float = DEFAULT_R_REFLECT_MIN,
                    t_transmit_min: float = DEFAULT_T_TRANSMIT_MIN,
-                   method: str = "closed",
-                   scan: ScanResult | None = None) -> RoutingReport:
+                   method: str = "closed") -> RoutingReport:
     """Classify the router's output ports at the current operating point.
 
     Pump off: a single reflect port at the transparency dip.  Pump on: a
@@ -274,8 +254,7 @@ def routing_report(params: SystemParams,
     from their midpoint.  Port frequencies come from a coarse scan followed
     by a dense local re-scan at the relevant column (reflection for reflect
     ports), so they are far more accurate than the coarse grid step.  The
-    coarse scan is :func:`window_scan` for the same state and method; a
-    precomputed one may be passed as ``scan``.
+    coarse scan is :func:`window_scan` for the same state and method.
 
     A pumped report makes four kernel calls: the window scan, both
     reflect-peak re-scans as one batch, the transmit re-scan, and the
@@ -300,10 +279,11 @@ def routing_report(params: SystemParams,
                    / (DEFAULT_WINDOW_POINTS - 1))
     half = 4.0 * coarse_step
 
-    if scan is None:
-        scan = window_scan(params, state, method)
+    scan = window_scan(params, state, method)
     extrema = find_extrema(scan, "T")
-    lo, hi, count = _side_extrema(extrema, wm, True)
+    lo, hi, count = _side_extrema(extrema, wm)
+    omega0_window = (None if count == 0 else 0.0 if lo is None or hi is None
+                     else 0.5 * (hi.omega - lo.omega))
 
     def report(center, omega0, specs, degenerate=False):
         # specs: (label, omega, want_reflect) per port, evaluated together
@@ -322,7 +302,8 @@ def routing_report(params: SystemParams,
                         f"line may lie outside it",)
         return RoutingReport(pump_on=pump_on, center=float(center),
                              omega0=float(omega0), ports=ports,
-                             degenerate=degenerate, warnings=warnings)
+                             degenerate=degenerate, warnings=warnings,
+                             omega0_window=omega0_window)
 
     if count == 0:
         peaks = extrema.maxima
@@ -463,7 +444,8 @@ def calibrate_couplings(params: SystemParams,
     lost; that last step does not check its bracket and never raises.
     Couplings that already meet a stage's target are kept.  Every check
     first pins both effective detunings to ``omega_m``
-    (:func:`pin_effective_detunings`) and reads the :func:`window_scan`.
+    (:func:`pin_effective_detunings`) and reads one :func:`routing_report`
+    per coupling pair.
 
     Raises :class:`CalibrationError`, with the closest couplings tried in
     ``closest``, when a stage's target is unreachable inside its bracket.
@@ -479,21 +461,15 @@ def calibrate_couplings(params: SystemParams,
         state = solve_steady_state(p)
         return transmission(p, state, p.omega_m)
 
-    windows = {}
-
-    def window_at(g1, g2):
-        # both pump-on checks at one pair share the pinned params, steady
-        # state and window scan
-        if (g1, g2) not in windows:
-            p = pin_effective_detunings(replace(params, g1=g1, g2=g2))
-            state = solve_steady_state(p)
-            windows[g1, g2] = p, state, window_scan(p, state)
-        return windows[g1, g2]
+    reports = {}
 
     def report_at(g1, g2):
-        p, state, scan = window_at(g1, g2)
-        return routing_report(p, state=state,
-                              r_reflect_min=targets.r_reflect_min, scan=scan)
+        # both pump-on checks at one pair read one report
+        if (g1, g2) not in reports:
+            p = pin_effective_detunings(replace(params, g1=g1, g2=g2))
+            reports[g1, g2] = routing_report(
+                p, r_reflect_min=targets.r_reflect_min)
+        return reports[g1, g2]
 
     def blocked(g1):
         try:
@@ -503,10 +479,10 @@ def calibrate_couplings(params: SystemParams,
 
     def splitting_ok(g1, g2):
         try:
-            p, _, scan = window_at(g1, g2)
-            return window_splitting(p, scan=scan) > splitting_min
+            omega0 = report_at(g1, g2).omega0_window
         except RouterError:
             return False
+        return omega0 is not None and omega0 > splitting_min
 
     def depth_ok(g1, g2):
         try:

@@ -19,10 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (power_sweep, routing_report, window_scan,
-                       window_splitting)
+from .analysis import power_sweep, routing_report
 from .config import RunConfig, parse_config
-from .errors import AnalysisError, ConfigError, RouterError
+from .errors import ConfigError, RouterError
 from .response import closed_vs_oracle_deviation, scan_spectrum
 from .steady import solve_steady_state
 
@@ -113,22 +112,15 @@ def _cmd_route(cfg: RunConfig) -> int:
     out = _prepare_outdir(cfg)
     params = cfg.system_params()
     state = _solve(cfg, params)
-    scan = window_scan(params, state, cfg.method)
-    report = routing_report(params, state=state, scan=scan,
-                            **_report_kwargs(cfg))
-    try:
-        omega0_window = window_splitting(params, mode=cfg.splitting_mode,
-                                         scan=scan)
-    except AnalysisError:
-        omega0_window = None
+    report = routing_report(params, state=state, **_report_kwargs(cfg))
     wm = cfg.omega_m
     print(f"pump_on   = {report.pump_on}")
     print(f"center    = {_fmt(report.center)} rad/s "
           f"({report.center / wm:.6f} omega_m)")
     print(f"omega0    = {_fmt(report.omega0)} rad/s "
           f"({report.omega0 / wm:.6f} omega_m)")
-    if omega0_window is not None:
-        print(f"omega0 by {cfg.splitting_mode} = {_fmt(omega0_window)} rad/s")
+    if report.omega0_window is not None:
+        print(f"omega0 by t-minima = {_fmt(report.omega0_window)} rad/s")
     print(f"degenerate = {report.degenerate}")
     for port in report.ports:
         print(f"  {port.label:<14} omega/omega_m = {port.omega / wm:.6f}  "
@@ -138,8 +130,7 @@ def _cmd_route(cfg: RunConfig) -> int:
         "pump_on": report.pump_on,
         "center": report.center,
         "omega0": report.omega0,
-        "omega0_window": omega0_window,
-        "splitting_mode": cfg.splitting_mode,
+        "omega0_window": report.omega0_window,
         "degenerate": report.degenerate,
         "ports": [{"label": p.label, "omega": p.omega, "r": p.r_value,
                    "t": p.t_value, "threshold_met": p.threshold_met}

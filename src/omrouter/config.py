@@ -205,8 +205,6 @@ class RunConfig:
     spectrum_min: float = _key(_PLAIN, "0.7")
     spectrum_max: float = _key(_PLAIN, "1.3")
     spectrum_points: int = _key(_parse_int, "4001")
-    splitting_mode: str = _key(_parse_choice({"t-minima", "r-maxima"}),
-                               "t-minima")
     r_reflect_min: float = _key(_PLAIN, "0.99")
     t_transmit_min: float = _key(_PLAIN, "0.95")
     sweep_powers: tuple[float, ...] = _key(_parse_power_list,

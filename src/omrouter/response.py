@@ -32,7 +32,7 @@ bit for bit whether it is scanned alone, in a row or in a batch of rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,9 +98,7 @@ class ScanResult:
     are read-only copies of the arrays passed in.  A column the scan did
     not form is ``None``: the analysis module's window scan forms R and T
     only.  Nodes that failed carry NaN in the affected columns and
-    contribute an entry ``(index, omega, message)`` to ``errors``.  The
-    instance is immutable, so the analysis module keeps the extrema it
-    finds in a column in ``_extrema``, by column name.
+    contribute an entry ``(index, omega, message)`` to ``errors``.
     """
 
     omega: np.ndarray
@@ -109,7 +107,6 @@ class ScanResult:
     s_thermal: np.ndarray | None
     s_vacuum: np.ndarray | None
     errors: list[tuple[int, float, str]]
-    _extrema: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in _SCAN_COLUMNS:

@@ -175,13 +175,6 @@ class TestFindExtrema:
         assert len(result.maxima) == 1
         assert abs(result.maxima[0].omega) < 1e-3
 
-    def test_second_call_returns_the_same_object(self):
-        x = np.linspace(-1.0, 1.0, 9)
-        points = t_points(x, x**2)
-        first = find_extrema(points, "T")
-        assert find_extrema(points, "t_trans") is first
-        assert find_extrema(points, "R") is not first
-
     def test_nan_nodes_skipped(self):
         # failed scan nodes carry NaN columns; triples touching them are
         # ignored rather than poisoning the extrema list
@@ -239,15 +232,6 @@ class TestWindowSplitting:
         p_high = default_cfg.system_params(power_p=1500e-9)
         high = window_splitting(p_high)
         assert high > low
-
-    def test_modes_agree(self, params_on, state_on):
-        by_t = window_splitting(params_on, mode="t-minima", state=state_on)
-        by_r = window_splitting(params_on, mode="r-maxima", state=state_on)
-        assert by_r == pytest.approx(by_t, rel=0.02)
-
-    def test_unknown_mode(self, params_on, state_on):
-        with pytest.raises(InvalidParameterError):
-            window_splitting(params_on, mode="midpoints", state=state_on)
 
     def test_no_structure_raises(self):
         params = make_params(g1=0.0)
@@ -398,7 +382,7 @@ def reference_report(params, state, method="closed"):
         analysis_module.DEFAULT_WINDOW_POINTS - 1)
     scan = window_scan(params, state, method=method)
     extrema = find_extrema(scan, "T")
-    lo, hi, count = analysis_module._side_extrema(extrema, wm, True)
+    lo, hi, count = analysis_module._side_extrema(extrema, wm)
 
     def port(label, omega):
         node = response_module._node_spectra(params, state, omega, method)
@@ -567,7 +551,8 @@ class TestCalibration:
     def test_checks_at_one_pair_share_a_window_scan(self, params_on,
                                                      monkeypatch):
         # the depth-stage calibration visits 13 distinct (g1, g2) pairs;
-        # the splitting and depth checks at one pair scan its window once
+        # the splitting and depth checks at one pair read one report, so
+        # they scan its window once
         real_scan = analysis_module._scan
         windows = []
 

@@ -9,10 +9,9 @@ import pytest
 
 import omrouter.analysis as analysis_module
 import omrouter.steady as steady_module
-from omrouter.analysis import routing_report
+from omrouter.analysis import routing_report, window_splitting
 from omrouter.cli import _build_parser, _solve, main
 from omrouter.config import parse_config
-from omrouter.response import scan_spectrum
 
 TAU = 2.0 * math.pi
 
@@ -108,9 +107,10 @@ def test_route_pump_on_three_ports(tmp_path):
 
 
 def test_route_scans_window_once(tmp_path, monkeypatch):
-    # routing report and window splitting share one window scan, the only
-    # scan call, and one extrema search over it; the narrow port
-    # refinements are batched kernel calls below it
+    # the routing report makes the only scan call, over its window, and
+    # measures both the ports and the window splitting from one extrema
+    # search over it; the narrow port refinements are batched kernel
+    # calls below it
     window_nodes = analysis_module.DEFAULT_WINDOW_POINTS
     real_scan = analysis_module._scan
     real_extrema = analysis_module._row_extrema
@@ -131,6 +131,17 @@ def test_route_scans_window_once(tmp_path, monkeypatch):
     assert searched.count((window_nodes,)) == 1
 
 
+@pytest.mark.parametrize("power_p", ["0", "300nW", "2.5uW"])
+def test_route_splitting_is_window_splitting(tmp_path, power_p):
+    assert main(["--out", str(tmp_path), "--set", f"power_p={power_p}",
+                 "route"]) == 0
+    payload = json.loads((tmp_path / "routing_report.json").read_text())
+    cfg = parse_config(overrides=[f"power_p={power_p}"], env={})
+    params = cfg.system_params()
+    assert payload["omega0_window"] == window_splitting(
+        params, state=_solve(cfg, params))
+
+
 @pytest.mark.parametrize("power_p, warns", [("1.5e-06", False),
                                             ("2.5e-06", False),
                                             ("2e-05", True)])
@@ -145,7 +156,8 @@ def test_route_warns_on_collapsed_pumped_report(tmp_path, capsys, power_p,
 
 
 @pytest.mark.parametrize("power_p", ["2uW", "2.5uW", "3uW", "4uW", "5uW"])
-def test_route_three_ports_past_default_window(tmp_path, power_p):
+def test_route_three_ports_past_default_window(tmp_path, monkeypatch,
+                                               power_p):
     # the lower split line lies outside +-0.30 omega_m; the widened window
     # finds the ports a +-0.6 window with the same step finds (measured:
     # within 1.4e-14 relative)
@@ -163,9 +175,9 @@ def test_route_three_ports_past_default_window(tmp_path, power_p):
     cfg = parse_config(overrides=[f"power_p={power_p}"], env={})
     params = cfg.system_params()
     state = _solve(cfg, params)
-    grid = params.omega_m * np.linspace(0.4, 1.6, 8001)
-    reference = routing_report(params, state=state,
-                               scan=scan_spectrum(params, grid, state=state))
+    monkeypatch.setattr(analysis_module, "_window",
+                        lambda params, state: (0.6, 8001))
+    reference = routing_report(params, state=state)
     assert [p.label for p in reference.ports] == list(ports)
     for port in reference.ports:
         assert ports[port.label]["omega"] == pytest.approx(port.omega,
@@ -191,15 +203,6 @@ def test_readme_cli_examples_run(tmp_path, capsys):
             argv = ["--out", str(tmp_path / f"run{i}")] + argv
         assert main(argv) == 0, argv
     assert "warning" not in capsys.readouterr().err
-
-
-def test_route_honors_splitting_mode(tmp_path):
-    assert main(["--out", str(tmp_path), "--set",
-                 "splitting_mode=r-maxima", "route"]) == 0
-    payload = json.loads((tmp_path / "routing_report.json").read_text())
-    assert payload["splitting_mode"] == "r-maxima"
-    assert payload["omega0_window"] == pytest.approx(payload["omega0"],
-                                                     rel=0.02)
 
 
 def test_hash_in_output_dir_exits_2(tmp_path, capsys):

@@ -114,13 +114,16 @@ class TestValueParsing:
     @pytest.mark.parametrize("key, value", [("scan_points", "20001"),
                                             ("t_blocked_max", "0.01"),
                                             ("splitting_window", "0.30"),
-                                            ("splitting_points", "4001")],
+                                            ("splitting_points", "4001"),
+                                            ("splitting_mode", "t-minima")],
                              ids=["scan_points", "t_blocked_max",
-                                  "splitting_window", "splitting_points"])
+                                  "splitting_window", "splitting_points",
+                                  "splitting_mode"])
     def test_removed_key_rejected(self, tmp_path, key, value):
         # branch enumeration has no sampling density to set, no command
-        # reads a blocked-transmission threshold from the config, and the
-        # routing window is sized from the solved state
+        # reads a blocked-transmission threshold from the config, the
+        # routing window is sized from the solved state, and the routing
+        # report measures its splitting one way only
         path = write_cfg(tmp_path, f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=rf"1: unknown key '{key}'"):
             parse_config(path, env={})
@@ -205,7 +208,7 @@ class TestParserRobustness:
     def test_any_value_parses_or_raises_config_error(self, text):
         # the parser may reject garbage, but only ever with ConfigError
         for key in ("omega_m", "power_p", "mass", "sweep_powers",
-                    "ramp_steps", "splitting_mode"):
+                    "ramp_steps", "branch_policy"):
             try:
                 parse_config(overrides=[f"{key}={text}"], env={})
             except ConfigError:

@@ -252,8 +252,11 @@ def routing_report(params: SystemParams,
     transmit port at the transmission maximum near the mechanical frequency
     plus two reflect ports at the split reflection peaks, ``omega0`` apart
     from their midpoint.  Port frequencies come from a coarse scan followed
-    by a dense local re-scan at the relevant column (reflection for reflect
-    ports), so they are far more accurate than the coarse grid step.  The
+    by a dense local re-scan at the relevant column.  A reflect port's
+    re-scan is centred on the coarse reflection maximum nearest its
+    transmission dip, on the same side of ``omega_m`` (on the dip itself
+    when that side shows no reflection maximum), so the port sits on the
+    reflection peak far more accurately than the coarse grid step.  The
     coarse scan is :func:`window_scan` for the same state and method.
 
     A pumped report makes four kernel calls: the window scan, both
@@ -311,14 +314,25 @@ def routing_report(params: SystemParams,
         return report(omega_top, 0.0, [("transmit", omega_top, False)],
                       degenerate=True)
 
+    # from about 200 nW an R peak lies farther from its T dip than the
+    # re-scan reaches
+    r_peaks = find_extrema(scan, "R").maxima
+
+    def reflect_seed(dip):
+        side = [e for e in r_peaks if (e.omega < wm) == (dip.omega < wm)]
+        if not side:
+            return dip.omega
+        return min(side, key=lambda e: abs(e.omega - dip.omega)).omega
+
     if lo is None or hi is None:
         dip = lo if lo is not None else hi
-        (omega_dip,) = _refine_maxima(params, state, "r_refl", [dip.omega],
-                                      half, method)
-        return report(omega_dip, 0.0, [("reflect", omega_dip, True)])
+        (omega_port,) = _refine_maxima(params, state, "r_refl",
+                                       [reflect_seed(dip)], half, method)
+        return report(omega_port, 0.0, [("reflect", omega_port, True)])
 
     w_lo, w_hi = _refine_maxima(params, state, "r_refl",
-                                [lo.omega, hi.omega], half, method)
+                                [reflect_seed(lo), reflect_seed(hi)], half,
+                                method)
     omega0 = 0.5 * (w_hi - w_lo)
 
     between = [e for e in extrema.maxima if w_lo < e.omega < w_hi]
@@ -402,8 +416,9 @@ class CalibrationTargets:
     """What the calibrated couplings must achieve.
 
     ``t_center_off_max``: pump-off transmission at the mechanical frequency
-    must fall below this.  ``splitting_min``: pump-on window splitting must
-    exceed this (default, set at call time: five optical leak rates).
+    must fall below this.  ``splitting_min``: the pump-on splitting of the
+    reflect ports (the routing report's ``omega0``) must exceed this
+    (default, set at call time: five optical leak rates).
     ``r_reflect_min``: reflectivity required at both split ports.
     """
 
@@ -479,10 +494,9 @@ def calibrate_couplings(params: SystemParams,
 
     def splitting_ok(g1, g2):
         try:
-            omega0 = report_at(g1, g2).omega0_window
+            return report_at(g1, g2).omega0 > splitting_min
         except RouterError:
             return False
-        return omega0 is not None and omega0 > splitting_min
 
     def depth_ok(g1, g2):
         try:

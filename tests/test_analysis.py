@@ -346,6 +346,39 @@ class TestRoutingReport:
                 f"omega={ports[2].omega!r}") + "$"):
             routing_report(params_on, state=state_on)
 
+    def test_reflect_ports_sit_on_reflection_peaks(self, default_cfg):
+        # each reflect port is refined from the coarse R maximum beside
+        # its T dip, so R falls on both sides of it.  At 7.4 uW, near the
+        # instability, the lower R peak lies below the sized window and
+        # that port falls back to its T dip.
+        off_peak = []
+        for power_p in np.linspace(0.0, 12e-6, 61).tolist():
+            params = default_cfg.system_params(power_p=power_p)
+            state = solve_steady_state(params)
+            report = routing_report(params, state=state)
+            ports = {p.label: p for p in report.ports}
+            if power_p == 0.0:
+                assert list(ports) == ["reflect"]
+            else:
+                assert list(ports) == ["transmit", "reflect-lower",
+                                       "reflect-upper"]
+                assert (ports["reflect-lower"].omega
+                        < ports["transmit"].omega
+                        < ports["reflect-upper"].omega)
+            step = 3e-6 * params.omega_m
+            for port in report.ports:
+                if not port.label.startswith("reflect"):
+                    continue
+                assert port.r_value > 0.99
+                below, at, above = (s["r_refl"] for s in
+                                    response_module._node_spectra(
+                                        params, state,
+                                        [port.omega - step, port.omega,
+                                         port.omega + step], "closed"))
+                if not below < at > above:
+                    off_peak.append((round(power_p * 1e9), port.label))
+        assert off_peak == [(7400, "reflect-lower")]
+
     @pytest.mark.parametrize("power_p, warns", [
         (0.0, False), (1.5e-6, False), (2.5e-6, False), (2e-5, True)])
     def test_collapsed_pumped_report_warns(self, default_cfg, power_p,
@@ -383,6 +416,12 @@ def reference_report(params, state, method="closed"):
     scan = window_scan(params, state, method=method)
     extrema = find_extrema(scan, "T")
     lo, hi, count = analysis_module._side_extrema(extrema, wm)
+    r_peaks = find_extrema(scan, "R").maxima
+
+    def seed(dip):
+        # the coarse R maximum nearest the dip on its side of omega_m
+        side = [e.omega for e in r_peaks if (e.omega < wm) == (dip.omega < wm)]
+        return min(side, key=lambda w: abs(w - dip.omega)) if side else dip.omega
 
     def port(label, omega):
         node = response_module._node_spectra(params, state, omega, method)
@@ -394,10 +433,10 @@ def reference_report(params, state, method="closed"):
         return top, 0.0, [port("transmit", top)]
     if lo is None or hi is None:
         dip = lo if lo is not None else hi
-        w = _reference_refine(params, state, "R", dip.omega, half, method)
+        w = _reference_refine(params, state, "R", seed(dip), half, method)
         return w, 0.0, [port("reflect", w)]
-    w_lo = _reference_refine(params, state, "R", lo.omega, half, method)
-    w_hi = _reference_refine(params, state, "R", hi.omega, half, method)
+    w_lo = _reference_refine(params, state, "R", seed(lo), half, method)
+    w_hi = _reference_refine(params, state, "R", seed(hi), half, method)
     between = [e for e in extrema.maxima if w_lo < e.omega < w_hi]
     guess = max(between, key=lambda e: e.value).omega if between else wm
     center = _reference_refine(params, state, "T", guess, half, method)

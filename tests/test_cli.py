@@ -108,9 +108,9 @@ def test_route_pump_on_three_ports(tmp_path):
 
 def test_route_scans_window_once(tmp_path, monkeypatch):
     # the routing report makes the only scan call, over its window, and
-    # measures both the ports and the window splitting from one extrema
-    # search over it; the narrow port refinements are batched kernel
-    # calls below it
+    # searches it twice: T for the dips and the window splitting, R for
+    # the seeds of the reflect ports; the narrow port refinements are
+    # batched kernel calls below it
     window_nodes = analysis_module.DEFAULT_WINDOW_POINTS
     real_scan = analysis_module._scan
     real_extrema = analysis_module._row_extrema
@@ -128,7 +128,7 @@ def test_route_scans_window_once(tmp_path, monkeypatch):
     monkeypatch.setattr(analysis_module, "_row_extrema", searching)
     assert main(["--out", str(tmp_path), "route"]) == 0
     assert sizes == [window_nodes]
-    assert searched.count((window_nodes,)) == 1
+    assert searched.count((window_nodes,)) == 2
 
 
 @pytest.mark.parametrize("power_p", ["0", "300nW", "2.5uW"])
@@ -160,7 +160,9 @@ def test_route_three_ports_past_default_window(tmp_path, monkeypatch,
                                                power_p):
     # the lower split line lies outside +-0.30 omega_m; the widened window
     # finds the ports a +-0.6 window with the same step finds (measured:
-    # within 1.4e-14 relative)
+    # within 2.1e-13 relative: the two grids' nodes differ in the last
+    # bit, and so do the coarse R maxima that centre the reflect-port
+    # re-scans)
     assert main(["--out", str(tmp_path), "--set", f"power_p={power_p}",
                  "route"]) == 0
     payload = json.loads((tmp_path / "routing_report.json").read_text())
@@ -181,7 +183,7 @@ def test_route_three_ports_past_default_window(tmp_path, monkeypatch,
     assert [p.label for p in reference.ports] == list(ports)
     for port in reference.ports:
         assert ports[port.label]["omega"] == pytest.approx(port.omega,
-                                                           rel=1e-13)
+                                                           rel=3e-13)
 
 
 def test_readme_cli_examples_run(tmp_path, capsys):

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .analysis import power_sweep, routing_report
 from .config import RunConfig, parse_config
 from .errors import ConfigError, RouterError
 from .response import closed_vs_oracle_deviation, scan_spectrum
-from .steady import solve_steady_state
+from .steady import _PIN_TOL, solve_steady_state
 
 __all__ = ["main", "run_figure"]
 
@@ -37,9 +38,27 @@ def _fmt(value: float) -> str:
 
 
 def _solve(cfg: RunConfig, params):
+    """Solve the steady state and print its warnings on stderr.
+
+    An ``auto`` detuning pins the effective detuning for the displacement
+    the pinning constructs; where the solve settles elsewhere, the state's
+    warnings gain a note.
+    """
     seed = 0.0 if cfg.branch_policy == "direct" else None
-    return solve_steady_state(params, q_seed=seed, ramp_steps=cfg.ramp_steps,
-                              residual_tol=cfg.residual_tol)
+    state = solve_steady_state(params, q_seed=seed, ramp_steps=cfg.ramp_steps,
+                               residual_tol=cfg.residual_tol)
+    wm = params.omega_m
+    missed = tuple(
+        f"{key} = auto missed omega_m: {name} = {value / wm:.6g} omega_m"
+        for key, name, value, pinned in (
+            ("delta_a", "delta1", state.delta1, cfg.pin_optical),
+            ("delta_c", "delta2", state.delta2, cfg.pin_microwave))
+        if pinned and abs(value - wm) > _PIN_TOL * wm)
+    if missed:
+        state = replace(state, warnings=state.warnings + missed)
+    for note in state.warnings:
+        print(f"warning: {note}", file=sys.stderr)
+    return state
 
 
 def _prepare_outdir(cfg: RunConfig) -> Path:
@@ -83,8 +102,6 @@ def _cmd_steady(cfg: RunConfig) -> int:
     print(f"delta1   = {_fmt(state.delta1)} rad/s")
     print(f"delta2   = {_fmt(state.delta2)} rad/s")
     print(f"residual = {state.residual:.3e}")
-    for note in state.warnings:
-        print(f"warning: {note}")
     return 0
 
 

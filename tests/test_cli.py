@@ -155,6 +155,23 @@ def test_route_warns_on_collapsed_pumped_report(tmp_path, capsys, power_p,
     assert ("warning: pump on, but 1 of 3 ports" in err) == warns
 
 
+@pytest.mark.parametrize("power_p, warns", [("7uW", False), ("8uW", True)])
+def test_auto_detuning_miss_warns(tmp_path, capsys, power_p, warns):
+    # above about 7.5 uW the ramped solve settles where the auto detunings
+    # are off omega_m (delta1, delta2 = 0.983, 1.042 omega_m at 8 uW); the
+    # outputs stay as they are and each miss is a warning on stderr
+    for command in ("route", "steady"):
+        assert main(["--out", str(tmp_path), "--set", f"power_p={power_p}",
+                     command]) == 0
+        out, err = capsys.readouterr()
+        assert "warning" not in out
+        notes = [line for line in err.splitlines() if "= auto missed" in line]
+        assert len(notes) == (2 if warns else 0)
+        if warns:
+            assert notes[0].startswith("warning: delta_a = auto missed")
+            assert notes[1].startswith("warning: delta_c = auto missed")
+
+
 @pytest.mark.parametrize("power_p", ["2uW", "2.5uW", "3uW", "4uW", "5uW"])
 def test_route_three_ports_past_default_window(tmp_path, monkeypatch,
                                                power_p):

@@ -143,10 +143,11 @@ def _window(params: SystemParams, state: SteadyState) -> tuple[float, int]:
 def window_scan(params: SystemParams, state: SteadyState,
                 method: str = "closed") -> ScanResult:
     """Reflection and transmission over the routing window: the scan that
-    :func:`routing_report` analyses.  The window is ``+-DEFAULT_WINDOW_FRAC*omega_m`` on
-    ``DEFAULT_WINDOW_POINTS`` nodes, widened at the same grid step (to
-    just under ``+-omega_m``) when the microwave-mechanical normal-mode
-    splitting of ``state`` predicts the lower port outside it.
+    :func:`routing_report` analyses.  The window is
+    ``+-DEFAULT_WINDOW_FRAC*omega_m`` on ``DEFAULT_WINDOW_POINTS`` nodes,
+    widened at the same grid step (to just under ``+-omega_m``) when the
+    microwave-mechanical normal-mode splitting of ``state`` predicts the
+    lower port outside it.
 
     Only ``r_refl`` and ``t_trans`` are formed, bit for bit as
     :func:`~omrouter.response.scan_spectrum` forms them; ``s_thermal`` and
@@ -285,8 +286,9 @@ def routing_report(params: SystemParams,
     scan = window_scan(params, state, method)
     extrema = find_extrema(scan, "T")
     lo, hi, count = _side_extrema(extrema, wm)
-    omega0_window = (None if count == 0 else 0.0 if lo is None or hi is None
-                     else 0.5 * (hi.omega - lo.omega))
+    omega0_window = None if count == 0 else 0.0
+    if lo is not None and hi is not None:
+        omega0_window = 0.5 * (hi.omega - lo.omega)
 
     def report(center, omega0, specs, degenerate=False):
         # specs: (label, omega, want_reflect) per port, evaluated together

@@ -420,8 +420,11 @@ def reference_report(params, state, method="closed"):
 
     def seed(dip):
         # the coarse R maximum nearest the dip on its side of omega_m
-        side = [e.omega for e in r_peaks if (e.omega < wm) == (dip.omega < wm)]
-        return min(side, key=lambda w: abs(w - dip.omega)) if side else dip.omega
+        side = [e.omega for e in r_peaks
+                if (e.omega < wm) == (dip.omega < wm)]
+        if not side:
+            return dip.omega
+        return min(side, key=lambda w: abs(w - dip.omega))
 
     def port(label, omega):
         node = response_module._node_spectra(params, state, omega, method)

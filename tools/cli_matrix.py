@@ -1,12 +1,9 @@
 """Run a fixed matrix of omrouter commands and keep every output.
 
-Usage: python tools/cli_matrix.py OUTDIR
-
-Each run writes OUTDIR/<name>/: the command's files, plus stdout.txt,
-stderr.txt and exit.txt.  Each run is repeated from its resolved.cfg into
-OUTDIR/<name>.rt/, and a round trip that changes an output is reported.
-Compare two checkouts with ``diff -r``.
-"""
+Usage: python tools/cli_matrix.py OUTDIR.  Each run writes OUTDIR/<name>/
+(its files, stdout.txt, stderr.txt, exit.txt) and runs again from its
+resolved.cfg into <name>.rt/; a round trip that changes an output is
+reported.  Compare two checkouts' OUTDIRs with ``diff -r``."""
 import filecmp, os, subprocess, sys
 from pathlib import Path
 
@@ -18,25 +15,26 @@ RUNS.update({"steady": ([], ["steady"]), "spectrum": ([], ["spectrum"]),
              "spectrum_oracle": (["--oracle"], ["spectrum"]),
              "sweep": ([], ["sweep-power"]), "validate": ([], ["validate"]),
              "sweep_list": (["--set", "sweep_powers=0, 300nW, 1uW, 1.5uW, "
-                             "2uW, 2.5uW"], ["sweep-power"])})
-RUNS.update({f: ([], ["figure", f]) for f in ("fig2", "fig3", "fig4")})
+                             "2uW, 2.5uW"], ["sweep-power"]),
+             **{f: ([], ["figure", f]) for f in ("fig2", "fig3", "fig4")}})
 
 
 def run(out, name, argv):
     (out / name).mkdir(parents=True, exist_ok=True)
-    done = subprocess.run([sys.executable, "-m", "omrouter.cli", "--out", name,
-                           *argv], cwd=out, capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)))
-    for part, text in (("stdout", done.stdout.replace(name + "/", "<out>/")),
-                       ("stderr", done.stderr), ("exit", f"{done.returncode}\n")):
+    r = subprocess.run([sys.executable, "-m", "omrouter.cli", "--out", name,
+                        *argv], cwd=out, capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=str(SRC)))
+    for part, text in (("stdout", r.stdout.replace(name + "/", "<out>/")),
+                       ("stderr", r.stderr), ("exit", f"{r.returncode}\n")):
         (out / name / f"{part}.txt").write_text(text, encoding="utf-8")
 
 
-out, failed = Path(sys.argv[1]).resolve(), 0
-for name, (options, command) in RUNS.items():
-    run(out, name, options + command)
-    run(out, name + ".rt", ["--config", f"{name}/resolved.cfg", *command])
-    match = filecmp.dircmp(out / name, out / (name + ".rt"), ["resolved.cfg"])
-    if match.diff_files or match.left_only or match.right_only:
-        failed = print(f"round trip changed {name}: {match.diff_files}") or 1
-sys.exit(failed)
+if __name__ == "__main__":
+    out, changed = Path(sys.argv[1]).resolve(), []
+    for name, (options, command) in RUNS.items():
+        run(out, name, options + command)
+        run(out, name + ".rt", ["--config", f"{name}/resolved.cfg", *command])
+        rt = filecmp.dircmp(out / name, out / (name + ".rt"), ["resolved.cfg"])
+        if rt.diff_files or rt.left_only or rt.right_only:
+            changed.append(name)
+    sys.exit(f"round trip changed: {changed}" if changed else 0)

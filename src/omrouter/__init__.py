@@ -11,7 +11,7 @@ the microwave pump power.
 from .analysis import (CalibrationTargets, ExtremaList, Extremum, Port,
                        RoutingReport, SweepResult, SweepRow,
                        calibrate_couplings, find_extrema, power_sweep,
-                       routing_report, window_scan, window_splitting)
+                       routing_report, window_splitting)
 from .config import DEFAULTS, RunConfig, parse_config
 from .errors import (AnalysisError, BracketingError, CalibrationError,
                      ConfigError, ConvergenceError, InvalidParameterError,
@@ -44,6 +44,6 @@ __all__ = [
     "pin_effective_detunings", "power_sweep", "pump_amplitude", "reflection",
     "routing_report", "scan_spectrum", "solve_steady_state",
     "steady_residual", "thermal_noise_spectrum", "thermal_occupation",
-    "transmission", "vacuum_noise_spectrum", "window_scan",
-    "window_splitting", "__version__",
+    "transmission", "vacuum_noise_spectrum", "window_splitting",
+    "__version__",
 ]

@@ -3,12 +3,14 @@
 Turns reflection/transmission scans into the quantities one would quote for
 the device: dip and peak locations, the splitting of the transparency window
 when the microwave pump is on, a port-by-port routing report, power sweeps,
-and a calibration routine for the two couplings.  Scans stay columnar
-``ScanResult`` arrays throughout.  :func:`routing_report` makes one
-:func:`window_scan`, sized from the solved state, and measures both the
-ports and the window splitting from it; :func:`window_splitting` reads
+and a calibration routine for the two couplings.  :func:`routing_report`
+evaluates R and T once over a window sized from the solved state, finds
+the T dips and peaks and the R peaks in one search, and measures both the
+ports and the window splitting from them; :func:`window_splitting` reads
 that splitting off the report.  Routing reads only reflection and
-transmission, so its scans and port spectra form only those two columns.
+transmission, so its window, re-scans and port spectra form only those
+two columns, as plain arrays; :func:`find_extrema` searches one column of
+a full :class:`~omrouter.response.ScanResult`.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ import numpy as np
 
 from .errors import AnalysisError, CalibrationError, InvalidParameterError, RouterError
 from .model import CONSTANTS, SystemParams
-from .response import (_RT_COEFFS, ScanResult, _node_spectra, _row_spectra,
-                       _scan, transmission)
-from .steady import SteadyState, pin_effective_detunings, solve_steady_state
+from .response import ScanResult, _node_spectra, _row_spectra, transmission
+from .steady import (SteadyState, _note_missed_pins, pin_effective_detunings,
+                     solve_steady_state)
 
 __all__ = [
     "Extremum",
     "ExtremaList",
     "find_extrema",
-    "window_scan",
     "window_splitting",
     "Port",
     "RoutingReport",
@@ -124,49 +125,28 @@ def find_extrema(points: ScanResult, column: str) -> ExtremaList:
                        tuple(e for e, m in zip(entries, kinds) if not m))
 
 
-def _window(params: SystemParams, state: SteadyState) -> tuple[float, int]:
-    """Half-width (units of omega_m) and node count of the routing window
-    (``docs/derivation_notes.md``, "Analysis window")."""
+def _window(params: SystemParams, state: SteadyState) -> np.ndarray:
+    """The frequency grid (rad/s) of :func:`routing_report`'s window, at
+    most just under ``+-omega_m`` wide (``docs/derivation_notes.md``,
+    "Analysis window")."""
     wm = params.omega_m
     coupling = params.g2 * math.sqrt(
         CONSTANTS.hbar / (2.0 * params.mass * wm)) * abs(state.c_s)
     lower = 1.0 - 2.0 * coupling / wm
     need = (1.0 - math.sqrt(lower) + 2.0 * params.kappa1 / wm
             if lower > 0.0 else 1.0)
-    if need <= DEFAULT_WINDOW_FRAC:
-        return DEFAULT_WINDOW_FRAC, DEFAULT_WINDOW_POINTS
-    step = 2.0 * DEFAULT_WINDOW_FRAC / (DEFAULT_WINDOW_POINTS - 1)
-    half = min(math.ceil(need / step), math.ceil(1.0 / step) - 1)
-    return half * step, 2 * half + 1
+    frac, n_points = DEFAULT_WINDOW_FRAC, DEFAULT_WINDOW_POINTS
+    if need > DEFAULT_WINDOW_FRAC:
+        step = 2.0 * DEFAULT_WINDOW_FRAC / (DEFAULT_WINDOW_POINTS - 1)
+        half = min(math.ceil(need / step), math.ceil(1.0 / step) - 1)
+        frac, n_points = half * step, 2 * half + 1
+    return wm * np.linspace(1.0 - frac, 1.0 + frac, n_points)
 
 
-def window_scan(params: SystemParams, state: SteadyState,
-                method: str = "closed") -> ScanResult:
-    """Reflection and transmission over the routing window: the scan that
-    :func:`routing_report` analyses.  The window is
-    ``+-DEFAULT_WINDOW_FRAC*omega_m`` on ``DEFAULT_WINDOW_POINTS`` nodes,
-    widened at the same grid step (to just under ``+-omega_m``) when the
-    microwave-mechanical normal-mode splitting of ``state`` predicts the
-    lower port outside it.
-
-    Only ``r_refl`` and ``t_trans`` are formed, bit for bit as
-    :func:`~omrouter.response.scan_spectrum` forms them; ``s_thermal`` and
-    ``s_vacuum`` are ``None``, and ``column()`` raises
-    :class:`InvalidParameterError` for them.  The ``errors`` therefore
-    cover R and T only: a singular denominator or a non-finite R or T.
-    """
-    frac, n_points = _window(params, state)
-    grid = params.omega_m * np.linspace(1.0 - frac, 1.0 + frac, n_points)
-    return _scan(params, grid, method, state, _RT_COEFFS)
-
-
-def _side_extrema(extrema, center):
-    """Deepest minimum on each side of the centre frequency."""
-    lower = [e for e in extrema.minima if e.omega < center]
-    upper = [e for e in extrema.minima if e.omega >= center]
-    lo = min(lower, key=lambda e: e.value) if lower else None
-    hi = min(upper, key=lambda e: e.value) if upper else None
-    return lo, hi, len(extrema.minima)
+def _first_least(omega, key, default=None):
+    """The entry of ``omega`` with the least ``key``, the first by omega on
+    a tie (as :func:`min` picks), or ``default`` when ``omega`` is empty."""
+    return float(omega[np.argmin(key)]) if omega.size else default
 
 
 def _refine_maxima(params, state, column, guesses, half_width, method):
@@ -182,9 +162,8 @@ def _refine_maxima(params, state, column, guesses, half_width, method):
     row, is_min, omega, _, _ = _row_extrema(rows, y)
     refined = []
     for k, guess in enumerate(guesses):
-        maxima = omega[(row == k) & ~is_min].tolist()
-        refined.append(min(maxima, key=lambda w: abs(w - guess))
-                       if maxima else guess)
+        maxima = omega[(row == k) & ~is_min]
+        refined.append(_first_least(maxima, np.abs(maxima - guess), guess))
     return refined
 
 
@@ -195,10 +174,10 @@ def window_splitting(params: SystemParams,
 
     The :func:`routing_report` measure ``omega0_window``: half the distance
     between the deepest transmission minima on either side of the
-    mechanical frequency in the :func:`window_scan`.  With the microwave
-    pump off only one minimum exists and the splitting is 0.
+    mechanical frequency in the report's window.  With the microwave pump
+    off only one minimum exists and the splitting is 0.
 
-    Raises :class:`AnalysisError` when the scan shows no minimum at all,
+    Raises :class:`AnalysisError` when the window shows no minimum at all,
     which signals parameters outside the transparency regime.
     """
     omega0 = routing_report(params, state=state, method=method).omega0_window
@@ -226,8 +205,8 @@ class RoutingReport:
     ``omega0`` is the splitting of the reflect ports (0 when the pump is
     off), ``center`` the symmetric point of the port pattern.
     ``omega0_window`` is half the distance between the two transmission
-    dips of the window scan (:func:`window_splitting`): 0.0 with one dip,
-    ``None`` when the scan shows none.  ``degenerate`` marks reports
+    dips of the window (:func:`window_splitting`): 0.0 with one dip,
+    ``None`` when the window shows none.  ``degenerate`` marks reports
     where no mechanical structure exists at all (e.g. zero optomechanical
     coupling) and only a bare transmit port is listed.  ``warnings`` holds
     one note when the pump is on but fewer than three ports were found.
@@ -252,23 +231,29 @@ def routing_report(params: SystemParams,
     Pump off: a single reflect port at the transparency dip.  Pump on: a
     transmit port at the transmission maximum near the mechanical frequency
     plus two reflect ports at the split reflection peaks, ``omega0`` apart
-    from their midpoint.  Port frequencies come from a coarse scan followed
-    by a dense local re-scan at the relevant column.  A reflect port's
-    re-scan is centred on the coarse reflection maximum nearest its
-    transmission dip, on the same side of ``omega_m`` (on the dip itself
-    when that side shows no reflection maximum), so the port sits on the
-    reflection peak far more accurately than the coarse grid step.  The
-    coarse scan is :func:`window_scan` for the same state and method.
+    from their midpoint.  Port frequencies come from a coarse window
+    followed by a dense local re-scan at the relevant column.  The window
+    is ``+-DEFAULT_WINDOW_FRAC*omega_m`` on ``DEFAULT_WINDOW_POINTS``
+    nodes, widened at the same grid step when the microwave-mechanical
+    normal-mode splitting of ``state`` predicts the lower port outside it.
+    One search over the window's T and R rows finds the T dips and peaks
+    and the R peaks, as :func:`find_extrema` finds them in a
+    :func:`~omrouter.response.scan_spectrum` of the same grid; where two
+    extrema tie, the first by omega wins.  A reflect port's re-scan is
+    centred on the coarse reflection maximum nearest its transmission dip,
+    on the same side of ``omega_m`` (on the dip itself when that side
+    shows no reflection maximum), so the port sits on the reflection peak
+    far more accurately than the coarse grid step.
 
-    A pumped report makes four kernel calls: the window scan, both
+    A pumped report makes four kernel calls: the window, both
     reflect-peak re-scans as one batch, the transmit re-scan, and the
     spectra at all three ports.  Every node gets the same arithmetic as in
     a scan of its own, so batching changes no bit of the report.  Raises
     :class:`SingularPointError` naming the first singular port frequency.
 
     A pumped report with fewer than three ports carries a warning naming
-    the scan's window: the report then shows the pump-off pattern (one
-    reflect port, ``omega0`` = 0).
+    the window: the report then shows the pump-off pattern (one reflect
+    port, ``omega0`` = 0).
 
     Note the reflect-port midpoint sits slightly below the transmit port:
     position-type coupling pulls both hybrid modes down by about
@@ -283,12 +268,20 @@ def routing_report(params: SystemParams,
                    / (DEFAULT_WINDOW_POINTS - 1))
     half = 4.0 * coarse_step
 
-    scan = window_scan(params, state, method)
-    extrema = find_extrema(scan, "T")
-    lo, hi, count = _side_extrema(extrema, wm)
-    omega0_window = None if count == 0 else 0.0
+    grid = _window(params, state)
+    window = _row_spectra(params, state, grid, method)
+    row, is_min, omega, value, _ = _row_extrema(
+        np.stack([grid, grid]),
+        np.stack([window["t_trans"], window["r_refl"]]))
+    dip, t_peak = (row == 0) & is_min, (row == 0) & ~is_min
+    r_peak = (row == 1) & ~is_min
+    below = omega < wm
+    # the deepest T dip on each side of omega_m
+    lo, hi = (_first_least(omega[dip & side], value[dip & side])
+              for side in (below, ~below))
+    omega0_window = 0.0 if dip.any() else None
     if lo is not None and hi is not None:
-        omega0_window = 0.5 * (hi.omega - lo.omega)
+        omega0_window = 0.5 * (hi - lo)
 
     def report(center, omega0, specs, degenerate=False):
         # specs: (label, omega, want_reflect) per port, evaluated together
@@ -301,7 +294,7 @@ def routing_report(params: SystemParams,
             for (label, w, want_reflect), s in zip(specs, spectra))
         warnings = ()
         if pump_on and len(ports) < 3:
-            frac = (scan.omega[-1] - scan.omega[0]) / (2.0 * wm)
+            frac = (grid[-1] - grid[0]) / (2.0 * wm)
             warnings = (f"pump on, but {len(ports)} of 3 ports found in "
                         f"the +-{frac:g} omega_m window; a split "
                         f"line may lie outside it",)
@@ -310,26 +303,21 @@ def routing_report(params: SystemParams,
                              degenerate=degenerate, warnings=warnings,
                              omega0_window=omega0_window)
 
-    if count == 0:
-        peaks = extrema.maxima
-        omega_top = max(peaks, key=lambda e: e.value).omega if peaks else wm
+    if not dip.any():
+        omega_top = _first_least(omega[t_peak], -value[t_peak], wm)
         return report(omega_top, 0.0, [("transmit", omega_top, False)],
                       degenerate=True)
 
-    # from about 200 nW an R peak lies farther from its T dip than the
-    # re-scan reaches
-    r_peaks = find_extrema(scan, "R").maxima
-
-    def reflect_seed(dip):
-        side = [e for e in r_peaks if (e.omega < wm) == (dip.omega < wm)]
-        if not side:
-            return dip.omega
-        return min(side, key=lambda e: abs(e.omega - dip.omega)).omega
+    def reflect_seed(dip_omega):
+        # from about 200 nW an R peak lies farther from its T dip than the
+        # re-scan reaches: start at the R peak nearest the dip, on its side
+        side = omega[r_peak & (below == (dip_omega < wm))]
+        return _first_least(side, np.abs(side - dip_omega), dip_omega)
 
     if lo is None or hi is None:
-        dip = lo if lo is not None else hi
-        (omega_port,) = _refine_maxima(params, state, "r_refl",
-                                       [reflect_seed(dip)], half, method)
+        (omega_port,) = _refine_maxima(
+            params, state, "r_refl", [reflect_seed(hi if lo is None else lo)],
+            half, method)
         return report(omega_port, 0.0, [("reflect", omega_port, True)])
 
     w_lo, w_hi = _refine_maxima(params, state, "r_refl",
@@ -337,8 +325,8 @@ def routing_report(params: SystemParams,
                                 method)
     omega0 = 0.5 * (w_hi - w_lo)
 
-    between = [e for e in extrema.maxima if w_lo < e.omega < w_hi]
-    guess_top = max(between, key=lambda e: e.value).omega if between else wm
+    between = t_peak & (w_lo < omega) & (omega < w_hi)
+    guess_top = _first_least(omega[between], -value[between], wm)
     (center,) = _refine_maxima(params, state, "t_trans", [guess_top], half,
                                method)
     return report(center, omega0, [("transmit", center, False),
@@ -348,8 +336,8 @@ def routing_report(params: SystemParams,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One power of a sweep: its report's ``omega0``, ports and
-    warnings."""
+    """One power of a sweep: its report's ``omega0`` and ports, and the
+    warnings of its steady state and then of its report."""
 
     power_p: float
     omega0: float
@@ -376,12 +364,16 @@ def power_sweep(params: SystemParams, powers,
                 method: str = "closed") -> SweepResult:
     """Routing behaviour versus microwave pump power.
 
-    Rows run in ascending power order and the steady-state branch is tracked
-    from row to row (the previous displacement seeds the next solve).
-    Errors in one row are recorded and the sweep continues; each row
-    carries its routing report's warnings, and each report sizes its own
-    :func:`window_scan`.  In pinned mode the detunings are re-pinned per
-    row, since the static displacement changes with power.
+    Rows run in ascending power order.  The first row ramps its solve
+    from zero; each later row is seeded from the displacement of the last
+    row solved, so the steady-state branch is tracked from row to row.
+    Every solve uses the default ``ramp_steps`` and ``residual_tol``.
+    Errors in one row are recorded and the sweep continues.  In pinned
+    mode the detunings are re-pinned per row, since the static
+    displacement changes with power; the bare detunings of ``params`` on
+    a pinned side are not used.  Each row carries its steady state's
+    warnings, among them a pinned detuning that the seeded solve misses,
+    then its routing report's, and each report sizes its own window.
     """
     powers = [float(p) for p in powers]
     if any(p < 0.0 for p in powers):
@@ -398,7 +390,9 @@ def power_sweep(params: SystemParams, powers,
             if pin_optical or pin_microwave:
                 row_params = pin_effective_detunings(
                     row_params, pin_optical, pin_microwave)
-            state = solve_steady_state(row_params, q_seed=q_prev)
+            state = _note_missed_pins(
+                row_params, solve_steady_state(row_params, q_seed=q_prev),
+                pin_optical, pin_microwave)
             report = routing_report(row_params, state=state,
                                     r_reflect_min=r_reflect_min,
                                     t_transmit_min=t_transmit_min,
@@ -409,7 +403,7 @@ def power_sweep(params: SystemParams, powers,
             continue
         q_prev = state.q_s
         rows.append(SweepRow(power, report.omega0, report.ports,
-                             report.warnings))
+                             state.warnings + report.warnings))
     return SweepResult(rows, errors)
 
 

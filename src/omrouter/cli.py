@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from .analysis import power_sweep, routing_report
 from .config import RunConfig, parse_config
 from .errors import ConfigError, RouterError
 from .response import closed_vs_oracle_deviation, scan_spectrum
-from .steady import _PIN_TOL, solve_steady_state
+from .steady import _note_missed_pins, solve_steady_state
 
 __all__ = ["main", "run_figure"]
 
@@ -45,17 +44,11 @@ def _solve(cfg: RunConfig, params):
     warnings gain a note.
     """
     seed = 0.0 if cfg.branch_policy == "direct" else None
-    state = solve_steady_state(params, q_seed=seed, ramp_steps=cfg.ramp_steps,
-                               residual_tol=cfg.residual_tol)
-    wm = params.omega_m
-    missed = tuple(
-        f"{key} = auto missed omega_m: {name} = {value / wm:.6g} omega_m"
-        for key, name, value, pinned in (
-            ("delta_a", "delta1", state.delta1, cfg.pin_optical),
-            ("delta_c", "delta2", state.delta2, cfg.pin_microwave))
-        if pinned and abs(value - wm) > _PIN_TOL * wm)
-    if missed:
-        state = replace(state, warnings=state.warnings + missed)
+    state = _note_missed_pins(
+        params, solve_steady_state(params, q_seed=seed,
+                                   ramp_steps=cfg.ramp_steps,
+                                   residual_tol=cfg.residual_tol),
+        cfg.pin_optical, cfg.pin_microwave)
     for note in state.warnings:
         print(f"warning: {note}", file=sys.stderr)
     return state
@@ -164,8 +157,8 @@ def _cmd_route(cfg: RunConfig) -> int:
 
 def _cmd_sweep_power(cfg: RunConfig) -> int:
     out = _prepare_outdir(cfg)
-    params = cfg.system_params()
-    result = power_sweep(params, cfg.sweep_powers,
+    # each row pins its own detunings, so none is pinned at power_p
+    result = power_sweep(cfg.base_params(), cfg.sweep_powers,
                          pin_optical=cfg.pin_optical,
                          pin_microwave=cfg.pin_microwave,
                          **_report_kwargs(cfg))

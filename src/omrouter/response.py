@@ -14,14 +14,15 @@ is measured relative to the optical pump carrier, so the conventional axis
 value "omega/omega_m = 1" is the lower mechanical sideband.
 
 One helper forms the spectra (R, T, S_thermal, S_vacuum) from either
-path's coefficient arrays; :func:`scan_spectrum` returns them as the array
-columns of a :class:`ScanResult`.  A kernel call forms only the
+path's coefficient arrays; :func:`scan_spectrum` returns all four as the
+array columns of a :class:`ScanResult`.  A kernel call forms only the
 coefficients its caller reads: R and T read ``e1`` alone, S_vacuum ``f1``
 and S_thermal ``v``.  So :func:`scan_spectrum` forms ``e1``, ``f1`` and
-``v``; the routing path (the analysis module's window scan, port
-refinement and port spectra) and the scalar reflection and transmission
-form ``e1`` alone; and the microwave coefficients ``e2``/``f2`` are formed
-only for :func:`coefficients` and :func:`closed_vs_oracle_deviation`.
+``v``; the routing path (the analysis module's window, port refinement
+and port spectra, as plain R and T arrays) and the scalar reflection and
+transmission form ``e1`` alone; and the microwave coefficients
+``e2``/``f2`` are formed only for :func:`coefficients` and
+:func:`closed_vs_oracle_deviation`.
 Leaving a coefficient out changes no bit of the others.  A kernel call may
 cover several grids at once (a 2-D grid, one row per window): every node is
 evaluated by the same elementwise arithmetic, or the same 6x6 solve,
@@ -95,25 +96,23 @@ class ScanResult:
 
     ``omega``, ``r_refl``, ``t_trans``, ``s_thermal`` and ``s_vacuum`` hold
     one value per grid node (all but ``omega`` dimensionless).  The columns
-    are read-only copies of the arrays passed in.  A column the scan did
-    not form is ``None``: the analysis module's window scan forms R and T
-    only.  Nodes that failed carry NaN in the affected columns and
-    contribute an entry ``(index, omega, message)`` to ``errors``.
+    are read-only copies of the arrays passed in.  Nodes that failed carry
+    NaN in the affected columns and contribute an entry
+    ``(index, omega, message)`` to ``errors``.
     """
 
     omega: np.ndarray
     r_refl: np.ndarray
     t_trans: np.ndarray
-    s_thermal: np.ndarray | None
-    s_vacuum: np.ndarray | None
+    s_thermal: np.ndarray
+    s_vacuum: np.ndarray
     errors: list[tuple[int, float, str]]
 
     def __post_init__(self):
         for name in _SCAN_COLUMNS:
-            if getattr(self, name) is not None:
-                values = np.array(getattr(self, name), dtype=float)
-                values.flags.writeable = False
-                object.__setattr__(self, name, values)
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     def __len__(self):
         return self.omega.size
@@ -121,16 +120,11 @@ class ScanResult:
     def column(self, name: str) -> np.ndarray:
         """One column by field name, as a read-only array.
 
-        Raises :class:`InvalidParameterError` for an unknown name or a
-        column this scan did not form.
+        Raises :class:`InvalidParameterError` for an unknown name.
         """
         if name not in _SCAN_COLUMNS:
             raise InvalidParameterError(f"unknown spectrum column {name!r}")
-        values = getattr(self, name)
-        if values is None:
-            raise InvalidParameterError(
-                f"spectrum column {name!r} was not formed by this scan")
-        return values
+        return getattr(self, name)
 
 
 def _intermediates(params: SystemParams, state: SteadyState, omega):
@@ -349,12 +343,13 @@ def _masked_spectra(params: SystemParams, grid: np.ndarray, arrs, singular):
 
 
 def _row_spectra(params, state, rows, method) -> dict:
-    """Masked R and T columns on every row of a 2-D grid, from one kernel
-    call.
+    """Masked R and T columns on one grid or on every row of a 2-D grid,
+    from one kernel call.
 
-    Each row is checked and masked as :func:`scan_spectrum` checks and
-    masks its grid, and its columns are bit for bit the ones that
-    :func:`scan_spectrum` returns for that row alone.
+    Each row is checked as :func:`scan_spectrum` checks its grid and
+    masked with NaN at a singular node or a non-finite R or T; its
+    columns are bit for bit the ones that :func:`scan_spectrum` returns
+    for that row alone.
     """
     rows = np.asarray(rows, dtype=float)
     if not np.all(np.diff(rows, axis=-1) > 0.0):
@@ -439,19 +434,11 @@ def scan_spectrum(params: SystemParams, omega_grid, method: str = "closed",
     omega = 0 (thermal column NaN), then a non-finite value (all columns
     NaN).
     """
-    return _scan(params, omega_grid, method, state, _SPECTRA_COEFFS)
-
-
-def _scan(params, omega_grid, method, state, names) -> ScanResult:
-    """:func:`scan_spectrum` forming only the columns that the coefficients
-    ``names`` give; the others are ``None``, and the errors cover only the
-    columns formed."""
     grid = np.asarray(omega_grid, dtype=float)
     errors: list[tuple[int, float, str]] = []
     if grid.size == 0:
         grid = np.empty(0)
-        cols = {name: grid for name in _SCAN_COLUMNS[1:]
-                if _COLUMN_COEFF[name] in names}
+        cols = dict.fromkeys(_SCAN_COLUMNS[1:], grid)
     else:
         if grid.ndim != 1 or (grid.size > 1
                               and not np.all(np.diff(grid) > 0.0)):
@@ -459,7 +446,7 @@ def _scan(params, omega_grid, method, state, names) -> ScanResult:
                 "omega grid must be strictly increasing")
         if state is None:
             state = solve_steady_state(params)
-        arrs, singular = _arrays(params, state, grid, method, names)
+        arrs, singular = _arrays(params, state, grid, method, _SPECTRA_COEFFS)
         cols, zero, nonfinite = _masked_spectra(params, grid, arrs, singular)
         for i in np.flatnonzero(singular | zero | nonfinite).tolist():
             if singular[i]:
@@ -471,8 +458,7 @@ def _scan(params, omega_grid, method, state, names) -> ScanResult:
             else:
                 errors.append((i, float(grid[i]),
                                "non-finite spectrum value"))
-    return ScanResult(omega=grid, errors=errors,
-                      **{name: cols.get(name) for name in _SCAN_COLUMNS[1:]})
+    return ScanResult(omega=grid, errors=errors, **cols)
 
 
 def closed_vs_oracle_deviation(params: SystemParams, state: SteadyState,

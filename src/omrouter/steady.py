@@ -527,3 +527,22 @@ def pin_effective_detunings(params: SystemParams, pin_optical: bool = True,
             delta_c=(t + params.g2 * state.q_s) if pin_microwave
             else current.delta_c)
     raise ConvergenceError("detuning pinning did not converge")
+
+
+def _note_missed_pins(params: SystemParams, state: SteadyState,
+                      pin_optical: bool, pin_microwave: bool) -> SteadyState:
+    """``state`` with one more warning per pinned effective detuning that
+    it misses by more than ``_PIN_TOL * omega_m``.
+
+    :func:`pin_effective_detunings` pins for the displacement it
+    constructs; a solve that settles on another branch (the ramp at high
+    power, or a sweep row seeded from the previous one) misses it.
+    """
+    wm = params.omega_m
+    missed = tuple(
+        f"{key} = auto missed omega_m: {name} = {value / wm:.6g} omega_m"
+        for key, name, value, pinned in (
+            ("delta_a", "delta1", state.delta1, pin_optical),
+            ("delta_c", "delta2", state.delta2, pin_microwave))
+        if pinned and abs(value - wm) > _PIN_TOL * wm)
+    return replace(state, warnings=state.warnings + missed)

@@ -11,7 +11,7 @@ import omrouter.analysis as analysis_module
 import omrouter.response as response_module
 from omrouter.analysis import (CalibrationTargets, calibrate_couplings,
                                find_extrema, power_sweep, routing_report,
-                               window_scan, window_splitting)
+                               window_splitting)
 from omrouter.errors import (AnalysisError, CalibrationError,
                              InvalidParameterError, RouterError,
                              SingularPointError)
@@ -187,36 +187,51 @@ class TestFindExtrema:
 
 
 class TestWindowScan:
-    """The routing path's scan forms R and T only, bit for bit as the
-    full scan does."""
+    """The routing report's window and its one search of it."""
 
     @pytest.mark.parametrize("method", ["closed", "oracle"])
-    @pytest.mark.parametrize("power_p", [0.0, 30e-9, 1.5e-6, 2.5e-6])
-    def test_rt_equal_full_scan(self, default_cfg, method, power_p):
+    @pytest.mark.parametrize("power_p", [0.0, 300e-9, 2.5e-6])
+    def test_extrema_equal_full_scan(self, default_cfg, monkeypatch, method,
+                                     power_p):
+        # the report's search of its (T, R) window rows finds, bit for
+        # bit, what find_extrema finds in a full scan of the same grid
         params = default_cfg.system_params(power_p=power_p)
         state = solve_steady_state(params)
-        scan = window_scan(params, state, method=method)
-        full = scan_spectrum(params, scan.omega, method=method, state=state)
-        assert scan.omega.tobytes() == full.omega.tobytes()
-        for name in ("r_refl", "t_trans"):
-            assert scan.column(name).tobytes() == full.column(name).tobytes()
-        assert scan.errors == full.errors == []
+        real_extrema = analysis_module._row_extrema
+        searches = []
+
+        def spying(x, y):
+            result = real_extrema(x, y)
+            if y.shape[-1] != analysis_module._REFINE_POINTS:
+                searches.append(result)
+            return result
+
+        monkeypatch.setattr(analysis_module, "_row_extrema", spying)
+        routing_report(params, state=state, method=method)
+        ((row, is_min, omega, value, refined),) = searches
+
+        def entries(mask):
+            return [(w.hex(), v.hex(), r) for w, v, r in zip(
+                omega[mask].tolist(), value[mask].tolist(),
+                refined[mask].tolist())]
+
+        full = scan_spectrum(params, analysis_module._window(params, state),
+                             method=method, state=state)
+        for k, column in enumerate(("T", "R")):
+            expected = find_extrema(full, column)
+            for found, kind in ((expected.minima, is_min),
+                                (expected.maxima, ~is_min)):
+                assert entries((row == k) & kind) == [
+                    (e.omega.hex(), e.value.hex(), e.refined) for e in found]
 
     @pytest.mark.parametrize("power_p", [0.0, 30e-9, 1.5e-6, 1.6e-6])
     def test_default_window_kept(self, default_cfg, power_p):
         # below about 1.78 uW every port fits in +-0.30 omega_m, and the
         # grid is the fixed one, bit for bit
         params = default_cfg.system_params(power_p=power_p)
-        scan = window_scan(params, solve_steady_state(params))
+        window = analysis_module._window(params, solve_steady_state(params))
         grid = params.omega_m * np.linspace(0.7, 1.3, 4001)
-        assert scan.omega.tobytes() == grid.tobytes()
-
-    def test_noise_columns_not_formed(self, params_on, state_on):
-        scan = window_scan(params_on, state_on)
-        assert scan.s_thermal is None and scan.s_vacuum is None
-        for name in ("s_thermal", "s_vacuum"):
-            with pytest.raises(InvalidParameterError, match="not formed"):
-                scan.column(name)
+        assert window.tobytes() == grid.tobytes()
 
 
 class TestWindowSplitting:
@@ -413,9 +428,14 @@ def reference_report(params, state, method="closed"):
     wm = params.omega_m
     half = 4.0 * 2.0 * analysis_module.DEFAULT_WINDOW_FRAC * wm / (
         analysis_module.DEFAULT_WINDOW_POINTS - 1)
-    scan = window_scan(params, state, method=method)
+    scan = scan_spectrum(params, analysis_module._window(params, state),
+                         method=method, state=state)
     extrema = find_extrema(scan, "T")
-    lo, hi, count = analysis_module._side_extrema(extrema, wm)
+    # the deepest T dip on each side of omega_m
+    count = len(extrema.minima)
+    lo, hi = (min(side, key=lambda e: e.value) if side else None
+              for side in ([e for e in extrema.minima if e.omega < wm],
+                           [e for e in extrema.minima if e.omega >= wm]))
     r_peaks = find_extrema(scan, "R").maxima
 
     def seed(dip):
@@ -513,14 +533,17 @@ class TestPowerSweep:
             power_sweep(params_on, [1e-9, 1e-9])
 
     def test_rows_carry_report_warnings(self, params_on):
-        # at 20 uW the pinned report collapses and warns
+        # at 20 uW the pinned report collapses and warns, after the two
+        # warnings of its state, which misses both pinned detunings
         result = power_sweep(params_on, [1.5e-6, 2.5e-6, 2e-5],
                              pin_optical=True, pin_microwave=True)
         assert result.errors == []
         assert result.rows[0].warnings == result.rows[1].warnings == ()
         assert len(result.rows[1].ports) == 3
-        assert len(result.rows[2].warnings) == 1
-        assert "1 of 3 ports" in result.rows[2].warnings[0]
+        missed_a, missed_c, collapsed = result.rows[2].warnings
+        assert missed_a.startswith("delta_a = auto missed omega_m")
+        assert missed_c.startswith("delta_c = auto missed omega_m")
+        assert "1 of 3 ports" in collapsed
 
     def test_row_errors_recorded(self, params_on, monkeypatch):
         real_solve = analysis_module.solve_steady_state
@@ -594,16 +617,16 @@ class TestCalibration:
                                                      monkeypatch):
         # the depth-stage calibration visits 13 distinct (g1, g2) pairs;
         # the splitting and depth checks at one pair read one report, so
-        # they scan its window once
-        real_scan = analysis_module._scan
+        # they evaluate its window once
+        real_rows = analysis_module._row_spectra
         windows = []
 
-        def counting(params, grid, *args, **kwargs):
-            if len(grid) == analysis_module.DEFAULT_WINDOW_POINTS:
+        def counting(params, state, rows, *args, **kwargs):
+            if np.shape(rows) == (analysis_module.DEFAULT_WINDOW_POINTS,):
                 windows.append((params.g1, params.g2))
-            return real_scan(params, grid, *args, **kwargs)
+            return real_rows(params, state, rows, *args, **kwargs)
 
-        monkeypatch.setattr(analysis_module, "_scan", counting)
+        monkeypatch.setattr(analysis_module, "_row_spectra", counting)
         weak = replace(params_on, g1=0.3 * params_on.g1)
         calibrate_couplings(weak, g1_bracket=(weak.g1, params_on.g1),
                             g2_bracket=(weak.g2, 2.0 * weak.g2))

@@ -107,28 +107,29 @@ def test_route_pump_on_three_ports(tmp_path):
 
 
 def test_route_scans_window_once(tmp_path, monkeypatch):
-    # the routing report makes the only scan call, over its window, and
-    # searches it twice: T for the dips and the window splitting, R for
+    # the routing report evaluates its window once and searches its T and
+    # R rows in one call: T for the dips and the window splitting, R for
     # the seeds of the reflect ports; the narrow port refinements are
-    # batched kernel calls below it
+    # 401-node rows
     window_nodes = analysis_module.DEFAULT_WINDOW_POINTS
-    real_scan = analysis_module._scan
+    real_rows = analysis_module._row_spectra
     real_extrema = analysis_module._row_extrema
-    sizes, searched = [], []
+    shapes, searched = [], []
 
-    def counting(params, omega_grid, *args, **kwargs):
-        sizes.append(len(omega_grid))
-        return real_scan(params, omega_grid, *args, **kwargs)
+    def counting(params, state, rows, *args, **kwargs):
+        shapes.append(np.shape(rows))
+        return real_rows(params, state, rows, *args, **kwargs)
 
     def searching(x, y):
         searched.append(np.shape(y))
         return real_extrema(x, y)
 
-    monkeypatch.setattr(analysis_module, "_scan", counting)
+    monkeypatch.setattr(analysis_module, "_row_spectra", counting)
     monkeypatch.setattr(analysis_module, "_row_extrema", searching)
     assert main(["--out", str(tmp_path), "route"]) == 0
-    assert sizes == [window_nodes]
-    assert searched.count((window_nodes,)) == 2
+    assert [s for s in shapes if s[-1] == window_nodes] == [(window_nodes,)]
+    assert [s for s in searched if s[-1] == window_nodes] == [
+        (2, window_nodes)]
 
 
 @pytest.mark.parametrize("power_p", ["0", "300nW", "2.5uW"])
@@ -194,8 +195,9 @@ def test_route_three_ports_past_default_window(tmp_path, monkeypatch,
     cfg = parse_config(overrides=[f"power_p={power_p}"], env={})
     params = cfg.system_params()
     state = _solve(cfg, params)
-    monkeypatch.setattr(analysis_module, "_window",
-                        lambda params, state: (0.6, 8001))
+    monkeypatch.setattr(
+        analysis_module, "_window",
+        lambda params, state: params.omega_m * np.linspace(0.4, 1.6, 8001))
     reference = routing_report(params, state=state)
     assert [p.label for p in reference.ports] == list(ports)
     for port in reference.ports:
@@ -316,14 +318,52 @@ def test_sweep_power_ordering(tmp_path):
 
 def test_sweep_power_warns_on_collapsed_rows(tmp_path, capsys):
     # the CSV is unchanged; the collapsed row's report warning goes to
-    # stderr, tagged with its row
+    # stderr, tagged with its row, after its state's two missed auto
+    # detunings
     assert main(["--out", str(tmp_path), "--set",
                  "sweep_powers=1.5uW, 2.5uW, 20uW", "sweep-power"]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("warning: row 2 (power_p=2e-05)")
-    assert "): pump on, but 1 of 3 ports" in err[0]
+    assert len(err) == 3
+    assert all(line.startswith("warning: row 2 (power_p=2e-05)")
+               for line in err)
+    assert "): delta_a = auto missed omega_m" in err[0]
+    assert "): delta_c = auto missed omega_m" in err[1]
+    assert "): pump on, but 1 of 3 ports" in err[2]
     assert read_csv(tmp_path / "sweep_power.csv")["status"] == ["ok"] * 3
+
+
+def test_sweep_power_warns_on_missed_auto_detuning(tmp_path, capsys,
+                                                   monkeypatch):
+    # the 8 uW row, seeded from 7 uW, misses both auto detunings: stderr
+    # warns for that row only, and the CSV is the one written without
+    # the check
+    argv = ["--set", "sweep_powers=7uW, 8uW", "sweep-power"]
+    assert main(["--out", str(tmp_path / "checked"), *argv]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[:2] for line in err] == [
+        ["warning", " row 1 (power_p=8e-06)"]] * 2
+    assert "delta_a = auto missed omega_m" in err[0]
+    assert "delta_c = auto missed omega_m" in err[1]
+    monkeypatch.setattr(analysis_module, "_note_missed_pins",
+                        lambda params, state, *pins: state)
+    assert main(["--out", str(tmp_path / "unchecked"), *argv]) == 0
+    assert capsys.readouterr().err == ""
+    assert ((tmp_path / "checked" / "sweep_power.csv").read_bytes()
+            == (tmp_path / "unchecked" / "sweep_power.csv").read_bytes())
+
+
+def test_sweep_power_pins_only_its_rows(tmp_path, capsys):
+    # power_p is not a row: pinning delta_a alone at 8 uW fails, but the
+    # sweep pins only at 0 and 300 nW
+    argv = ["--set", "delta_c=2pi*10.56MHz", "--set", "power_p=8uW",
+            "--set", "sweep_powers=0, 300nW"]
+    assert main(["--out", str(tmp_path), *argv, "route"]) == 1
+    assert "detuning pinning did not converge" in capsys.readouterr().err
+    assert main(["--out", str(tmp_path), *argv, "sweep-power"]) == 0
+    assert capsys.readouterr().err == ""
+    cols = read_csv(tmp_path / "sweep_power.csv")
+    assert cols["status"] == ["ok", "ok"]
+    assert cols["omega0[rad/s]"][0] == 0.0 < cols["omega0[rad/s]"][1]
 
 
 def test_resolved_config_written_next_to_outputs(tmp_path):

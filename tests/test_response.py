@@ -264,15 +264,6 @@ class TestScan:
         assert math.isfinite(result.r_refl[1])
         assert math.isfinite(result.s_thermal[0])
 
-    def test_rt_only_scan_has_no_zero_node_error(self, params_on, state_on):
-        # without a thermal column, omega = 0 is an ordinary node
-        wm = params_on.omega_m
-        result = response_module._scan(params_on, [-wm, 0.0, wm], "closed",
-                                       state_on, ("e1",))
-        assert result.errors == []
-        assert result.s_thermal is None and result.s_vacuum is None
-        assert np.all(np.isfinite(result.r_refl))
-
     @pytest.mark.parametrize("singular, nonfinite, expected", [
         ([0, 2], [3], [(0, "singular response denominator"),
                        (2, "singular response denominator"),

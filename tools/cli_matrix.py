@@ -17,6 +17,18 @@ RUNS.update({"steady": ([], ["steady"]), "spectrum": ([], ["spectrum"]),
              "sweep_list": (["--set", "sweep_powers=0, 300nW, 1uW, 1.5uW, "
                              "2uW, 2.5uW"], ["sweep-power"]),
              **{f: ([], ["figure", f]) for f in ("fig2", "fig3", "fig4")}})
+# one-sided pinning (the other detuning bare), the direct branch policy,
+# a sweep whose seeded row misses its auto detunings, and a sweep whose
+# unused power_p cannot be pinned
+BARE = "2pi*10.56MHz"
+RUNS.update({f"{cmd}_bare_{side}": (["--set", f"delta_{side}={BARE}"], [cmd])
+             for side in "ca" for cmd in ("route", "steady")})
+RUNS.update({"steady_direct": (["--set", "branch_policy=direct"], ["steady"]),
+             "sweep_7uW_8uW": (["--set", "sweep_powers=7uW, 8uW"],
+                               ["sweep-power"]),
+             "sweep_bare_c_8uW": (["--set", f"delta_c={BARE}", "--set",
+                                   "power_p=8uW", "--set",
+                                   "sweep_powers=0, 300nW"], ["sweep-power"])})
 
 
 def run(out, name, argv):

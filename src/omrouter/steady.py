@@ -9,16 +9,21 @@ the balance at samples placed by that quintic's roots, solves each bracket
 by false position started at the quintic's real root inside it, and selects
 the branch continuously connected to the undriven state via a power ramp.
 One batched eigenvalue call gives the quintic's roots at every power scale
-of the ramp; a plain loop then samples and solves one scale at a time.  The
-ramp tracks a branch rather than enumerating them: an intermediate stage
-solves only the brackets that can hold the root nearest the previous
-stage's, and only the full-power stage solves them all.
+of the ramp.  The ramp then scans every scale for its candidate roots
+(exact zeros and sign-change brackets) and solves a scale only where a
+later decision reads its root: an intermediate stage with one candidate,
+followed by another, is skipped, since both have the same single root
+whatever the track.  The ramp tracks a branch rather than enumerating
+them: an intermediate stage it solves gets only the brackets that can
+hold the root nearest the previous stage's, and only the full-power stage
+solves them all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -108,52 +113,63 @@ def force_balance(params: SystemParams, q, power_scale: float = 1.0):
 
     Vectorized over ``q``.  Zeros of this function are steady-state
     displacements.  ``power_scale`` multiplies both pump powers, which is
-    what the ramp-based branch tracking varies.
+    what the ramp-based branch tracking varies; a negative or non-finite
+    one raises :class:`InvalidParameterError`.
     """
+    _check_power_scale(power_scale)
     out = _balance(params, power_scale)[1](np.asarray(q, dtype=float))
     return float(out) if out.ndim == 0 else out
+
+
+def _check_power_scale(power_scale) -> None:
+    if not (math.isfinite(power_scale) and power_scale >= 0.0):
+        raise InvalidParameterError(
+            f"power_scale must be finite and >= 0, got {power_scale!r}")
 
 
 def _quintic_samples(params: SystemParams, coeffs):
     """Displacement samples whose sign changes bracket every root.
 
-    ``coeffs`` come from :func:`_balance` at a column of power scales.  The
-    balance times both Lorentzian denominators is a polynomial of degree
-    at most 5 in ``x = q/q_max``, where ``q_max`` bounds every root.  The
-    samples are ``x = +-1``, the midpoints between the real parts of its
-    roots and the real part of each complex pair, which separates a
-    near-double root's two sign changes.  A real root itself is not a
-    sample: as a bracket end within rounding of the true root, it would
-    stop the Newton polish short (docs/derivation_notes.md).  One
-    eigenvalue call takes the roots of every scale from the stacked
-    companion matrices.  The degree and any zero root do not depend on the
-    scale, so one trim of zero coefficients serves the whole stack.  Yields,
-    for each scale in turn, its ascending samples and its real roots, both
-    in ``q``.
+    ``coeffs`` are :func:`_balance`'s coefficients at each power scale in
+    turn, as floats.  The balance times both Lorentzian denominators is a
+    polynomial of degree at most 5 in ``x = q/q_max``, where ``q_max``
+    bounds every root.  The samples are ``x = +-1``, the midpoints between
+    the real parts of its roots and the real part of each complex pair,
+    which separates a near-double root's two sign changes.  A real root
+    itself is not a sample: as a bracket end within rounding of the true
+    root, it would stop the Newton polish short
+    (docs/derivation_notes.md).  Each scale's polynomial is formed in
+    scalar arithmetic; one eigenvalue call then takes the roots of every
+    scale from the stacked companion matrices.  The degree and any zero
+    root do not depend on the scale, so one trim of zero coefficients
+    serves the whole stack.  Yields, for each scale in turn, its ascending
+    samples and its real roots, both in ``q``.
     """
-    m_w2, num_opt, num_mw, k1sq, k2sq = coeffs
-    q_max = 1.1 * (num_opt / k1sq + num_mw / k2sq) / m_w2
-    s1, s2 = params.g1 * q_max, params.g2 * q_max
-    da, dc = params.delta_a, params.delta_c
-    a0, a1, a2 = s1 * s1, 2.0 * da * s1, k1sq + da**2
-    b0, b1, b2 = s2 * s2, -2.0 * dc * s2, k2sq + dc**2
-    mq = m_w2 * q_max
-    # x*D1*D2*m_w2*q_max + num_opt*D2 - num_mw*D1, highest power first
-    poly = np.concatenate((
-        mq * (a0 * b0),
-        mq * (a0 * b1 + a1 * b0),
-        mq * (a0 * b2 + a1 * b1 + a2 * b0),
-        mq * (a1 * b2 + a2 * b1) + (num_opt * b0 - num_mw * a0),
-        mq * (a2 * b2) + (num_opt * b1 - num_mw * a1),
-        num_opt * b2 - num_mw * a2), axis=1)
+    da, dc, g1, g2 = params.delta_a, params.delta_c, params.g1, params.g2
+    rows, q_maxes = [], []
+    for m_w2, num_opt, num_mw, k1sq, k2sq in coeffs:
+        q_max = 1.1 * (num_opt / k1sq + num_mw / k2sq) / m_w2
+        s1, s2 = g1 * q_max, g2 * q_max
+        a0, a1, a2 = s1 * s1, 2.0 * da * s1, k1sq + da**2
+        b0, b1, b2 = s2 * s2, -2.0 * dc * s2, k2sq + dc**2
+        mq = m_w2 * q_max
+        # x*D1*D2*m_w2*q_max + num_opt*D2 - num_mw*D1, highest power first
+        rows.append((mq * (a0 * b0),
+                     mq * (a0 * b1 + a1 * b0),
+                     mq * (a0 * b2 + a1 * b1 + a2 * b0),
+                     mq * (a1 * b2 + a2 * b1) + (num_opt * b0 - num_mw * a0),
+                     mq * (a2 * b2) + (num_opt * b1 - num_mw * a1),
+                     num_opt * b2 - num_mw * a2))
+        q_maxes.append(q_max)
+    poly = np.array(rows)
     used = np.nonzero(np.any(poly != 0.0, axis=0))[0]
     poly = poly[:, used[0]:used[-1] + 1]
-    rows, n = poly.shape[0], poly.shape[1] - 1
-    companion = np.zeros((rows, n, n))
+    n = poly.shape[1] - 1
+    companion = np.zeros((len(rows), n, n))
     companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
     companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
     zero_roots = [0j] * (5 - used[-1])
-    for scale_max, roots in zip(q_max[:, 0].tolist(),
+    for scale_max, roots in zip(q_maxes,
                                 np.linalg.eigvals(companion).tolist()):
         roots += zero_roots
         real = [min(max(z.real, -1.0), 1.0) for z in roots]
@@ -256,40 +272,70 @@ def _polish_root(balance_and_slope, q: float, lo: float, hi: float) -> float:
     return best_q
 
 
-def _stages(params: SystemParams, scales):
-    """Each power scale's balance in turn, as the ``stage`` argument of
-    :func:`_stage_roots`.
+def _stages(params: SystemParams, scales) -> list:
+    """Each power scale's balance, as the ``stage`` argument of
+    :func:`_scan` and :func:`_stage_roots`.
 
-    Yields ``None`` at every scale when the balance is undriven, which it
-    is at every scale or at no positive one.  Otherwise yields
-    ``(func, form, samples, real_roots)``: the scalar balance, its
-    amplitude form for the Newton polish, and the samples and real roots
-    that :func:`_quintic_samples` gives from its one eigenvalue call.
+    Holds ``None`` at every scale when the balance is undriven, which it
+    is at every scale or at no positive one.  Otherwise holds
+    ``(func, make_form, samples, real_roots)`` per scale: the scalar
+    balance, a factory of its amplitude form for the Newton polish (built
+    only for a stage that solves a bracket), and the samples and real
+    roots that :func:`_quintic_samples` gives from its one eigenvalue call.
     """
-    scales = np.asarray(scales, dtype=float)
     drives = drive_amplitudes(params)
-    coeffs = _balance(params, scales[:, None], drives)[0]
-    if not (np.any(coeffs[1]) or np.any(coeffs[2])):
-        yield from [None] * len(scales)
-        return
-    for scale, (samples, real_roots) in zip(scales.tolist(),
-                                            _quintic_samples(params, coeffs)):
-        yield (_balance(params, scale, drives)[1],
-               _amplitude_form(params, drives, scale), samples, real_roots)
+    scales = np.asarray(scales, dtype=float).tolist()
+    balances = [_balance(params, scale, drives) for scale in scales]
+    if not any(coeffs[1] or coeffs[2] for coeffs, _ in balances):
+        return [None] * len(scales)
+    quintic = _quintic_samples(params, [coeffs for coeffs, _ in balances])
+    return [(func, partial(_amplitude_form, params, drives, scale), samples,
+             real_roots)
+            for scale, (_, func), (samples, real_roots)
+            in zip(scales, balances, quintic)]
 
 
-def _stage_roots(stage, track: float | None = None) -> list[float]:
+def _scan(stage) -> tuple[list, list]:
+    """The candidate roots of one stage from :func:`_stages`.
+
+    Evaluates the samples in turn: a sample at which the balance is
+    exactly zero is a root, and every sign change between neighbouring
+    samples with a finite, nonzero balance is a bracket.  Returns
+    ``(found, brackets)``: ``found`` holds, in sample order, each
+    exact-zero root and a ``None`` in each bracket's place, and
+    ``brackets`` holds ``(at, lo, hi, f_lo, f_hi)`` per bracket, ``at`` its
+    place in ``found``.  An undriven balance has the single candidate 0.
+    Raises :class:`BracketingError` if there is no candidate at all.
+    """
+    if stage is None:
+        return [0.0], []
+    func, _, samples, _ = stage
+    found, brackets, lo, f_lo = [], [], None, None
+    for hi in samples:
+        f_hi = func(hi)
+        if f_hi == 0.0:
+            found.append(hi)
+        elif math.isfinite(f_hi):
+            if lo is not None and (f_hi < 0.0) != (f_lo < 0.0):
+                # the root takes the bracket's place in sample order
+                brackets.append((len(found), lo, hi, f_lo, f_hi))
+                found.append(None)
+            lo, f_lo = hi, f_hi
+    if not found:
+        raise BracketingError(
+            "no sign change found while bracketing the force balance")
+    return found, brackets
+
+
+def _stage_roots(stage, scan, track: float | None = None) -> list[float]:
     """The ascending real roots of the balance at one power scale.
 
-    ``stage`` comes from :func:`_stages`; an undriven balance has the
-    single root 0.  The samples are evaluated in turn: a sample at which
-    the balance is exactly zero is a root, and every sign change between
-    neighbouring samples with a finite, nonzero balance is a bracket.  A
-    bracket is solved by :func:`_false_position`, started at the
-    quintic's real root inside it if there is exactly one, and then
-    Newton-polished without leaving it.  Roots closer than the dedupe
-    tolerance ``_Q_ABS_TOL + 10*_Q_REL_TOL*|q|`` to the last one kept are
-    dropped.
+    ``stage`` comes from :func:`_stages` and ``scan`` is its
+    :func:`_scan`.  A bracket is solved by :func:`_false_position`,
+    started at the quintic's real root inside it if there is exactly one,
+    and then Newton-polished without leaving it.  Roots closer than the
+    dedupe tolerance ``_Q_ABS_TOL + 10*_Q_REL_TOL*|q|`` to the last one
+    kept are dropped.
 
     Without ``track`` every bracket is solved.  With ``track``, the root
     the power ramp kept at the previous scale, the brackets are solved in
@@ -319,21 +365,10 @@ def _stage_roots(stage, track: float | None = None) -> list[float]:
     """
     if stage is None:
         return [0.0]
-    func, form, samples, real_roots = stage
-    found, brackets, lo, f_lo = [], [], None, None
-    for hi in samples:
-        f_hi = func(hi)
-        if f_hi == 0.0:
-            found.append(hi)
-        elif math.isfinite(f_hi):
-            if lo is not None and (f_hi < 0.0) != (f_lo < 0.0):
-                # the root takes the bracket's place in sample order
-                brackets.append((len(found), lo, hi, f_lo, f_hi))
-                found.append(None)
-            lo, f_lo = hi, f_hi
-    if not found:
-        raise BracketingError(
-            "no sign change found while bracketing the force balance")
+    func, make_form, samples, real_roots = stage
+    found, brackets = scan
+    found = found.copy()
+    form = make_form() if brackets else None
 
     def solve(at, lo, hi, f_lo, f_hi):
         inside = [q for q in real_roots if lo < q < hi]
@@ -377,11 +412,14 @@ def enumerate_branches(params: SystemParams,
     then Newton-polished without leaving it.  The full-power stage of
     :func:`solve_steady_state` runs the same per-scale code, so its
     ``branches`` are these roots bit for bit.
-    Raises :class:`BracketingError` if no sign change is seen, which is
-    impossible for the continuous balance, since it is negative at
-    ``-q_max`` and positive at ``+q_max``, and indicates a bug.
+    Raises :class:`InvalidParameterError` for a negative or non-finite
+    ``power_scale``, and :class:`BracketingError` if no sign change is
+    seen, which is impossible for the continuous balance, since it is
+    negative at ``-q_max`` and positive at ``+q_max``, and indicates a bug.
     """
-    return _stage_roots(next(_stages(params, [power_scale])))
+    _check_power_scale(power_scale)
+    stage = _stages(params, [power_scale])[0]
+    return _stage_roots(stage, _scan(stage))
 
 
 def _state_from_root(params: SystemParams, roots: list[float], index: int,
@@ -408,13 +446,18 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
     stages and at each stage the root nearest the previous selection is
     kept.  Passing ``q_seed`` tracks from the seed instead, over the single
     full-power stage, which is what sweep continuation uses.  One
-    eigenvalue call serves all stages.  An intermediate stage does not
-    return every root: it solves only the brackets that can hold the root
-    nearest the previous selection (see :func:`_stage_roots`), and that
-    root and its ambiguity flag are the ones all roots would give.  The
-    full-power stage solves every bracket through the same per-scale code
-    as :func:`enumerate_branches`, so the state carries, as ``branches``,
-    the full-power roots it was picked from, equal bit for bit to
+    eigenvalue call serves all stages, and every stage is scanned for its
+    candidate roots before any is solved.  An intermediate stage is solved
+    only if it or the next stage has two or more candidates: otherwise
+    both have one root whatever the track, and one root is never
+    ambiguous, so the skipped stage's root is read by no later decision.
+    A solved intermediate stage does not return every root: it solves
+    only the brackets that can hold the root nearest the previous
+    selection (see :func:`_stage_roots`), and that root and its ambiguity
+    flag are the ones all roots would give.  The full-power stage solves
+    every bracket through the same per-scale code as
+    :func:`enumerate_branches`, so the state carries, as ``branches``, the
+    full-power roots it was picked from, equal bit for bit to
     ``enumerate_branches(params)``.
 
     Raises :class:`ConvergenceError` if the fixed-point residual of the
@@ -429,10 +472,15 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
         prev, scales = q_seed, [1.0]
         where = ": two roots equidistant from seed"
     warnings: tuple[str, ...] = ()
-    last = len(scales) - 1
-    for i, (scale, stage) in enumerate(zip(scales, _stages(params, scales))):
+    stages = _stages(params, scales)
+    scans = [_scan(stage) for stage in stages]
+    last = len(scans) - 1
+    for i, (scale, stage, scan) in enumerate(zip(scales, stages, scans)):
+        if i < last and len(scan[0]) == 1 == len(scans[i + 1][0]):
+            # one root whatever the track, and so has the next stage
+            continue
         # an intermediate stage only needs the root nearest the last one
-        roots = _stage_roots(stage, None if i == last else prev)
+        roots = _stage_roots(stage, scan, None if i == last else prev)
         index, ambiguous = _nearest(roots, prev)
         prev = roots[index]
         if ambiguous:

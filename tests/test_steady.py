@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import omrouter.steady as steady_module
-from omrouter.errors import ConvergenceError
+from omrouter.errors import ConvergenceError, InvalidParameterError
 from omrouter.model import CONSTANTS, SystemParams, drive_amplitudes
 from omrouter.steady import (enumerate_branches, force_balance,
                              pin_effective_detunings, solve_steady_state,
@@ -81,6 +81,40 @@ def assert_roots_match(ours, theirs, rel=1e-12):
     assert len(ours) == len(theirs)
     for q, ref in zip(ours, theirs):
         assert abs(q - ref) <= rel * abs(ref)
+
+
+def ramp_reference(params, ramp_steps=11):
+    """The ramp with every root solved at every stage.
+
+    Returns each stage's roots, tracked root and ambiguity flag, and the
+    state that this chain of ``enumerate_branches`` and ``_nearest`` gives.
+    """
+    stages, prev, warnings = [], 0.0, ()
+    for scale in np.linspace(0.0, 1.0, ramp_steps)[1:]:
+        roots = enumerate_branches(params, scale)
+        index, ambiguous = steady_module._nearest(roots, prev)
+        prev = roots[index]
+        stages.append((roots, prev, ambiguous))
+        if ambiguous:
+            warnings += (f"branch tracking ambiguous at power scale "
+                         f"{scale:.2f}",)
+    return stages, steady_module._state_from_root(params, roots, index,
+                                                  warnings)
+
+
+def count_bracket_solves(params, monkeypatch):
+    """The ``_false_position`` calls of one ramped solve."""
+    calls = [0]
+    real_solve = steady_module._false_position
+
+    def counting(*args):
+        calls[0] += 1
+        return real_solve(*args)
+
+    monkeypatch.setattr(steady_module, "_false_position", counting)
+    solve_steady_state(params)
+    monkeypatch.undo()
+    return calls[0]
 
 
 # power scale of the default device's 3 -> 5 branch fold, located by
@@ -169,30 +203,79 @@ class TestRampEnumeration:
         ids=[*(f"criterion3-{k}" for k in range(8)),
              "g1=0", "g2=0", "power_l=0", "power_p=0"])
     def test_ramp_roots_equal_enumerate_branches(self, params, monkeypatch):
-        # an intermediate stage solves only the brackets that can hold the
-        # root nearest the previous one; at every scale the tracked root
-        # and its ambiguity flag are those that all the roots give
-        tracked = []
+        # the ramp solves an intermediate stage only where a later decision
+        # reads its root, and then only the brackets that can hold the root
+        # nearest the previous one; each solved stage tracks the root and
+        # ambiguity flag that all the roots give, and a skipped stage and
+        # the one after it each have a single root
+        stages, solved, tracked = [], [], []
+        real_stages = steady_module._stages
+        real_stage_roots = steady_module._stage_roots
         real_nearest = steady_module._nearest
+
+        def listing(params, scales):
+            stages[:] = real_stages(params, scales)
+            return stages
+
+        def solving(stage, *args):
+            solved.append(next(k for k, s in enumerate(stages) if s is stage))
+            return real_stage_roots(stage, *args)
 
         def recording(roots, target):
             index, ambiguous = real_nearest(roots, target)
             tracked.append((roots[index].hex(), ambiguous))
             return index, ambiguous
 
+        monkeypatch.setattr(steady_module, "_stages", listing)
+        monkeypatch.setattr(steady_module, "_stage_roots", solving)
         monkeypatch.setattr(steady_module, "_nearest", recording)
         state = solve_steady_state(params, ramp_steps=11,
                                    residual_tol=math.inf)
         monkeypatch.undo()
-        expected, prev = [], 0.0
-        for scale in np.linspace(0.0, 1.0, 11)[1:]:
-            roots = enumerate_branches(params, scale)
-            index, ambiguous = steady_module._nearest(roots, prev)
-            prev = roots[index]
-            expected.append((prev.hex(), ambiguous))
-        assert tracked == expected
+        reference, expected = ramp_reference(params)
+        assert tracked == [(reference[k][1].hex(), reference[k][2])
+                           for k in solved]
+        assert solved[-1] == len(reference) - 1
+        for k in set(range(len(reference))) - set(solved):
+            assert len(reference[k][0]) == len(reference[k + 1][0]) == 1
         # the full-power stage still solves every bracket
-        assert [q.hex() for q in state.branches] == [q.hex() for q in roots]
+        assert ([q.hex() for q in state.branches]
+                == [q.hex() for q in expected.branches])
+        assert state.q_s.hex() == expected.q_s.hex()
+        assert state.branch_index == expected.branch_index
+        assert state.warnings == expected.warnings
+
+    @pytest.mark.parametrize("overrides, solves", [
+        (dict(power_p=0.0, power_l=1e-6), 1),
+        (dict(power_p=0.0, power_l=10e-6), 5)])
+    def test_single_candidate_stages_are_not_solved(self, params_on,
+                                                    monkeypatch, overrides,
+                                                    solves):
+        # the default device with the microwave pump off: at 1 uW every
+        # stage has one candidate root and only full power is solved; at
+        # 10 uW the stages up to 0.8 have one and the last two three, so
+        # 0.8 (the track of 0.9), one bracket at 0.9 and all 3 at 1.0 are
+        # solved
+        params = replace(params_on, **overrides)
+        counts = [len(steady_module._scan(stage)[0]) for stage in
+                  steady_module._stages(params, np.linspace(0.0, 1.0, 11)[1:])]
+        assert counts == ([1] * 10 if solves == 1 else [1] * 8 + [3, 3])
+        assert count_bracket_solves(params, monkeypatch) == solves
+
+    def test_single_candidate_draw_solves_once(self, monkeypatch):
+        params = criterion3_params(np.random.default_rng([20260810, 1]))
+        assert len(enumerate_branches(params)) == 1
+        assert count_bracket_solves(params, monkeypatch) == 1
+
+    @pytest.mark.parametrize("ramp_steps", [3, 11])
+    def test_skipped_stages_change_no_bit(self, ramp_steps):
+        rng = np.random.default_rng(20261019)
+        draws = [criterion3_params(rng) for _ in range(200)]
+        draws.append(criterion3_params(np.random.default_rng([0, 1882])))
+        for params in draws:
+            state = solve_steady_state(params, ramp_steps=ramp_steps,
+                                       residual_tol=math.inf)
+            assert repr(state) == repr(ramp_reference(params, ramp_steps)[1])
 
     @pytest.mark.parametrize("power_p, brackets", [(None, 14), (0.0, 12)])
     def test_one_bracket_per_intermediate_stage(self, params_on, monkeypatch,
@@ -315,6 +398,13 @@ class TestEnumerateBranches:
     def test_power_scale_reduces_to_no_drive(self):
         p = make_params()
         assert enumerate_branches(p, power_scale=0.0) == [0.0]
+
+    @pytest.mark.parametrize("power_scale", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_power_scale(self, params_on, power_scale):
+        with pytest.raises(InvalidParameterError, match="power_scale"):
+            enumerate_branches(params_on, power_scale)
+        with pytest.raises(InvalidParameterError, match="power_scale"):
+            force_balance(params_on, 0.0, power_scale)
 
 
 class TestSolveSteadyState:

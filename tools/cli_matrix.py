@@ -17,6 +17,13 @@ RUNS.update({"steady": ([], ["steady"]), "spectrum": ([], ["spectrum"]),
              "sweep_list": (["--set", "sweep_powers=0, 300nW, 1uW, 1.5uW, "
                              "2uW, 2.5uW"], ["sweep-power"]),
              **{f: ([], ["figure", f]) for f in ("fig2", "fig3", "fig4")}})
+# the microwave pump off at low optical power, where the ramp's stages
+# have one candidate root each (all of them at 1 uW, up to scale 0.8 at
+# 10 uW)
+RUNS.update({f"{cmd}_off_{p}": (["--set", "power_p=0", "--set",
+                                  f"power_l={p}"], [cmd])
+             for cmd, p in (("steady", "1uW"), ("route", "1uW"),
+                            ("steady", "10uW"))})
 # one-sided pinning (the other detuning bare), the direct branch policy,
 # a sweep whose seeded row misses its auto detunings, and a sweep whose
 # unused power_p cannot be pinned

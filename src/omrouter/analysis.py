@@ -4,13 +4,13 @@ Turns reflection/transmission scans into the quantities one would quote for
 the device: dip and peak locations, the splitting of the transparency window
 when the microwave pump is on, a port-by-port routing report, power sweeps,
 and a calibration routine for the two couplings.  :func:`routing_report`
-evaluates R and T once over a window sized from the solved state, finds
-the T dips and peaks and the R peaks in one search, and measures both the
-ports and the window splitting from them; :func:`window_splitting` reads
-that splitting off the report.  Routing reads only reflection and
-transmission, so its window, re-scans and port spectra form only those
-two columns, as plain arrays; :func:`find_extrema` searches one column of
-a full :class:`~omrouter.response.ScanResult`.
+scans no grid: it finds the stationary points of T and R on the closed
+form's polynomials (one eigenvalue call seeds them, and a bracketed solve
+on the factored closed form certifies each one it needs), and measures
+both the ports and the window splitting from them;
+:func:`window_splitting` reads that splitting off the report.  The port
+spectra form only R and T, in one kernel call; :func:`find_extrema`
+searches one column of a full :class:`~omrouter.response.ScanResult`.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import AnalysisError, CalibrationError, InvalidParameterError, RouterError
 from .model import CONSTANTS, SystemParams
-from .response import ScanResult, _node_spectra, _row_spectra, transmission
-from .steady import (SteadyState, _note_missed_pins, pin_effective_detunings,
-                     solve_steady_state)
+from .response import ScanResult, _node_spectra, transmission
+from .steady import (SteadyState, _false_position, _note_missed_pins,
+                     pin_effective_detunings, solve_steady_state)
 
 __all__ = [
     "Extremum",
@@ -41,13 +41,10 @@ __all__ = [
     "calibrate_couplings",
 ]
 
-DEFAULT_WINDOW_FRAC = 0.30
-DEFAULT_WINDOW_POINTS = 4001
 DEFAULT_R_REFLECT_MIN = 0.99
 DEFAULT_T_TRANSMIT_MIN = 0.95
 DEFAULT_T_BLOCKED_MAX = 0.01
 
-_REFINE_POINTS = 401  # nodes of the narrow re-scan around a coarse maximum
 _BISECT_REL_TOL = 1e-3
 _BISECT_MAX_ITER = 80
 
@@ -71,22 +68,18 @@ class ExtremaList:
 
 
 def _row_extrema(x, y):
-    """Strict local extrema along the last axis of ``y`` on nodes ``x``
-    (same shape, one row or a 2-D batch of rows), parabola-refined.
+    """Strict local extrema of ``y`` on nodes ``x`` (1-D arrays of one
+    size), parabola-refined.
 
-    Returns flat arrays over the extrema, ordered by row and then by
-    omega: ``(row, is_min, omega, value, refined)``.  The rows are
-    searched as one flat array, minus the triples that span two rows.
+    Returns arrays over the extrema, by omega:
+    ``(is_min, omega, value, refined)``.
     """
-    n = y.shape[-1]
-    x, y = x.ravel(), y.ravel()
     ok = np.isfinite(y)
     y0, y1, y2 = y[:-2], y[1:-1], y[2:]
     finite = ok[:-2] & ok[1:-1] & ok[2:]
     is_min = finite & (y1 < y0) & (y1 < y2)
     is_max = finite & (y1 > y0) & (y1 > y2)
     i = np.flatnonzero(is_min | is_max)
-    i = i[i % n < n - 2]
 
     x0, x1, x2 = x[i], x[i + 1], x[i + 2]
     y0, y1, y2 = y[i], y[i + 1], y[i + 2]
@@ -97,8 +90,8 @@ def _row_extrema(x, y):
         xv = 0.5 * (x0 + x1) - d1 / (2.0 * curv)
         yv = y0 + d1 * (xv - x0) + curv * (xv - x0) * (xv - x1)
     refined = (curv != 0.0) & np.isfinite(curv) & (x0 <= xv) & (xv <= x2)
-    return (i // n, is_min[i], np.where(refined, xv, x1),
-            np.where(refined, yv, y1), refined)
+    return (is_min[i], np.where(refined, xv, x1), np.where(refined, yv, y1),
+            refined)
 
 
 def find_extrema(points: ScanResult, column: str) -> ExtremaList:
@@ -117,7 +110,7 @@ def find_extrema(points: ScanResult, column: str) -> ExtremaList:
     if not np.all(np.diff(x) > 0.0):
         raise InvalidParameterError("omega values must be strictly increasing")
 
-    _, is_min, omega, value, refined = _row_extrema(x, y)
+    is_min, omega, value, refined = _row_extrema(x, y)
     entries = [Extremum(w, v, r) for w, v, r in
                zip(omega.tolist(), value.tolist(), refined.tolist())]
     kinds = is_min.tolist()
@@ -125,46 +118,117 @@ def find_extrema(points: ScanResult, column: str) -> ExtremaList:
                        tuple(e for e, m in zip(entries, kinds) if not m))
 
 
-def _window(params: SystemParams, state: SteadyState) -> np.ndarray:
-    """The frequency grid (rad/s) of :func:`routing_report`'s window, at
-    most just under ``+-omega_m`` wide (``docs/derivation_notes.md``,
-    "Analysis window")."""
+def _port_factors(params: SystemParams, state: SteadyState):
+    """``response._intermediates`` in ``y = omega/omega_m - 1``, frequencies
+    scaled by ``omega_m``: with ``a1 = y + al1``, ``b1 = be1 - y``,
+    ``a2 = y + al2``, ``b2 = be2 - y`` and ``n = y*(y + 2 + ig) + ig``,
+    ``z = sqrt(2*kappa1)*e1 = -i*k1*num/den`` for
+    ``num = ca*a2*b2 + cc*a1 + n*a1*a2*b2`` and
+    ``den = pa*a2*b2 + cc*a1*b1 + n*b1*a1*a2*b2``."""
     wm = params.omega_m
-    coupling = params.g2 * math.sqrt(
-        CONSTANTS.hbar / (2.0 * params.mass * wm)) * abs(state.c_s)
-    lower = 1.0 - 2.0 * coupling / wm
-    need = (1.0 - math.sqrt(lower) + 2.0 * params.kappa1 / wm
-            if lower > 0.0 else 1.0)
-    frac, n_points = DEFAULT_WINDOW_FRAC, DEFAULT_WINDOW_POINTS
-    if need > DEFAULT_WINDOW_FRAC:
-        step = 2.0 * DEFAULT_WINDOW_FRAC / (DEFAULT_WINDOW_POINTS - 1)
-        half = min(math.ceil(need / step), math.ceil(1.0 / step) - 1)
-        frac, n_points = half * step, 2 * half + 1
-    return wm * np.linspace(1.0 - frac, 1.0 + frac, n_points)
+    d1, d2 = state.delta1 / wm, state.delta2 / wm
+    k1, k2 = 2.0 * params.kappa1 / wm, 2.0 * params.kappa2 / wm
+    scale = CONSTANTS.hbar / (params.mass * wm**3)
+    ca = scale * abs(state.a_s) ** 2 * params.g1**2
+    cc = 2.0 * scale * abs(state.c_s) ** 2 * params.g2**2 * d2
+    return (k1, ca, cc, 2.0 * ca * d1, 1.0 + d1 + 1j * k1,
+            d1 - 1.0 - 1j * k1, 1.0 + d2 + 1j * k2, d2 - 1.0 - 1j * k2,
+            1j * params.gamma_m / wm)
 
 
-def _first_least(omega, key, default=None):
-    """The entry of ``omega`` with the least ``key``, the first by omega on
-    a tie (as :func:`min` picks), or ``default`` when ``omega`` is empty."""
-    return float(omega[np.argmin(key)]) if omega.size else default
+def _port_slopes(factors, y):
+    """``(dT, dR, T)`` at ``y`` (a float or an array) on the factored
+    closed form; ``dT`` and ``dR`` are dT/dy and dR/dy times
+    ``|den|**4/2``."""
+    k1, ca, cc, pa, al1, be1, al2, be2, ig = factors
+    a1, b1 = y + al1, be1 - y
+    n, dn = y * (y + (2.0 + ig)) + ig, 2.0 * y + (2.0 + ig)
+    p, dp = (y + al2) * (be2 - y), (be2 - al2) - 2.0 * y  # a2*b2
+    q, dq = a1 * p, p + a1 * dp
+    bq = b1 * q
+    num = ca * p + cc * a1 + n * q
+    den = pa * p + cc * a1 * b1 + n * bq
+    dnum = ca * dp + cc + dn * q + n * dq
+    dden = pa * dp + cc * (b1 - a1) + dn * bq + n * (b1 * dq - q)
+    z = -1j * k1 * num
+    cw = den.conjugate() * (-1j * k1) * (dnum * den - num * dden)
+    return ((z.conjugate() * cw).real, ((z - den).conjugate() * cw).real,
+            abs(z) ** 2 / abs(den) ** 2)
 
 
-def _refine_maxima(params, state, column, guesses, half_width, method):
-    """Re-sample a narrow window around each coarse maximum and re-refine.
+def _port_polynomials(factors):
+    """``N`` (degree 5) and ``D`` (degree 6), highest power first, with
+    ``z = N(y)/D(y)`` (:func:`_port_factors`)."""
+    k1, ca, cc, pa, al1, be1, al2, be2, ig = factors
+    a1, b1 = np.array([1.0, al1]), np.array([-1.0, be1])
+    p = np.convolve([1.0, al2], [-1.0, be2])
+    nq = np.convolve([1.0, 2.0 + ig, ig], np.convolve(a1, p))
+    num = nq.copy()
+    num[3:] += ca * p
+    num[4:] += cc * a1
+    den = np.convolve(b1, nq)
+    den[4:] += pa * p + cc * np.convolve(a1, b1)
+    return -1j * k1 * num, den
 
-    All windows are rows of one kernel call.  Returns, per guess, the
-    refined maximum of ``column`` nearest to it, or the guess itself when
-    its window shows no maximum.
+
+def _stationary_roots(factors):
+    """The roots, in y, of ``Re(conj(N)*conj(D)*W)`` (T stationary) and of
+    ``Re(conj(N - D)*conj(D)*W)`` (R stationary), ``W = N'*D - N*D'``, from
+    one eigenvalue call on their stacked degree-21 companion matrices
+    (``docs/derivation_notes.md``, "Ports at stationary points")."""
+    num, den = _port_polynomials(factors)
+    w = (np.convolve(num[:-1] * np.arange(5.0, 0.0, -1.0), den)
+         - np.convolve(num, den[:-1] * np.arange(6.0, 0.0, -1.0)))
+    cdw = np.convolve(den.conjugate(), w)
+    diff = -den
+    diff[1:] += num
+    rows = np.stack([np.convolve(num.conjugate(), cdw).real,
+                     np.convolve(diff.conjugate(), cdw).real[1:]])
+    companion = np.zeros((2, 21, 21))
+    companion[:, 0, :] = -rows[:, 1:] / rows[:, :1]
+    companion[:, np.arange(1, 21), np.arange(20)] = 1.0
+    return np.linalg.eigvals(companion).tolist()
+
+
+def _stationary_points(params: SystemParams, state: SteadyState):
+    """The T minima, T maxima and R maxima at ``omega >= 0``, each a list
+    of ``(T, omega)`` by omega (rad/s).
+
+    The roots of :func:`_stationary_roots` only seed them.  The samples
+    are ``omega = 0``, the midpoints between the real parts of
+    neighbouring roots, the real part of each complex root and
+    ``omega_m`` above the highest root; each sign change of the slope
+    (:func:`_port_slopes`) between neighbouring samples is solved by
+    :func:`steady._false_position`, started at the one real root inside.
     """
-    rows = np.stack([np.linspace(guess - half_width, guess + half_width,
-                                 _REFINE_POINTS) for guess in guesses])
-    y = _row_spectra(params, state, rows, method)[column]
-    row, is_min, omega, _, _ = _row_extrema(rows, y)
-    refined = []
-    for k, guess in enumerate(guesses):
-        maxima = omega[(row == k) & ~is_min]
-        refined.append(_first_least(maxima, np.abs(maxima - guess), guess))
-    return refined
+    wm = params.omega_m
+    factors = _port_factors(params, state)
+    nodes, seeds = [], []
+    for roots in _stationary_roots(factors):
+        parts = sorted(z.real for z in roots)
+        samples = ([0.5 * (a + b) for a, b in zip(parts, parts[1:])]
+                   + [z.real for z in roots if z.imag != 0.0]
+                   + [parts[-1] + 1.0])
+        nodes.append([0.0] + sorted(wm * (1.0 + x) for x in samples
+                                    if x > -1.0))
+        seeds.append([wm * (1.0 + z.real) for z in roots if z.imag == 0.0])
+    split = len(nodes[0])
+    d_t, d_r, _ = _port_slopes(factors,
+                               np.array(nodes[0] + nodes[1]) / wm - 1.0)
+    points = ([], [], [])
+    for k, slopes in enumerate((d_t[:split].tolist(), d_r[split:].tolist())):
+        for lo, hi, f_lo, f_hi in zip(nodes[k], nodes[k][1:], slopes,
+                                      slopes[1:]):
+            if (f_lo < 0.0) == (f_hi < 0.0) or (k and f_lo < 0.0):
+                continue  # no sign change, or an R minimum
+            inside = [x for x in seeds[k] if lo < x < hi]
+            omega = _false_position(
+                lambda w, k=k: _port_slopes(factors, w / wm - 1.0)[k],
+                lo, hi, f_lo, f_hi,
+                inside[0] if len(inside) == 1 else math.nan)
+            points[k + (f_lo >= 0.0)].append(
+                (_port_slopes(factors, omega / wm - 1.0)[2], omega))
+    return points
 
 
 def window_splitting(params: SystemParams,
@@ -174,16 +238,16 @@ def window_splitting(params: SystemParams,
 
     The :func:`routing_report` measure ``omega0_window``: half the distance
     between the deepest transmission minima on either side of the
-    mechanical frequency in the report's window.  With the microwave pump
-    off only one minimum exists and the splitting is 0.
+    mechanical frequency.  With the microwave pump off only one minimum
+    exists and the splitting is 0.
 
-    Raises :class:`AnalysisError` when the window shows no minimum at all,
-    which signals parameters outside the transparency regime.
+    Raises :class:`AnalysisError` when transmission has no minimum at any
+    ``omega >= 0``, which signals parameters outside the transparency
+    regime.
     """
     omega0 = routing_report(params, state=state, method=method).omega0_window
     if omega0 is None:
-        raise AnalysisError(
-            "no transparency structure found in the scan window")
+        raise AnalysisError("no transmission dip at omega >= 0")
     return omega0
 
 
@@ -205,8 +269,8 @@ class RoutingReport:
     ``omega0`` is the splitting of the reflect ports (0 when the pump is
     off), ``center`` the symmetric point of the port pattern.
     ``omega0_window`` is half the distance between the two transmission
-    dips of the window (:func:`window_splitting`): 0.0 with one dip,
-    ``None`` when the window shows none.  ``degenerate`` marks reports
+    dips (:func:`window_splitting`): 0.0 with one dip, ``None`` when
+    there is none.  ``degenerate`` marks reports
     where no mechanical structure exists at all (e.g. zero optomechanical
     coupling) and only a bare transmit port is listed.  ``warnings`` holds
     one note when the pump is on but fewer than three ports were found.
@@ -231,29 +295,21 @@ def routing_report(params: SystemParams,
     Pump off: a single reflect port at the transparency dip.  Pump on: a
     transmit port at the transmission maximum near the mechanical frequency
     plus two reflect ports at the split reflection peaks, ``omega0`` apart
-    from their midpoint.  Port frequencies come from a coarse window
-    followed by a dense local re-scan at the relevant column.  The window
-    is ``+-DEFAULT_WINDOW_FRAC*omega_m`` on ``DEFAULT_WINDOW_POINTS``
-    nodes, widened at the same grid step when the microwave-mechanical
-    normal-mode splitting of ``state`` predicts the lower port outside it.
-    One search over the window's T and R rows finds the T dips and peaks
-    and the R peaks, as :func:`find_extrema` finds them in a
-    :func:`~omrouter.response.scan_spectrum` of the same grid; where two
-    extrema tie, the first by omega wins.  A reflect port's re-scan is
-    centred on the coarse reflection maximum nearest its transmission dip,
-    on the same side of ``omega_m`` (on the dip itself when that side
-    shows no reflection maximum), so the port sits on the reflection peak
-    far more accurately than the coarse grid step.
+    from their midpoint.  Every port is a stationary point of T or R at
+    ``omega >= 0`` (:func:`_stationary_points`; no grid): a split line is
+    the deepest T dip on one side of ``omega_m``, a reflect port the R
+    maximum nearest a split line, and the transmit port the highest T
+    maximum between the reflect ports (or ``omega_m``); the first by omega
+    wins a tie.  With no T dip at all the
+    report is degenerate: one transmit port at the highest T maximum.
 
-    A pumped report makes four kernel calls: the window, both
-    reflect-peak re-scans as one batch, the transmit re-scan, and the
-    spectra at all three ports.  Every node gets the same arithmetic as in
-    a scan of its own, so batching changes no bit of the report.  Raises
-    :class:`SingularPointError` naming the first singular port frequency.
-
-    A pumped report with fewer than three ports carries a warning naming
-    the window: the report then shows the pump-off pattern (one reflect
-    port, ``omega0`` = 0).
+    The ports are found on the closed form whatever ``method`` is, and
+    their R and T come from one kernel call by ``method``: a report makes
+    one eigenvalue call and one port-spectra call.  Raises
+    :class:`SingularPointError` naming the first singular port frequency,
+    and :class:`AnalysisError` if there is a T dip but no R maximum.  A
+    pumped report with fewer than three ports (no T dip on one side)
+    warns; it shows the pump-off pattern (one reflect port, ``omega0`` 0).
 
     Note the reflect-port midpoint sits slightly below the transmit port:
     position-type coupling pulls both hybrid modes down by about
@@ -264,24 +320,13 @@ def routing_report(params: SystemParams,
         state = solve_steady_state(params)
     pump_on = params.power_p > 0.0
     wm = params.omega_m
-    coarse_step = (2.0 * DEFAULT_WINDOW_FRAC * wm
-                   / (DEFAULT_WINDOW_POINTS - 1))
-    half = 4.0 * coarse_step
-
-    grid = _window(params, state)
-    window = _row_spectra(params, state, grid, method)
-    row, is_min, omega, value, _ = _row_extrema(
-        np.stack([grid, grid]),
-        np.stack([window["t_trans"], window["r_refl"]]))
-    dip, t_peak = (row == 0) & is_min, (row == 0) & ~is_min
-    r_peak = (row == 1) & ~is_min
-    below = omega < wm
-    # the deepest T dip on each side of omega_m
-    lo, hi = (_first_least(omega[dip & side], value[dip & side])
-              for side in (below, ~below))
-    omega0_window = 0.0 if dip.any() else None
-    if lo is not None and hi is not None:
-        omega0_window = 0.5 * (hi - lo)
+    t_min, t_max, r_max = _stationary_points(params, state)
+    # the deepest T dip on each side of omega_m; min() takes the first by
+    # omega on a tie, here and below
+    dips = [min(side)[1] for side in ([d for d in t_min if d[1] < wm],
+                                      [d for d in t_min if d[1] >= wm])
+            if side]
+    omega0_window = 0.5 * (dips[-1] - dips[0]) if dips else None
 
     def report(center, omega0, specs, degenerate=False):
         # specs: (label, omega, want_reflect) per port, evaluated together
@@ -294,44 +339,35 @@ def routing_report(params: SystemParams,
             for (label, w, want_reflect), s in zip(specs, spectra))
         warnings = ()
         if pump_on and len(ports) < 3:
-            frac = (grid[-1] - grid[0]) / (2.0 * wm)
-            warnings = (f"pump on, but {len(ports)} of 3 ports found in "
-                        f"the +-{frac:g} omega_m window; a split "
-                        f"line may lie outside it",)
+            sides = "either side" if degenerate else "one side"
+            warnings = (f"pump on, but {len(ports)} of 3 ports found: no "
+                        f"transmission dip on {sides} of omega_m",)
         return RoutingReport(pump_on=pump_on, center=float(center),
                              omega0=float(omega0), ports=ports,
                              degenerate=degenerate, warnings=warnings,
                              omega0_window=omega0_window)
 
-    if not dip.any():
-        omega_top = _first_least(omega[t_peak], -value[t_peak], wm)
+    def tallest(lo=0.0, hi=math.inf):
+        # the highest T maximum strictly between lo and hi, else omega_m
+        tops = [(-t, w) for t, w in t_max if lo < w < hi]
+        return min(tops)[1] if tops else wm
+
+    if not dips:
+        omega_top = tallest()
         return report(omega_top, 0.0, [("transmit", omega_top, False)],
                       degenerate=True)
-
-    def reflect_seed(dip_omega):
-        # from about 200 nW an R peak lies farther from its T dip than the
-        # re-scan reaches: start at the R peak nearest the dip, on its side
-        side = omega[r_peak & (below == (dip_omega < wm))]
-        return _first_least(side, np.abs(side - dip_omega), dip_omega)
-
-    if lo is None or hi is None:
-        (omega_port,) = _refine_maxima(
-            params, state, "r_refl", [reflect_seed(hi if lo is None else lo)],
-            half, method)
-        return report(omega_port, 0.0, [("reflect", omega_port, True)])
-
-    w_lo, w_hi = _refine_maxima(params, state, "r_refl",
-                                [reflect_seed(lo), reflect_seed(hi)], half,
-                                method)
-    omega0 = 0.5 * (w_hi - w_lo)
-
-    between = t_peak & (w_lo < omega) & (omega < w_hi)
-    guess_top = _first_least(omega[between], -value[between], wm)
-    (center,) = _refine_maxima(params, state, "t_trans", [guess_top], half,
-                               method)
-    return report(center, omega0, [("transmit", center, False),
-                                   ("reflect-lower", w_lo, True),
-                                   ("reflect-upper", w_hi, True)])
+    if not r_max:
+        raise AnalysisError("no reflection maximum at omega >= 0")
+    # a reflect port at the R maximum nearest each dip
+    reflect = [min((abs(w - dip), w) for _, w in r_max)[1] for dip in dips]
+    if len(reflect) == 1:
+        return report(reflect[0], 0.0, [("reflect", reflect[0], True)])
+    w_lo, w_hi = reflect
+    center = tallest(w_lo, w_hi)
+    return report(center, 0.5 * (w_hi - w_lo),
+                  [("transmit", center, False),
+                   ("reflect-lower", w_lo, True),
+                   ("reflect-upper", w_hi, True)])
 
 
 @dataclass(frozen=True)
@@ -373,7 +409,7 @@ def power_sweep(params: SystemParams, powers,
     displacement changes with power; the bare detunings of ``params`` on
     a pinned side are not used.  Each row carries its steady state's
     warnings, among them a pinned detuning that the seeded solve misses,
-    then its routing report's, and each report sizes its own window.
+    then its routing report's.
     """
     powers = [float(p) for p in powers]
     if any(p < 0.0 for p in powers):

@@ -18,16 +18,13 @@ path's coefficient arrays; :func:`scan_spectrum` returns all four as the
 array columns of a :class:`ScanResult`.  A kernel call forms only the
 coefficients its caller reads: R and T read ``e1`` alone, S_vacuum ``f1``
 and S_thermal ``v``.  So :func:`scan_spectrum` forms ``e1``, ``f1`` and
-``v``; the routing path (the analysis module's window, port refinement
-and port spectra, as plain R and T arrays) and the scalar reflection and
+``v``; the routing report's port spectra and the scalar reflection and
 transmission form ``e1`` alone; and the microwave coefficients
 ``e2``/``f2`` are formed only for :func:`coefficients` and
 :func:`closed_vs_oracle_deviation`.
-Leaving a coefficient out changes no bit of the others.  A kernel call may
-cover several grids at once (a 2-D grid, one row per window): every node is
+Leaving a coefficient out changes no bit of the others, and every node is
 evaluated by the same elementwise arithmetic, or the same 6x6 solve,
-whatever the size and shape of the call, so a node's spectra are identical
-bit for bit whether it is scanned alone, in a row or in a batch of rows.
+whatever the size and shape of the call.
 """
 
 from __future__ import annotations
@@ -340,22 +337,6 @@ def _masked_spectra(params: SystemParams, grid: np.ndarray, arrs, singular):
     if "s_thermal" in cols:
         cols["s_thermal"][zero] = np.nan
     return cols, zero, nonfinite
-
-
-def _row_spectra(params, state, rows, method) -> dict:
-    """Masked R and T columns on one grid or on every row of a 2-D grid,
-    from one kernel call.
-
-    Each row is checked as :func:`scan_spectrum` checks its grid and
-    masked with NaN at a singular node or a non-finite R or T; its
-    columns are bit for bit the ones that :func:`scan_spectrum` returns
-    for that row alone.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if not np.all(np.diff(rows, axis=-1) > 0.0):
-        raise InvalidParameterError("omega grid must be strictly increasing")
-    arrs, singular = _arrays(params, state, rows, method, _RT_COEFFS)
-    return _masked_spectra(params, rows, arrs, singular)[0]
 
 
 def _node_spectra(params, state, nodes, method,

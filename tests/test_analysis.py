@@ -1,7 +1,9 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -12,6 +14,7 @@ import omrouter.response as response_module
 from omrouter.analysis import (CalibrationTargets, calibrate_couplings,
                                find_extrema, power_sweep, routing_report,
                                window_splitting)
+from omrouter.model import CONSTANTS
 from omrouter.errors import (AnalysisError, CalibrationError,
                              InvalidParameterError, RouterError,
                              SingularPointError)
@@ -187,51 +190,124 @@ class TestFindExtrema:
 
 
 class TestWindowScan:
-    """The routing report's window and its one search of it."""
+    """The routing ports against a full scan of a window around them, and
+    against the ports that the former window search reported."""
 
     @pytest.mark.parametrize("method", ["closed", "oracle"])
     @pytest.mark.parametrize("power_p", [0.0, 300e-9, 2.5e-6])
-    def test_extrema_equal_full_scan(self, default_cfg, monkeypatch, method,
-                                     power_p):
-        # the report's search of its (T, R) window rows finds, bit for
-        # bit, what find_extrema finds in a full scan of the same grid
+    def test_extrema_equal_full_scan(self, default_cfg, method, power_p):
+        # each port lies within one grid step of the maximum that
+        # find_extrema finds nearest it in a full scan (R for a reflect
+        # port, T for the transmit port), and so do the deepest T dips
+        # behind omega0_window
         params = default_cfg.system_params(power_p=power_p)
         state = solve_steady_state(params)
-        real_extrema = analysis_module._row_extrema
-        searches = []
-
-        def spying(x, y):
-            result = real_extrema(x, y)
-            if y.shape[-1] != analysis_module._REFINE_POINTS:
-                searches.append(result)
-            return result
-
-        monkeypatch.setattr(analysis_module, "_row_extrema", spying)
-        routing_report(params, state=state, method=method)
-        ((row, is_min, omega, value, refined),) = searches
-
-        def entries(mask):
-            return [(w.hex(), v.hex(), r) for w, v, r in zip(
-                omega[mask].tolist(), value[mask].tolist(),
-                refined[mask].tolist())]
-
-        full = scan_spectrum(params, analysis_module._window(params, state),
+        report = routing_report(params, state=state, method=method)
+        wm = params.omega_m
+        full = scan_spectrum(params, wm * np.linspace(0.5, 1.5, 4001),
                              method=method, state=state)
-        for k, column in enumerate(("T", "R")):
-            expected = find_extrema(full, column)
-            for found, kind in ((expected.minima, is_min),
-                                (expected.maxima, ~is_min)):
-                assert entries((row == k) & kind) == [
-                    (e.omega.hex(), e.value.hex(), e.refined) for e in found]
+        step = 2.5e-4 * wm
+        for port in report.ports:
+            column = "R" if port.label.startswith("reflect") else "T"
+            nearest = min(abs(e.omega - port.omega)
+                          for e in find_extrema(full, column).maxima)
+            assert nearest < step
+        dips = find_extrema(full, "T").minima
+        lo, hi = (min(side, key=lambda e: e.value).omega if side else None
+                  for side in ([e for e in dips if e.omega < wm],
+                               [e for e in dips if e.omega >= wm]))
+        expected = 0.0 if lo is None or hi is None else 0.5 * (hi - lo)
+        assert abs(report.omega0_window - expected) < step
+
+    # the ports that the +-0.30 omega_m window and its 401-node re-scans
+    # reported, in omega_m, in report order
+    WINDOW_PORTS = {0.0: [0.9986450318210385],
+                    30e-9: [0.9999973573437149, 0.9672515941142846,
+                            1.0304150304301685],
+                    1.5e-6: [0.9999998146429141, 0.7467588126090061,
+                             1.199308686723596],
+                    1.6e-6: [0.9999998256646463, 0.7369894053165358,
+                             1.205296699646286]}
 
     @pytest.mark.parametrize("power_p", [0.0, 30e-9, 1.5e-6, 1.6e-6])
     def test_default_window_kept(self, default_cfg, power_p):
-        # below about 1.78 uW every port fits in +-0.30 omega_m, and the
-        # grid is the fixed one, bit for bit
+        # where every port fit in the former +-0.30 omega_m window, the
+        # stationary points keep those ports to within 1.5e-9 omega_m
         params = default_cfg.system_params(power_p=power_p)
-        window = analysis_module._window(params, solve_steady_state(params))
+        report = routing_report(params)
+        ports = [p.omega / params.omega_m for p in report.ports]
+        assert ports == pytest.approx(self.WINDOW_PORTS[power_p], abs=1.5e-9)
+
+
+class TestStationaryPoints:
+    """The closed form's polynomials, and each port against a 50-digit
+    evaluation of the response."""
+
+    @pytest.mark.parametrize("power_p", [0.0, 300e-9, 2.5e-6])
+    def test_polynomials_match_closed_form(self, default_cfg, power_p):
+        # N/D is the second, expanded form of z = sqrt(2*kappa1)*e1
+        params = default_cfg.system_params(power_p=power_p)
+        state = solve_steady_state(params)
         grid = params.omega_m * np.linspace(0.7, 1.3, 4001)
-        assert window.tobytes() == grid.tobytes()
+        arrs, _ = response_module._closed_arrays(params, state, grid,
+                                                 ("e1",))
+        z = math.sqrt(2.0 * params.kappa1) * arrs["e1"]
+        num, den = analysis_module._port_polynomials(
+            analysis_module._port_factors(params, state))
+        y = grid / params.omega_m - 1.0
+        ratio = np.polyval(num, y) / np.polyval(den, y)
+        assert np.max(np.abs(ratio - z) / np.abs(z)) < 1e-12
+
+    @pytest.mark.parametrize("power_p", [0.0, 300e-9, 2.5e-6, 7.4e-6])
+    def test_ports_are_sign_changes(self, default_cfg, power_p):
+        # at 50 digits, dR/domega falls through zero across each reflect
+        # port, dT/domega across the transmit port, and dT/domega rises
+        # through zero across each T dip
+        params = default_cfg.system_params(power_p=power_p)
+        state = solve_steady_state(params)
+        report = routing_report(params, state=state)
+        t_min = analysis_module._stationary_points(params, state)[0]
+        z = mp_response(params, state)
+
+        def slope(column, omega):
+            if column == "T":
+                return mpmath.diff(lambda w: abs(z(w)) ** 2, omega)
+            return mpmath.diff(lambda w: abs(z(w) - 1) ** 2, omega)
+
+        points = [("R" if p.label.startswith("reflect") else "T", p.omega,
+                   -1) for p in report.ports]
+        points += [("T", omega, 1) for _, omega in t_min]
+        assert len(points) == (1 if power_p == 0.0 else 3) + len(t_min)
+        with mpmath.workdps(50):
+            for column, omega, rise in points:
+                below, above = (slope(column, mpmath.mpf(omega) * (1 + s))
+                                for s in (-1e-11, 1e-11))
+                assert rise * below < 0 < rise * above
+
+
+def mp_response(params, state):
+    """``z = sqrt(2*kappa1)*e1`` of the closed form in ``mpmath``
+    arithmetic, straight from ``response._intermediates`` in SI units."""
+    f = mpmath.mpf
+    hbar = f(CONSTANTS.hbar)
+    d1, d2 = f(state.delta1), f(state.delta2)
+    k1, k2 = f(params.kappa1), f(params.kappa2)
+    g1, g2, mass = f(params.g1), f(params.g2), f(params.mass)
+    a_sq = abs(mpmath.mpc(state.a_s)) ** 2
+    c_sq = abs(mpmath.mpc(state.c_s)) ** 2
+
+    def z(w):
+        a1, b1 = d1 + w + 2j * k1, d1 - w - 2j * k1
+        a2, b2 = d2 + w + 2j * k2, d2 - w - 2j * k2
+        n = w**2 + 1j * w * f(params.gamma_m) - f(params.omega_m) ** 2
+        d = (2 * hbar * a_sq * g1**2 * d1 * a2 * b2
+             + 2 * hbar * c_sq * g2**2 * d2 * a1 * b1
+             + mass * n * a1 * b1 * a2 * b2)
+        num = (hbar * a_sq * g1**2 * a2 * b2
+               + 2 * hbar * c_sq * g2**2 * d2 * a1 + mass * n * a1 * a2 * b2)
+        return -2j * k1 * num / d
+
+    return z
 
 
 class TestWindowSplitting:
@@ -314,9 +390,9 @@ class TestRoutingReport:
 
     def test_one_kernel_call_per_port(self, params_on, state_on, params_off,
                                       state_off, monkeypatch):
-        # pump on: the window scan, both reflect-peak re-scans as one 2-row
-        # batch, the transmit re-scan, and one call for all three ports;
-        # pump off: the window scan, one re-scan and the one port
+        # pump on: one call for all three ports; pump off: one call for
+        # the one port.  Each forms e1 alone, the one coefficient R and T
+        # read
         real_arrays = response_module._arrays
         shapes = []
 
@@ -325,16 +401,45 @@ class TestRoutingReport:
             return real_arrays(params, state, omega, method, names)
 
         monkeypatch.setattr(response_module, "_arrays", counting)
-        # every call forms e1 alone, the one coefficient R and T read
-        window = ((analysis_module.DEFAULT_WINDOW_POINTS,), ("e1",))
-        refine = analysis_module._REFINE_POINTS
         report = routing_report(params_on, state=state_on)
         assert len(report.ports) == 3
-        assert shapes == [window, ((2, refine), ("e1",)),
-                          ((1, refine), ("e1",)), ((3,), ("e1",))]
+        assert shapes == [((3,), ("e1",))]
         shapes.clear()
         routing_report(params_off, state=state_off)
-        assert shapes == [window, ((1, refine), ("e1",)), ((1,), ("e1",))]
+        assert shapes == [((1,), ("e1",))]
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    @pytest.mark.parametrize("power_p", [0.0, 300e-9, 2.5e-6])
+    def test_ports_need_no_scan(self, default_cfg, monkeypatch, method,
+                                power_p):
+        # no kernel call on more than the 3 ports, one eigenvalue call,
+        # and a small traced peak: the report allocates no grid
+        params = default_cfg.system_params(power_p=power_p)
+        state = solve_steady_state(params)
+        real_arrays, real_eigvals = response_module._arrays, np.linalg.eigvals
+        sizes, eigvals = [], []
+
+        def counting(params, state, omega, method, names):
+            sizes.append(np.size(omega))
+            return real_arrays(params, state, omega, method, names)
+
+        def counting_eigvals(a):
+            eigvals.append(np.shape(a))
+            return real_eigvals(a)
+
+        monkeypatch.setattr(response_module, "_arrays", counting)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        first = routing_report(params, state=state, method=method)
+        assert len(sizes) == 1 and max(sizes) <= 3
+        assert eigvals == [(2, 21, 21)]
+        tracemalloc.start()
+        try:
+            again = routing_report(params, state=state, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first
+        assert peak < 64 * 1024
 
     def test_singular_port_raises(self, params_on, state_on, monkeypatch):
         ports = routing_report(params_on, state=state_on).ports
@@ -362,10 +467,9 @@ class TestRoutingReport:
             routing_report(params_on, state=state_on)
 
     def test_reflect_ports_sit_on_reflection_peaks(self, default_cfg):
-        # each reflect port is refined from the coarse R maximum beside
-        # its T dip, so R falls on both sides of it.  At 7.4 uW, near the
-        # instability, the lower R peak lies below the sized window and
-        # that port falls back to its T dip.
+        # each reflect port is the R maximum beside its T dip, so R falls
+        # on both sides of it, also at 7.4 uW, near the instability, where
+        # the lower R peak lies far below its T dip
         off_peak = []
         for power_p in np.linspace(0.0, 12e-6, 61).tolist():
             params = default_cfg.system_params(power_p=power_p)
@@ -392,14 +496,15 @@ class TestRoutingReport:
                                          port.omega + step], "closed"))
                 if not below < at > above:
                     off_peak.append((round(power_p * 1e9), port.label))
-        assert off_peak == [(7400, "reflect-lower")]
+        assert off_peak == []
 
     @pytest.mark.parametrize("power_p, warns", [
-        (0.0, False), (1.5e-6, False), (2.5e-6, False), (2e-5, True)])
+        (0.0, False), (1e-12, True), (1.5e-6, False), (2.5e-6, False),
+        (2e-5, False)])
     def test_collapsed_pumped_report_warns(self, default_cfg, power_p,
                                            warns):
-        # at 2.5 uW the window widens to hold the lower split line; at
-        # 20 uW the widened window still shows a single reflect port
+        # at 1 pW the split lines are one T dip, below omega_m; at 20 uW
+        # the upper split line is a T dip at 2.1 omega_m
         report = routing_report(default_cfg.system_params(power_p=power_p))
         assert report.pump_on == (power_p > 0.0)
         assert bool(report.warnings) == warns
@@ -409,95 +514,56 @@ class TestRoutingReport:
             assert "1 of 3 ports" in report.warnings[0]
 
 
-def _reference_refine(params, state, column, omega_guess, half_width,
-                      method):
-    """The serial re-scan that the batched refinement must reproduce."""
-    grid = np.linspace(omega_guess - half_width, omega_guess + half_width,
-                       analysis_module._REFINE_POINTS)
-    maxima = find_extrema(scan_spectrum(params, grid, method=method,
-                                        state=state), column).maxima
-    if not maxima:
-        return omega_guess
-    return min(maxima, key=lambda e: abs(e.omega - omega_guess)).omega
+def serial_report(params, state, report, method):
+    """Each port of ``report`` evaluated by its own single-node kernel
+    call, as ``[(label, omega, R, T, threshold_met), ...]``."""
+    rows = []
+    for port in report.ports:
+        (node,) = response_module._node_spectra(params, state, port.omega,
+                                                method)
+        met = (node["r_refl"] > 0.99 if port.label.startswith("reflect")
+               else node["t_trans"] > 0.95)
+        rows.append((port.label, port.omega.hex(), node["r_refl"].hex(),
+                     node["t_trans"].hex(), met))
+    return rows
 
 
-def reference_report(params, state, method="closed"):
-    """Port frequencies and spectra by the serial loop: one re-scan per
-    refined port and one single-node kernel call per port, as
-    ``(center, omega0, [(label, omega, R, T), ...])``."""
-    wm = params.omega_m
-    half = 4.0 * 2.0 * analysis_module.DEFAULT_WINDOW_FRAC * wm / (
-        analysis_module.DEFAULT_WINDOW_POINTS - 1)
-    scan = scan_spectrum(params, analysis_module._window(params, state),
-                         method=method, state=state)
-    extrema = find_extrema(scan, "T")
-    # the deepest T dip on each side of omega_m
-    count = len(extrema.minima)
-    lo, hi = (min(side, key=lambda e: e.value) if side else None
-              for side in ([e for e in extrema.minima if e.omega < wm],
-                           [e for e in extrema.minima if e.omega >= wm]))
-    r_peaks = find_extrema(scan, "R").maxima
-
-    def seed(dip):
-        # the coarse R maximum nearest the dip on its side of omega_m
-        side = [e.omega for e in r_peaks
-                if (e.omega < wm) == (dip.omega < wm)]
-        if not side:
-            return dip.omega
-        return min(side, key=lambda w: abs(w - dip.omega))
-
-    def port(label, omega):
-        node = response_module._node_spectra(params, state, omega, method)
-        return label, omega, node[0]["r_refl"], node[0]["t_trans"]
-
-    if count == 0:
-        peaks = extrema.maxima
-        top = max(peaks, key=lambda e: e.value).omega if peaks else wm
-        return top, 0.0, [port("transmit", top)]
-    if lo is None or hi is None:
-        dip = lo if lo is not None else hi
-        w = _reference_refine(params, state, "R", seed(dip), half, method)
-        return w, 0.0, [port("reflect", w)]
-    w_lo = _reference_refine(params, state, "R", seed(lo), half, method)
-    w_hi = _reference_refine(params, state, "R", seed(hi), half, method)
-    between = [e for e in extrema.maxima if w_lo < e.omega < w_hi]
-    guess = max(between, key=lambda e: e.value).omega if between else wm
-    center = _reference_refine(params, state, "T", guess, half, method)
-    return center, 0.5 * (w_hi - w_lo), [port("transmit", center),
-                                         port("reflect-lower", w_lo),
-                                         port("reflect-upper", w_hi)]
-
-
-def _hex(center, omega0, ports):
-    return (center.hex(), omega0.hex(),
-            [(label, w.hex(), r.hex(), t.hex()) for label, w, r, t in ports])
-
-
-def batched_report(params, state, method="closed"):
-    report = routing_report(params, state=state, method=method)
-    return report.center, report.omega0, [
-        (p.label, p.omega, p.r_value, p.t_value) for p in report.ports]
+def batched_report(report):
+    return [(p.label, p.omega.hex(), p.r_value.hex(), p.t_value.hex(),
+             p.threshold_met) for p in report.ports]
 
 
 class TestBatchedRefinement:
-    """The batched report against the serial per-port loop, bit for bit."""
+    """The port spectra of the one batched kernel call against one call
+    per port, bit for bit, and the port order."""
 
     @pytest.mark.parametrize("method", ["closed", "oracle"])
     def test_default_device_power_range(self, default_cfg, method):
+        # the ports are found on the closed form whatever the method, so
+        # the oracle report has the closed report's port frequencies
         for power_p in np.linspace(0.0, 1.6e-6, 30).tolist():
             params = default_cfg.system_params(power_p=power_p)
             state = solve_steady_state(params)
-            assert _hex(*batched_report(params, state, method)) == _hex(
-                *reference_report(params, state, method))
+            report = routing_report(params, state=state, method=method)
+            assert batched_report(report) == serial_report(
+                params, state, report, method)
+            closed = routing_report(params, state=state)
+            assert [p.omega for p in report.ports] == [
+                p.omega for p in closed.ports]
 
     def test_criterion_3_draws(self):
-        # criterion 3's 100 parameter sets; each of them gives a report
+        # criterion 3's 100 parameter sets; each of them gives a report,
+        # and a three-port report lists lower < transmit < upper
         rng = np.random.default_rng(20260810)
         for _ in range(100):
             params = criterion3_params(rng)
             state = solve_steady_state(params)
-            assert _hex(*batched_report(params, state)) == _hex(
-                *reference_report(params, state))
+            report = routing_report(params, state=state)
+            assert batched_report(report) == serial_report(
+                params, state, report, "closed")
+            if len(report.ports) == 3:
+                transmit, lower, upper = (p.omega for p in report.ports)
+                assert lower < transmit < upper
 
 
 class TestPowerSweep:
@@ -533,17 +599,19 @@ class TestPowerSweep:
             power_sweep(params_on, [1e-9, 1e-9])
 
     def test_rows_carry_report_warnings(self, params_on):
-        # at 20 uW the pinned report collapses and warns, after the two
-        # warnings of its state, which misses both pinned detunings
-        result = power_sweep(params_on, [1.5e-6, 2.5e-6, 2e-5],
+        # at 1 pW the pinned report collapses and warns; at 20 uW the
+        # state misses both pinned detunings, and the report finds three
+        # ports
+        result = power_sweep(params_on, [1e-12, 2.5e-6, 2e-5],
                              pin_optical=True, pin_microwave=True)
         assert result.errors == []
-        assert result.rows[0].warnings == result.rows[1].warnings == ()
-        assert len(result.rows[1].ports) == 3
-        missed_a, missed_c, collapsed = result.rows[2].warnings
+        (collapsed,) = result.rows[0].warnings
+        assert "1 of 3 ports" in collapsed
+        assert result.rows[1].warnings == ()
+        assert len(result.rows[1].ports) == len(result.rows[2].ports) == 3
+        missed_a, missed_c = result.rows[2].warnings
         assert missed_a.startswith("delta_a = auto missed omega_m")
         assert missed_c.startswith("delta_c = auto missed omega_m")
-        assert "1 of 3 ports" in collapsed
 
     def test_row_errors_recorded(self, params_on, monkeypatch):
         real_solve = analysis_module.solve_steady_state
@@ -617,16 +685,15 @@ class TestCalibration:
                                                      monkeypatch):
         # the depth-stage calibration visits 13 distinct (g1, g2) pairs;
         # the splitting and depth checks at one pair read one report, so
-        # they evaluate its window once
-        real_rows = analysis_module._row_spectra
+        # they search its stationary points once
+        real_points = analysis_module._stationary_points
         windows = []
 
-        def counting(params, state, rows, *args, **kwargs):
-            if np.shape(rows) == (analysis_module.DEFAULT_WINDOW_POINTS,):
-                windows.append((params.g1, params.g2))
-            return real_rows(params, state, rows, *args, **kwargs)
+        def counting(params, state):
+            windows.append((params.g1, params.g2))
+            return real_points(params, state)
 
-        monkeypatch.setattr(analysis_module, "_row_spectra", counting)
+        monkeypatch.setattr(analysis_module, "_stationary_points", counting)
         weak = replace(params_on, g1=0.3 * params_on.g1)
         calibrate_couplings(weak, g1_bracket=(weak.g1, params_on.g1),
                             g2_bracket=(weak.g2, 2.0 * weak.g2))

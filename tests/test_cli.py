@@ -9,9 +9,10 @@ import pytest
 
 import omrouter.analysis as analysis_module
 import omrouter.steady as steady_module
-from omrouter.analysis import routing_report, window_splitting
+from omrouter.analysis import find_extrema, window_splitting
 from omrouter.cli import _build_parser, _solve, main
 from omrouter.config import parse_config
+from omrouter.response import scan_spectrum
 
 TAU = 2.0 * math.pi
 
@@ -106,32 +107,6 @@ def test_route_pump_on_three_ports(tmp_path):
                                                      rel=0.02)
 
 
-def test_route_scans_window_once(tmp_path, monkeypatch):
-    # the routing report evaluates its window once and searches its T and
-    # R rows in one call: T for the dips and the window splitting, R for
-    # the seeds of the reflect ports; the narrow port refinements are
-    # 401-node rows
-    window_nodes = analysis_module.DEFAULT_WINDOW_POINTS
-    real_rows = analysis_module._row_spectra
-    real_extrema = analysis_module._row_extrema
-    shapes, searched = [], []
-
-    def counting(params, state, rows, *args, **kwargs):
-        shapes.append(np.shape(rows))
-        return real_rows(params, state, rows, *args, **kwargs)
-
-    def searching(x, y):
-        searched.append(np.shape(y))
-        return real_extrema(x, y)
-
-    monkeypatch.setattr(analysis_module, "_row_spectra", counting)
-    monkeypatch.setattr(analysis_module, "_row_extrema", searching)
-    assert main(["--out", str(tmp_path), "route"]) == 0
-    assert [s for s in shapes if s[-1] == window_nodes] == [(window_nodes,)]
-    assert [s for s in searched if s[-1] == window_nodes] == [
-        (2, window_nodes)]
-
-
 @pytest.mark.parametrize("power_p", ["0", "300nW", "2.5uW"])
 def test_route_splitting_is_window_splitting(tmp_path, power_p):
     assert main(["--out", str(tmp_path), "--set", f"power_p={power_p}",
@@ -143,13 +118,14 @@ def test_route_splitting_is_window_splitting(tmp_path, power_p):
         params, state=_solve(cfg, params))
 
 
-@pytest.mark.parametrize("power_p, warns", [("1.5e-06", False),
+@pytest.mark.parametrize("power_p, warns", [("1e-12", True),
+                                            ("1.5e-06", False),
                                             ("2.5e-06", False),
-                                            ("2e-05", True)])
+                                            ("2e-05", False)])
 def test_route_warns_on_collapsed_pumped_report(tmp_path, capsys, power_p,
                                                 warns):
     # the report itself is written unchanged; the warning goes to stderr.
-    # At 20 uW the widened window still shows a single reflect port.
+    # At 1 pW the split lines are a single T dip, so one reflect port.
     assert main(["--out", str(tmp_path), "--set", f"power_p={power_p}",
                  "route"]) == 0
     err = capsys.readouterr().err
@@ -174,13 +150,10 @@ def test_auto_detuning_miss_warns(tmp_path, capsys, power_p, warns):
 
 
 @pytest.mark.parametrize("power_p", ["2uW", "2.5uW", "3uW", "4uW", "5uW"])
-def test_route_three_ports_past_default_window(tmp_path, monkeypatch,
-                                               power_p):
-    # the lower split line lies outside +-0.30 omega_m; the widened window
-    # finds the ports a +-0.6 window with the same step finds (measured:
-    # within 2.1e-13 relative: the two grids' nodes differ in the last
-    # bit, and so do the coarse R maxima that centre the reflect-port
-    # re-scans)
+def test_route_three_ports_past_default_window(tmp_path, power_p):
+    # the lower split line lies outside +-0.30 omega_m; each port lies
+    # within one grid step of the maximum nearest it in a full scan of
+    # +-0.6 omega_m (R for a reflect port, T for the transmit port)
     assert main(["--out", str(tmp_path), "--set", f"power_p={power_p}",
                  "route"]) == 0
     payload = json.loads((tmp_path / "routing_report.json").read_text())
@@ -194,15 +167,28 @@ def test_route_three_ports_past_default_window(tmp_path, monkeypatch,
 
     cfg = parse_config(overrides=[f"power_p={power_p}"], env={})
     params = cfg.system_params()
-    state = _solve(cfg, params)
-    monkeypatch.setattr(
-        analysis_module, "_window",
-        lambda params, state: params.omega_m * np.linspace(0.4, 1.6, 8001))
-    reference = routing_report(params, state=state)
-    assert [p.label for p in reference.ports] == list(ports)
-    for port in reference.ports:
-        assert ports[port.label]["omega"] == pytest.approx(port.omega,
-                                                           rel=3e-13)
+    grid = params.omega_m * np.linspace(0.4, 1.6, 8001)
+    scan = scan_spectrum(params, grid, state=_solve(cfg, params))
+    for label, port in ports.items():
+        column = "R" if label.startswith("reflect") else "T"
+        nearest = min(abs(e.omega - port["omega"])
+                      for e in find_extrema(scan, column).maxima)
+        assert nearest < grid[1] - grid[0]
+
+
+def test_route_one_sided_pinning_three_ports(tmp_path, capsys):
+    # with delta_c bare, delta2 = 0.815 omega_m and the lower reflect
+    # peak sits at 0.494 omega_m, where R = 0.9992
+    assert main(["--out", str(tmp_path), "--set", "delta_c=2pi*10.56MHz",
+                 "--set", "power_p=2uW", "route"]) == 0
+    assert "warning" not in capsys.readouterr().err
+    payload = json.loads((tmp_path / "routing_report.json").read_text())
+    ports = {p["label"]: p for p in payload["ports"]}
+    assert list(ports) == ["transmit", "reflect-lower", "reflect-upper"]
+    omega_m = parse_config(env={}).omega_m
+    assert ports["reflect-lower"]["omega"] / omega_m == pytest.approx(
+        0.494, abs=1e-3)
+    assert all(p["threshold_met"] for p in payload["ports"])
 
 
 def test_readme_cli_examples_run(tmp_path, capsys):
@@ -318,17 +304,18 @@ def test_sweep_power_ordering(tmp_path):
 
 def test_sweep_power_warns_on_collapsed_rows(tmp_path, capsys):
     # the CSV is unchanged; the collapsed row's report warning goes to
-    # stderr, tagged with its row, after its state's two missed auto
-    # detunings
+    # stderr, tagged with its row, and so do the 20 uW state's two missed
+    # auto detunings
     assert main(["--out", str(tmp_path), "--set",
-                 "sweep_powers=1.5uW, 2.5uW, 20uW", "sweep-power"]) == 0
+                 "sweep_powers=1pW, 2.5uW, 20uW", "sweep-power"]) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3
+    assert err[0].startswith("warning: row 0 (power_p=1e-12)")
+    assert "): pump on, but 1 of 3 ports" in err[0]
     assert all(line.startswith("warning: row 2 (power_p=2e-05)")
-               for line in err)
-    assert "): delta_a = auto missed omega_m" in err[0]
-    assert "): delta_c = auto missed omega_m" in err[1]
-    assert "): pump on, but 1 of 3 ports" in err[2]
+               for line in err[1:])
+    assert "): delta_a = auto missed omega_m" in err[1]
+    assert "): delta_c = auto missed omega_m" in err[2]
     assert read_csv(tmp_path / "sweep_power.csv")["status"] == ["ok"] * 3
 
 

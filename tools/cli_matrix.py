@@ -8,7 +8,7 @@ import filecmp, os, subprocess, sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-POWERS = "0 30nW 300nW 1uW 1.5uW 1.6uW 2.5uW 5uW 8uW 20uW".split()
+POWERS = "0 30nW 300nW 1uW 1.5uW 1.6uW 2.5uW 5uW 7.4uW 8uW 20uW".split()
 RUNS = {f"route_{p}{tag}": ([*flag, "--set", f"power_p={p}"], ["route"])
         for p in POWERS for tag, flag in (("", []), ("_oracle", ["--oracle"]))}
 RUNS.update({"steady": ([], ["steady"]), "spectrum": ([], ["spectrum"]),
@@ -24,13 +24,16 @@ RUNS.update({f"{cmd}_off_{p}": (["--set", "power_p=0", "--set",
                                   f"power_l={p}"], [cmd])
              for cmd, p in (("steady", "1uW"), ("route", "1uW"),
                             ("steady", "10uW"))})
-# one-sided pinning (the other detuning bare), the direct branch policy,
-# a sweep whose seeded row misses its auto detunings, and a sweep whose
+# one-sided pinning (the other detuning bare, also at 2 uW, where the
+# lower reflect port sits at 0.494 omega_m), the direct branch policy, a
+# sweep whose seeded row misses its auto detunings, and a sweep whose
 # unused power_p cannot be pinned
 BARE = "2pi*10.56MHz"
 RUNS.update({f"{cmd}_bare_{side}": (["--set", f"delta_{side}={BARE}"], [cmd])
              for side in "ca" for cmd in ("route", "steady")})
 RUNS.update({"steady_direct": (["--set", "branch_policy=direct"], ["steady"]),
+             "route_bare_c_2uW": (["--set", f"delta_c={BARE}", "--set",
+                                   "power_p=2uW"], ["route"]),
              "sweep_7uW_8uW": (["--set", "sweep_powers=7uW, 8uW"],
                                ["sweep-power"]),
              "sweep_bare_c_8uW": (["--set", f"delta_c={BARE}", "--set",

@@ -521,8 +521,9 @@ def serial_report(params, state, report, method):
     for port in report.ports:
         (node,) = response_module._node_spectra(params, state, port.omega,
                                                 method)
-        met = (node["r_refl"] > 0.99 if port.label.startswith("reflect")
-               else node["t_trans"] > 0.95)
+        met = (node["r_refl"] > analysis_module.DEFAULT_R_REFLECT_MIN
+               if port.label.startswith("reflect")
+               else node["t_trans"] > analysis_module.DEFAULT_T_TRANSMIT_MIN)
         rows.append((port.label, port.omega.hex(), node["r_refl"].hex(),
                      node["t_trans"].hex(), met))
     return rows

@@ -308,8 +308,9 @@ def routing_report(params: SystemParams,
     one eigenvalue call and one port-spectra call.  Raises
     :class:`SingularPointError` naming the first singular port frequency,
     and :class:`AnalysisError` if there is a T dip but no R maximum.  A
-    pumped report with fewer than three ports (no T dip on one side)
-    warns; it shows the pump-off pattern (one reflect port, ``omega0`` 0).
+    pumped report with fewer than three ports (no T dip on one side, or
+    one R maximum nearest both dips) warns; it shows the pump-off pattern
+    (one reflect port, ``omega0`` 0).
 
     Note the reflect-port midpoint sits slightly below the transmit port:
     position-type coupling pulls both hybrid modes down by about
@@ -339,9 +340,8 @@ def routing_report(params: SystemParams,
             for (label, w, want_reflect), s in zip(specs, spectra))
         warnings = ()
         if pump_on and len(ports) < 3:
-            sides = "either side" if degenerate else "one side"
-            warnings = (f"pump on, but {len(ports)} of 3 ports found: no "
-                        f"transmission dip on {sides} of omega_m",)
+            warnings = (f"pump on, but {len(ports)} of 3 ports found: the "
+                        f"split lines are not resolved",)
         return RoutingReport(pump_on=pump_on, center=float(center),
                              omega0=float(omega0), ports=ports,
                              degenerate=degenerate, warnings=warnings,
@@ -358,8 +358,10 @@ def routing_report(params: SystemParams,
                       degenerate=True)
     if not r_max:
         raise AnalysisError("no reflection maximum at omega >= 0")
-    # a reflect port at the R maximum nearest each dip
-    reflect = [min((abs(w - dip), w) for _, w in r_max)[1] for dip in dips]
+    # a reflect port at the R maximum nearest each dip; two dips can
+    # share it
+    reflect = sorted({min((abs(w - dip), w) for _, w in r_max)[1]
+                      for dip in dips})
     if len(reflect) == 1:
         return report(reflect[0], 0.0, [("reflect", reflect[0], True)])
     w_lo, w_hi = reflect

@@ -513,6 +513,21 @@ class TestRoutingReport:
             assert report.omega0 == 0.0
             assert "1 of 3 ports" in report.warnings[0]
 
+    def test_dips_sharing_a_reflection_peak_give_one_port(self):
+        # a draw of criterion 3's distribution (detunings -0.63 and -2.37
+        # omega_m) has T dips at 0.63 and 1.17 omega_m and its only R
+        # maximum at 1.05 omega_m: one reflect port, and a warning
+        rng = np.random.default_rng(4242)
+        for _ in range(326):
+            params = criterion3_params(rng)
+        state = solve_steady_state(params)
+        t_min = analysis_module._stationary_points(params, state)[0]
+        assert [w < params.omega_m for _, w in t_min] == [True, False]
+        report = routing_report(params, state=state)
+        assert [p.label for p in report.ports] == ["reflect"]
+        assert report.omega0 == 0.0
+        assert "1 of 3 ports" in report.warnings[0]
+
 
 def serial_report(params, state, report, method):
     """Each port of ``report`` evaluated by its own single-node kernel

@@ -341,7 +341,7 @@ def routing_report(params: SystemParams,
         warnings = ()
         if pump_on and len(ports) < 3:
             warnings = (f"pump on, but {len(ports)} of 3 ports found: the "
-                        f"split lines are not resolved",)
+                        "split lines are not resolved",)
         return RoutingReport(pump_on=pump_on, center=float(center),
                              omega0=float(omega0), ports=ports,
                              degenerate=degenerate, warnings=warnings,

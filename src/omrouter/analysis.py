@@ -23,8 +23,9 @@ import numpy as np
 from .errors import AnalysisError, CalibrationError, InvalidParameterError, RouterError
 from .model import CONSTANTS, SystemParams
 from .response import ScanResult, _node_spectra, transmission
-from .steady import (SteadyState, _false_position, _note_missed_pins,
-                     pin_effective_detunings, solve_steady_state)
+from .steady import (SteadyState, _companion_roots, _false_position,
+                     _note_missed_pins, pin_effective_detunings,
+                     solve_steady_state)
 
 __all__ = [
     "Extremum",
@@ -182,12 +183,9 @@ def _stationary_roots(factors):
     cdw = np.convolve(den.conjugate(), w)
     diff = -den
     diff[1:] += num
-    rows = np.stack([np.convolve(num.conjugate(), cdw).real,
-                     np.convolve(diff.conjugate(), cdw).real[1:]])
-    companion = np.zeros((2, 21, 21))
-    companion[:, 0, :] = -rows[:, 1:] / rows[:, :1]
-    companion[:, np.arange(1, 21), np.arange(20)] = 1.0
-    return np.linalg.eigvals(companion).tolist()
+    return _companion_roots(np.stack([
+        np.convolve(num.conjugate(), cdw).real,
+        np.convolve(diff.conjugate(), cdw).real[1:]]))
 
 
 def _stationary_points(params: SystemParams, state: SteadyState):

@@ -163,14 +163,9 @@ def _quintic_samples(params: SystemParams, coeffs):
         q_maxes.append(q_max)
     poly = np.array(rows)
     used = np.nonzero(np.any(poly != 0.0, axis=0))[0]
-    poly = poly[:, used[0]:used[-1] + 1]
-    n = poly.shape[1] - 1
-    companion = np.zeros((len(rows), n, n))
-    companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
-    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
     zero_roots = [0j] * (5 - used[-1])
-    for scale_max, roots in zip(q_maxes,
-                                np.linalg.eigvals(companion).tolist()):
+    for scale_max, roots in zip(
+            q_maxes, _companion_roots(poly[:, used[0]:used[-1] + 1])):
         roots += zero_roots
         real = [min(max(z.real, -1.0), 1.0) for z in roots]
         seeds = sorted(real)
@@ -179,6 +174,17 @@ def _quintic_samples(params: SystemParams, coeffs):
                          + [-1.0, 1.0])
         yield ([scale_max * x for x in samples],
                [scale_max * z.real for z in roots if z.imag == 0.0])
+
+
+def _companion_roots(poly) -> list:
+    """The complex roots of each row of ``poly`` (highest power first, the
+    first coefficient nonzero), from one eigenvalue call on the stacked
+    companion matrices."""
+    n = poly.shape[1] - 1
+    companion = np.zeros((len(poly), n, n))
+    companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    return np.linalg.eigvals(companion).tolist()
 
 
 def _false_position(func, lo, hi, f_lo, f_hi, seed=math.nan):

@@ -68,33 +68,6 @@ class ExtremaList:
     maxima: tuple[Extremum, ...]
 
 
-def _row_extrema(x, y):
-    """Strict local extrema of ``y`` on nodes ``x`` (1-D arrays of one
-    size), parabola-refined.
-
-    Returns arrays over the extrema, by omega:
-    ``(is_min, omega, value, refined)``.
-    """
-    ok = np.isfinite(y)
-    y0, y1, y2 = y[:-2], y[1:-1], y[2:]
-    finite = ok[:-2] & ok[1:-1] & ok[2:]
-    is_min = finite & (y1 < y0) & (y1 < y2)
-    is_max = finite & (y1 > y0) & (y1 > y2)
-    i = np.flatnonzero(is_min | is_max)
-
-    x0, x1, x2 = x[i], x[i + 1], x[i + 2]
-    y0, y1, y2 = y[i], y[i + 1], y[i + 2]
-    with np.errstate(all="ignore"):
-        d1 = (y1 - y0) / (x1 - x0)
-        d2 = (y2 - y1) / (x2 - x1)
-        curv = (d2 - d1) / (x2 - x0)
-        xv = 0.5 * (x0 + x1) - d1 / (2.0 * curv)
-        yv = y0 + d1 * (xv - x0) + curv * (xv - x0) * (xv - x1)
-    refined = (curv != 0.0) & np.isfinite(curv) & (x0 <= xv) & (xv <= x2)
-    return (is_min[i], np.where(refined, xv, x1), np.where(refined, yv, y1),
-            refined)
-
-
 def find_extrema(points: ScanResult, column: str) -> ExtremaList:
     """Strict local extrema of one column, parabola-refined.
 
@@ -111,10 +84,25 @@ def find_extrema(points: ScanResult, column: str) -> ExtremaList:
     if not np.all(np.diff(x) > 0.0):
         raise InvalidParameterError("omega values must be strictly increasing")
 
-    is_min, omega, value, refined = _row_extrema(x, y)
+    ok = np.isfinite(y)
+    y0, y1, y2 = y[:-2], y[1:-1], y[2:]
+    finite = ok[:-2] & ok[1:-1] & ok[2:]
+    is_min = finite & (y1 < y0) & (y1 < y2)
+    i = np.flatnonzero(is_min | (finite & (y1 > y0) & (y1 > y2)))
+
+    x0, x1, x2 = x[i], x[i + 1], x[i + 2]
+    y0, y1, y2 = y[i], y[i + 1], y[i + 2]
+    with np.errstate(all="ignore"):
+        d1 = (y1 - y0) / (x1 - x0)
+        d2 = (y2 - y1) / (x2 - x1)
+        curv = (d2 - d1) / (x2 - x0)
+        xv = 0.5 * (x0 + x1) - d1 / (2.0 * curv)
+        yv = y0 + d1 * (xv - x0) + curv * (xv - x0) * (xv - x1)
+    refined = (curv != 0.0) & np.isfinite(curv) & (x0 <= xv) & (xv <= x2)
     entries = [Extremum(w, v, r) for w, v, r in
-               zip(omega.tolist(), value.tolist(), refined.tolist())]
-    kinds = is_min.tolist()
+               zip(np.where(refined, xv, x1).tolist(),
+                   np.where(refined, yv, y1).tolist(), refined.tolist())]
+    kinds = is_min[i].tolist()
     return ExtremaList(tuple(e for e, m in zip(entries, kinds) if m),
                        tuple(e for e, m in zip(entries, kinds) if not m))
 
@@ -270,8 +258,9 @@ class RoutingReport:
     dips (:func:`window_splitting`): 0.0 with one dip, ``None`` when
     there is none.  ``degenerate`` marks reports
     where no mechanical structure exists at all (e.g. zero optomechanical
-    coupling) and only a bare transmit port is listed.  ``warnings`` holds
-    one note when the pump is on but fewer than three ports were found.
+    coupling) and only a bare transmit port is listed.  ``warnings`` notes
+    a transmit port placed at ``omega_m`` for want of a T maximum, and a
+    pumped report with fewer than three ports.
     """
 
     pump_on: bool
@@ -297,9 +286,10 @@ def routing_report(params: SystemParams,
     ``omega >= 0`` (:func:`_stationary_points`; no grid): a split line is
     the deepest T dip on one side of ``omega_m``, a reflect port the R
     maximum nearest a split line, and the transmit port the highest T
-    maximum between the reflect ports (or ``omega_m``); the first by omega
-    wins a tie.  With no T dip at all the
-    report is degenerate: one transmit port at the highest T maximum.
+    maximum between the reflect ports; the first by omega wins a tie.
+    With no T dip at all the report is degenerate: one transmit port at
+    the highest T maximum.  With no T maximum where one is wanted, the
+    transmit port sits at ``omega_m`` and the report warns.
 
     The ports are found on the closed form whatever ``method`` is, and
     their R and T come from one kernel call by ``method``: a report makes
@@ -326,32 +316,37 @@ def routing_report(params: SystemParams,
                                       [d for d in t_min if d[1] >= wm])
             if side]
     omega0_window = 0.5 * (dips[-1] - dips[0]) if dips else None
+    notes = []  # the warnings of tallest()
 
     def report(center, omega0, specs, degenerate=False):
         # specs: (label, omega, want_reflect) per port, evaluated together
         spectra = _node_spectra(params, state, [w for _, w, _ in specs],
                                 method)
         ports = tuple(
-            Port(label, float(w), s["r_refl"], s["t_trans"],
-                 s["r_refl"] > r_reflect_min if want_reflect
-                 else s["t_trans"] > t_transmit_min)
-            for (label, w, want_reflect), s in zip(specs, spectra))
-        warnings = ()
+            Port(label, float(w), r, t,
+                 r > r_reflect_min if want_reflect else t > t_transmit_min)
+            for (label, w, want_reflect), r, t
+            in zip(specs, spectra["r_refl"].tolist(),
+                   spectra["t_trans"].tolist()))
+        warnings = tuple(notes)
         if pump_on and len(ports) < 3:
-            warnings = (f"pump on, but {len(ports)} of 3 ports found: the "
-                        "split lines are not resolved",)
+            warnings += (f"pump on, but {len(ports)} of 3 ports found: the "
+                         "split lines are not resolved",)
         return RoutingReport(pump_on=pump_on, center=float(center),
                              omega0=float(omega0), ports=ports,
                              degenerate=degenerate, warnings=warnings,
                              omega0_window=omega0_window)
 
-    def tallest(lo=0.0, hi=math.inf):
+    def tallest(where, lo=0.0, hi=math.inf):
         # the highest T maximum strictly between lo and hi, else omega_m
         tops = [(-t, w) for t, w in t_max if lo < w < hi]
+        if not tops:
+            notes.append(f"no transmission maximum {where}: transmit port "
+                         "placed at omega_m")
         return min(tops)[1] if tops else wm
 
     if not dips:
-        omega_top = tallest()
+        omega_top = tallest("at omega > 0")
         return report(omega_top, 0.0, [("transmit", omega_top, False)],
                       degenerate=True)
     if not r_max:
@@ -363,7 +358,7 @@ def routing_report(params: SystemParams,
     if len(reflect) == 1:
         return report(reflect[0], 0.0, [("reflect", reflect[0], True)])
     w_lo, w_hi = reflect
-    center = tallest(w_lo, w_hi)
+    center = tallest("between the reflect ports", w_lo, w_hi)
     return report(center, 0.5 * (w_hi - w_lo),
                   [("transmit", center, False),
                    ("reflect-lower", w_lo, True),

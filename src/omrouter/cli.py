@@ -247,12 +247,6 @@ def run_figure(figure_id: str, cfg: RunConfig) -> list[Path]:
     return written
 
 
-def _cmd_figure(cfg: RunConfig, figure_id: str) -> int:
-    for path in run_figure(figure_id, cfg):
-        print(f"wrote {path}")
-    return 0
-
-
 def _cmd_validate(cfg: RunConfig) -> int:
     _prepare_outdir(cfg)
     params = cfg.system_params()
@@ -313,19 +307,13 @@ def main(argv=None) -> int:
         overrides.append(f"output_dir={args.out}")
     try:
         cfg = parse_config(args.config, overrides)
-        if args.command == "steady":
-            return _cmd_steady(cfg)
-        if args.command == "spectrum":
-            return _cmd_spectrum(cfg)
-        if args.command == "route":
-            return _cmd_route(cfg)
-        if args.command == "sweep-power":
-            return _cmd_sweep_power(cfg)
         if args.command == "figure":
-            return _cmd_figure(cfg, args.figure_id)
-        if args.command == "validate":
-            return _cmd_validate(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+            for path in run_figure(args.figure_id, cfg):
+                print(f"wrote {path}")
+            return 0
+        return {"steady": _cmd_steady, "spectrum": _cmd_spectrum,
+                "route": _cmd_route, "sweep-power": _cmd_sweep_power,
+                "validate": _cmd_validate}[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -241,10 +241,8 @@ class RunConfig:
         params = self.base_params()
         if power_p is not None:
             params = replace(params, power_p=power_p)
-        if self.pin_optical or self.pin_microwave:
-            params = pin_effective_detunings(
-                params, self.pin_optical, self.pin_microwave)
-        return params
+        return pin_effective_detunings(params, self.pin_optical,
+                                       self.pin_microwave)
 
     def validate(self) -> None:
         if self.ramp_steps < 2:

@@ -339,11 +339,10 @@ def _masked_spectra(params: SystemParams, grid: np.ndarray, arrs, singular):
     return cols, zero, nonfinite
 
 
-def _node_spectra(params, state, nodes, method,
-                  names=_RT_COEFFS) -> list[dict]:
-    """The spectra that the coefficients ``names`` give (R and T by
-    default) at each frequency of ``nodes``, as floats, from one kernel
-    call.
+def _node_spectra(params, state, nodes, method, names=_RT_COEFFS) -> dict:
+    """The spectrum columns that the coefficients ``names`` give (R and T
+    by default) at the frequencies ``nodes``, as 1-D arrays, from one
+    kernel call.
 
     Raises :class:`SingularPointError` naming the first singular node.
     """
@@ -352,9 +351,7 @@ def _node_spectra(params, state, nodes, method,
     if bad.any():
         omega = float(grid[np.argmax(bad)])
         raise SingularPointError(f"response singular at omega={omega!r}")
-    cols = _spectra(params, grid, arrs)
-    return [{name: float(values[i]) for name, values in cols.items()}
-            for i in range(grid.size)]
+    return _spectra(params, grid, arrs)
 
 
 def _one_spectrum(params, state, omega, method, column):
@@ -362,7 +359,8 @@ def _one_spectrum(params, state, omega, method, column):
     a float for scalar input, else an array with NaN at singular nodes."""
     names = (_COLUMN_COEFF[column],)
     if np.ndim(omega) == 0:
-        return _node_spectra(params, state, omega, method, names)[0][column]
+        return float(_node_spectra(params, state, omega, method,
+                                   names)[column][0])
     grid = np.asarray(omega, dtype=float)
     arrs, bad = _arrays(params, state, grid, method, names)
     return np.where(bad, np.nan, _spectra(params, grid, arrs)[column])

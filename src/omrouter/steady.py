@@ -8,6 +8,7 @@ or 5 real solutions.  The solver brackets every branch by sign changes of
 the balance at samples placed by that quintic's roots, solves each bracket
 by false position started at the quintic's real root inside it, and selects
 the branch continuously connected to the undriven state via a power ramp.
+An ``auto`` detuning is pinned from the balance's own roots, with no solve.
 One batched eigenvalue call gives the quintic's roots at every power scale
 of the ramp.  The ramp then scans every scale for its candidate roots
 (exact zeros and sign-change brackets) and solves a scale only where a
@@ -49,9 +50,9 @@ _Q_REL_TOL = 1e-13
 _DEFAULT_RAMP_STEPS = 11
 _DEFAULT_RESIDUAL_TOL = 1e-10
 _EQUIDISTANT_TOL = 1e-15  # metres; branch-tracking ambiguity threshold
-# one-sided detuning pinning: tolerance relative to omega_m, and solve budget
+# a pinned effective detuning farther than this from omega_m (relative)
+# is reported as missed
 _PIN_TOL = 1e-9
-_PIN_MAX_ITER = 64
 
 
 @dataclass(frozen=True)
@@ -336,8 +337,8 @@ def _scan(stage) -> tuple[list, list]:
 def _stage_roots(stage, scan, track: float | None = None) -> list[float]:
     """The ascending real roots of the balance at one power scale.
 
-    ``stage`` comes from :func:`_stages` and ``scan`` is its
-    :func:`_scan`.  A bracket is solved by :func:`_false_position`,
+    ``stage`` comes from :func:`_stages` (or :func:`_pinned_root`), and
+    ``scan`` is its :func:`_scan`.  A bracket is solved by :func:`_false_position`,
     started at the quintic's real root inside it if there is exactly one,
     and then Newton-polished without leaving it.  Roots closer than the
     dedupe tolerance ``_Q_ABS_TOL + 10*_Q_REL_TOL*|q|`` to the last one
@@ -538,49 +539,67 @@ def steady_residual(params: SystemParams, state: SteadyState) -> float:
 def pin_effective_detunings(params: SystemParams, pin_optical: bool = True,
                             pin_microwave: bool = True) -> SystemParams:
     """Return params whose bare detunings put the *effective* detunings on
-    the mechanical frequency at the converged steady state.
+    the mechanical frequency, at the pinned root continued from zero power.
 
-    This realizes the usual operating condition in which each pump sits on
-    its lower mechanical sideband regardless of the static displacement the
-    drives themselves induce.  With both sides pinned the construction is
-    closed-form.  Pinning one side iterates the solve/update cycle until
-    the pinned effective detuning is within ``_PIN_TOL * omega_m`` of
-    ``omega_m``, and raises :class:`ConvergenceError` after
-    ``_PIN_MAX_ITER`` solves.
+    Each pinned pump then sits on its lower mechanical sideband whatever
+    static displacement the drives induce.  A pinned side's Lorentzian is
+    a constant, so with both sides pinned the balance is linear in ``q``,
+    and with one it is a cubic (:func:`_pinned_root`;
+    docs/derivation_notes.md, "Pinned operating point").  No steady state
+    is solved: where the ramped solve settles on another root,
+    :func:`_note_missed_pins` says so.
     """
     if not (pin_optical or pin_microwave):
         return params
     t = params.omega_m
-    hbar = CONSTANTS.hbar
-    m_w2 = params.mass * params.omega_m**2
-
     if pin_optical and pin_microwave:
+        hbar = CONSTANTS.hbar
+        m_w2 = params.mass * params.omega_m**2
         eps_l, eps_p = drive_amplitudes(params)
         a2 = eps_l**2 / ((2.0 * params.kappa1) ** 2 + t**2)
         c2 = eps_p**2 / ((2.0 * params.kappa2) ** 2 + t**2)
         q = (hbar * params.g2 * c2 - hbar * params.g1 * a2) / m_w2
-        return replace(params, delta_a=t - params.g1 * q,
-                       delta_c=t + params.g2 * q)
+    else:
+        q = _pinned_root(params, pin_optical)
+    return replace(
+        params, delta_a=t - params.g1 * q if pin_optical else params.delta_a,
+        delta_c=t + params.g2 * q if pin_microwave else params.delta_c)
 
-    current = replace(params,
-                      delta_a=t if pin_optical else params.delta_a,
-                      delta_c=t if pin_microwave else params.delta_c)
-    for _ in range(_PIN_MAX_ITER):
-        state = solve_steady_state(current)
-        err = 0.0
-        if pin_optical:
-            err = max(err, abs(state.delta1 - t))
-        if pin_microwave:
-            err = max(err, abs(state.delta2 - t))
-        if err <= _PIN_TOL * params.omega_m:
-            return current
-        current = replace(
-            current,
-            delta_a=(t - params.g1 * state.q_s) if pin_optical
-            else current.delta_a,
-            delta_c=(t + params.g2 * state.q_s) if pin_microwave
-            else current.delta_c)
-    raise ConvergenceError("detuning pinning did not converge")
+
+def _pinned_root(params: SystemParams, pin_optical: bool) -> float:
+    """The displacement that puts the optical (``pin_optical``) or else the
+    microwave effective detuning on ``omega_m``, the other side bare.
+
+    With that side's coupling zeroed and its detuning at ``omega_m``
+    (``fixed``), its Lorentzian is the pinned constant, and the quintic of
+    :func:`_quintic_samples` is the pinned cubic.  Its real root nearest
+    the last is followed over the default ramp's scales from ``q = 0``,
+    then solved at full power as a ramp stage is (:func:`_stage_roots`).
+    """
+    t = params.omega_m
+    fixed = (replace(params, delta_a=t, g1=0.0) if pin_optical
+             else replace(params, delta_c=t, g2=0.0))
+    coeffs = [_balance(params, scale)[0] for scale
+              in np.linspace(0.0, 1.0, _DEFAULT_RAMP_STEPS)[1:].tolist()]
+    m_w2, num_opt, num_mw, k1sq, k2sq = coeffs[-1]
+    if not (num_opt or num_mw):
+        return 0.0
+    da, dc, g1, g2 = fixed.delta_a, fixed.delta_c, fixed.g1, fixed.g2
+
+    def balance_and_slope(x):
+        d1, d2 = da + g1 * x, dc - g2 * x
+        den1, den2 = k1sq + d1 * d1, k2sq + d2 * d2
+        return (m_w2 * x - num_mw / den2 + num_opt / den1,
+                m_w2 - 2.0 * (g2 * num_mw * d2 / den2**2
+                              + g1 * num_opt * d1 / den1**2))
+
+    q = 0.0
+    for samples, real in _quintic_samples(fixed, coeffs):
+        q = real[_nearest(real, q)[0]]
+    stage = (lambda x: balance_and_slope(x)[0], lambda: balance_and_slope,
+             samples, real)
+    roots = _stage_roots(stage, _scan(stage), q)
+    return roots[_nearest(roots, q)[0]]
 
 
 def _note_missed_pins(params: SystemParams, state: SteadyState,

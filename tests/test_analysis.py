@@ -489,11 +489,9 @@ class TestRoutingReport:
                 if not port.label.startswith("reflect"):
                     continue
                 assert port.r_value > 0.99
-                below, at, above = (s["r_refl"] for s in
-                                    response_module._node_spectra(
-                                        params, state,
-                                        [port.omega - step, port.omega,
-                                         port.omega + step], "closed"))
+                below, at, above = response_module._node_spectra(
+                    params, state, [port.omega - step, port.omega,
+                                    port.omega + step], "closed")["r_refl"]
                 if not below < at > above:
                     off_peak.append((round(power_p * 1e9), port.label))
         assert off_peak == []
@@ -534,13 +532,13 @@ def serial_report(params, state, report, method):
     call, as ``[(label, omega, R, T, threshold_met), ...]``."""
     rows = []
     for port in report.ports:
-        (node,) = response_module._node_spectra(params, state, port.omega,
-                                                method)
-        met = (node["r_refl"] > analysis_module.DEFAULT_R_REFLECT_MIN
+        node = response_module._node_spectra(params, state, port.omega,
+                                             method)
+        r, t = float(node["r_refl"][0]), float(node["t_trans"][0])
+        met = (r > analysis_module.DEFAULT_R_REFLECT_MIN
                if port.label.startswith("reflect")
-               else node["t_trans"] > analysis_module.DEFAULT_T_TRANSMIT_MIN)
-        rows.append((port.label, port.omega.hex(), node["r_refl"].hex(),
-                     node["t_trans"].hex(), met))
+               else t > analysis_module.DEFAULT_T_TRANSMIT_MIN)
+        rows.append((port.label, port.omega.hex(), r.hex(), t.hex(), met))
     return rows
 
 
@@ -580,6 +578,31 @@ class TestBatchedRefinement:
             if len(report.ports) == 3:
                 transmit, lower, upper = (p.omega for p in report.ports)
                 assert lower < transmit < upper
+
+    def test_criterion_3_transmit_port_fallback_warns(self):
+        # 13 of the draws have no T maximum at omega > 0: each puts its
+        # transmit port at omega_m, where T is monotone, and says so
+        note = ("no transmission maximum at omega > 0: transmit port "
+                "placed at omega_m")
+        rng = np.random.default_rng(20260810)
+        warned = []
+        for k in range(100):
+            params = criterion3_params(rng)
+            state = solve_steady_state(params)
+            report = routing_report(params, state=state)
+            at_wm = [p.label for p in report.ports
+                     if p.omega == params.omega_m]
+            if note in report.warnings:
+                warned.append(k)
+                assert report.degenerate and at_wm == ["transmit"]
+                below, at, above = response_module._node_spectra(
+                    params, state,
+                    params.omega_m * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9]),
+                    "closed")["t_trans"]
+                assert below < at < above or below > at > above
+            else:
+                assert at_wm == []
+        assert len(warned) == 13
 
 
 class TestPowerSweep:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import omrouter.analysis as analysis_module
+import omrouter.config as config_module
 import omrouter.steady as steady_module
 from omrouter.analysis import find_extrema, window_splitting
 from omrouter.cli import _build_parser, _solve, main
@@ -339,18 +340,44 @@ def test_sweep_power_warns_on_missed_auto_detuning(tmp_path, capsys,
             == (tmp_path / "unchecked" / "sweep_power.csv").read_bytes())
 
 
-def test_sweep_power_pins_only_its_rows(tmp_path, capsys):
-    # power_p is not a row: pinning delta_a alone at 8 uW fails, but the
-    # sweep pins only at 0 and 300 nW
+def test_sweep_power_pins_only_its_rows(tmp_path, capsys, monkeypatch):
+    # power_p is not a row: the sweep pins at 0 and 300 nW only
+    pinned_at = []
+
+    def spy(pin):
+        def wrapped(params, *pins):
+            pinned_at.append(params.power_p)
+            return pin(params, *pins)
+        return wrapped
+
+    for module in (analysis_module, config_module):
+        monkeypatch.setattr(module, "pin_effective_detunings",
+                            spy(module.pin_effective_detunings))
     argv = ["--set", "delta_c=2pi*10.56MHz", "--set", "power_p=8uW",
             "--set", "sweep_powers=0, 300nW"]
-    assert main(["--out", str(tmp_path), *argv, "route"]) == 1
-    assert "detuning pinning did not converge" in capsys.readouterr().err
     assert main(["--out", str(tmp_path), *argv, "sweep-power"]) == 0
     assert capsys.readouterr().err == ""
+    assert pinned_at == [0.0, 3e-7]
     cols = read_csv(tmp_path / "sweep_power.csv")
     assert cols["status"] == ["ok", "ok"]
     assert cols["omega0[rad/s]"][0] == 0.0 < cols["omega0[rad/s]"][1]
+
+
+@pytest.mark.parametrize("bare, power_p, missed", [
+    ("delta_a", "2.5uW", None), ("delta_a", "3uW", None),
+    ("delta_c", "8uW", "delta_a")])
+def test_route_one_sided_pinning_from_the_cubic(tmp_path, capsys, bare,
+                                                power_p, missed):
+    # the pinned root exists at every power; the ramped solve lands on it
+    # with delta_a bare at 2.5 and 3 uW, and on another root with delta_c
+    # bare at 8 uW
+    assert main(["--out", str(tmp_path), "--set", f"{bare}=2pi*10.56MHz",
+                 "--set", f"power_p={power_p}", "route"]) == 0
+    err = capsys.readouterr().err
+    if missed is None:
+        assert "warning" not in err
+    else:
+        assert f"warning: {missed} = auto missed omega_m" in err
 
 
 def test_resolved_config_written_next_to_outputs(tmp_path):

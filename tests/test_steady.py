@@ -61,6 +61,36 @@ def reference_roots(params, power_scale=1.0):
                       if abs(r.imag) <= mp.mpf(10) ** -30 and abs(r.real) <= 1)
 
 
+def pinned_cubic_roots(params, pin_optical):
+    """Real roots of the one-sided pinned balance by 50-digit ``polyroots``.
+
+    The pinned side's Lorentzian is the constant at effective detuning
+    ``omega_m``; clearing the free side's denominator gives
+    ``(m_w2*q + F_pin)*(k^2 + (d + g*q)^2) + F_free``, a cubic in ``q``.
+    """
+    with mp.workdps(50):
+        hbar = mp.mpf(CONSTANTS.hbar)
+        eps_l, eps_p = (mp.mpf(e) for e in drive_amplitudes(params))
+        wm = mp.mpf(params.omega_m)
+        m_w2 = mp.mpf(params.mass) * wm**2
+        f_opt = hbar * params.g1 * eps_l**2
+        f_mw = hbar * params.g2 * eps_p**2
+        k1 = (2 * mp.mpf(params.kappa1)) ** 2
+        k2 = (2 * mp.mpf(params.kappa2)) ** 2
+        if pin_optical:
+            f_pin, f_free = f_opt / (k1 + wm**2), -f_mw
+            k, d, g = k2, mp.mpf(params.delta_c), -mp.mpf(params.g2)
+        else:
+            f_pin, f_free = -f_mw / (k2 + wm**2), f_opt
+            k, d, g = k1, mp.mpf(params.delta_a), mp.mpf(params.g1)
+        coeffs = [m_w2 * g**2, 2 * m_w2 * d * g + f_pin * g**2,
+                  m_w2 * (k + d**2) + 2 * f_pin * d * g,
+                  f_pin * (k + d**2) + f_free]
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
+        return sorted(float(r.real) for r in roots
+                      if abs(r.imag) <= mp.mpf(10) ** -40 * abs(r))
+
+
 def criterion3_params(rng):
     """One draw from acceptance criterion 3's parameter distribution."""
     wm = TAU * 10 ** rng.uniform(6.0, 7.5)
@@ -538,32 +568,80 @@ class TestPinning:
         assert st.delta1 == pytest.approx(wm, rel=1e-12)
         assert st.delta2 == pytest.approx(wm, rel=1e-12)
 
-    def test_single_side_iterative(self):
+    def test_single_side_lands_on_omega_m(self):
         base = make_params(delta_c=1.1 * TAU * 10.56e6)
         pinned = pin_effective_detunings(base, pin_optical=True,
                                          pin_microwave=False)
         st = solve_steady_state(pinned)
-        assert abs(st.delta1 - base.omega_m) <= 1e-9 * base.omega_m
+        assert abs(st.delta1 - base.omega_m) <= 1e-14 * base.omega_m
         assert pinned.delta_c == base.delta_c
 
-    def test_single_side_iterative_microwave(self):
+    def test_single_side_lands_on_omega_m_microwave(self):
         base = make_params(delta_a=1.1 * TAU * 10.56e6)
         pinned = pin_effective_detunings(base, pin_optical=False,
                                          pin_microwave=True)
         st = solve_steady_state(pinned)
-        assert abs(st.delta2 - base.omega_m) <= 1e-9 * base.omega_m
+        assert abs(st.delta2 - base.omega_m) <= 1e-14 * base.omega_m
         assert pinned.delta_a == base.delta_a
 
     @pytest.mark.parametrize("pin_optical", [True, False])
-    def test_single_side_budget_exhausted(self, monkeypatch, pin_optical):
-        # each side needs several solve/update cycles from here
-        monkeypatch.setattr(steady_module, "_PIN_MAX_ITER", 1)
-        base = make_params(delta_a=1.1 * TAU * 10.56e6,
-                           delta_c=1.1 * TAU * 10.56e6)
-        with pytest.raises(ConvergenceError,
-                           match="detuning pinning did not converge"):
-            pin_effective_detunings(base, pin_optical=pin_optical,
-                                    pin_microwave=not pin_optical)
+    def test_single_side_undriven(self, params_on, pin_optical):
+        base = replace(params_on, power_l=0.0, power_p=0.0,
+                       delta_a=1.1 * params_on.omega_m,
+                       delta_c=1.1 * params_on.omega_m)
+        pinned = pin_effective_detunings(base, pin_optical, not pin_optical)
+        assert ((pinned.delta_a, pinned.delta_c) == (
+            (base.omega_m, base.delta_c) if pin_optical
+            else (base.delta_a, base.omega_m)))
+
+    @pytest.mark.parametrize("power_p", [3e-7, 2e-6])
+    @pytest.mark.parametrize("pin_optical", [True, False])
+    def test_single_side_root_of_pinned_cubic(self, default_cfg, power_p,
+                                              pin_optical):
+        # the other detuning bare: the root continued from zero power is
+        # the cubic's root nearest zero, of three
+        bare = "delta_c" if pin_optical else "delta_a"
+        base = replace(default_cfg.system_params(), power_p=power_p,
+                       **{bare: TAU * 10.56e6})
+        q = steady_module._pinned_root(base, pin_optical)
+        roots = pinned_cubic_roots(base, pin_optical)
+        assert len(roots) == 3
+        assert abs(q - min(roots, key=abs)) <= 4 * math.ulp(q)
+        pinned = pin_effective_detunings(base, pin_optical, not pin_optical)
+        assert getattr(pinned, bare) == getattr(base, bare)
+        st = solve_steady_state(pinned)
+        delta = st.delta1 if pin_optical else st.delta2
+        assert abs(delta - base.omega_m) <= 1e-14 * base.omega_m
+
+    @pytest.mark.parametrize("pins", [(True, False), (False, True),
+                                      (True, True)])
+    def test_solves_no_steady_state(self, monkeypatch, params_on, pins):
+        def spy(*args, **kwargs):
+            raise AssertionError("pinning solved a steady state")
+
+        monkeypatch.setattr(steady_module, "solve_steady_state", spy)
+        for power_p in (0.0, 3e-7, 8e-6):
+            pin_effective_detunings(replace(params_on, power_p=power_p),
+                                    *pins)
+
+    @pytest.mark.parametrize("power_p, delta_a, delta_c", [
+        (0.0, "0x1.fcf24698f57cap+25", "0x1.f3a7b53353d56p+25"),
+        (3e-08, "0x1.fc87d2a2f7c04p+25", "0x1.f4a731e81b330p+25"),
+        (3e-07, "0x1.f8c9befd0c213p+25", "0x1.fda294431d7dap+25"),
+        (1e-06, "0x1.ef15d7e6964bdp+25", "0x1.0a75f9094f588p+26"),
+        (1.5e-06, "0x1.e827a08d66b36p+25", "0x1.12c70841220f6p+26"),
+        (1.6e-06, "0x1.e6c4c8aec394fp+25", "0x1.1470d8191900cp+26"),
+        (2.5e-06, "0x1.da4b31db07829p+25", "0x1.236926b0c77d2p+26"),
+        (5e-06, "0x1.b7a41d1d19888p+25", "0x1.4cfe72c7e50fap+26"),
+        (7.4e-06, "0x1.965fe03dceacfp+25", "0x1.74e9ef070bb0bp+26"),
+        (8e-06, "0x1.8e0ed105fbf62p+25", "0x1.7ee4ce16d558ep+26"),
+        (2e-05, "0x1.cf7341530b588p+24", "0x1.233f1da94b3f3p+27")])
+    def test_both_sides_closed_form_bits(self, default_cfg, power_p,
+                                         delta_a, delta_c):
+        # the both-sided closed form, bit for bit, at the CLI matrix's
+        # powers
+        p = default_cfg.system_params(power_p=power_p)
+        assert (p.delta_a.hex(), p.delta_c.hex()) == (delta_a, delta_c)
 
     def test_noop_without_flags(self):
         p = make_params()

@@ -25,15 +25,22 @@ RUNS.update({f"{cmd}_off_{p}": (["--set", "power_p=0", "--set",
              for cmd, p in (("steady", "1uW"), ("route", "1uW"),
                             ("steady", "10uW"))})
 # one-sided pinning (the other detuning bare, also at 2 uW, where the
-# lower reflect port sits at 0.494 omega_m), the direct branch policy, a
-# sweep whose seeded row misses its auto detunings, and a sweep whose
-# unused power_p cannot be pinned
+# lower reflect port sits at 0.494 omega_m; at 2.5 and 3 uW with delta_a
+# bare, where the ramp lands on the pinned root; at 8 uW with delta_c
+# bare, where it does not), the direct branch policy, a sweep whose
+# seeded row misses its auto detunings, and a sweep that pins at its rows'
+# powers only, not at power_p
 BARE = "2pi*10.56MHz"
 RUNS.update({f"{cmd}_bare_{side}": (["--set", f"delta_{side}={BARE}"], [cmd])
              for side in "ca" for cmd in ("route", "steady")})
+RUNS.update({f"{cmd}_bare_{side}_{p}": (["--set", f"delta_{side}={BARE}",
+                                          "--set", f"power_p={p}"], [cmd])
+             for cmd, side, p in (("route", "c", "2uW"),
+                                  ("route", "a", "2.5uW"),
+                                  ("route", "a", "3uW"),
+                                  ("steady", "a", "3uW"),
+                                  ("route", "c", "8uW"))})
 RUNS.update({"steady_direct": (["--set", "branch_policy=direct"], ["steady"]),
-             "route_bare_c_2uW": (["--set", f"delta_c={BARE}", "--set",
-                                   "power_p=2uW"], ["route"]),
              "sweep_7uW_8uW": (["--set", "sweep_powers=7uW, 8uW"],
                                ["sweep-power"]),
              "sweep_bare_c_8uW": (["--set", f"delta_c={BARE}", "--set",

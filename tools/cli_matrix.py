@@ -40,6 +40,10 @@ RUNS.update({f"{cmd}_bare_{side}_{p}": (["--set", f"delta_{side}={BARE}",
                                   ("route", "a", "3uW"),
                                   ("steady", "a", "3uW"),
                                   ("route", "c", "8uW"))})
+# each command that pins and solves, at 8 uW, where the ramp misses omega_m
+RUNS.update({f"{cmd}_8uW": (["--set", "power_p=8uW"], [cmd])
+             for cmd in ("steady", "spectrum", "validate")})
+RUNS["fig3_8uW"] = (["--set", "fig3_powers=300nW, 8uW"], ["figure", "fig3"])
 RUNS.update({"steady_direct": (["--set", "branch_policy=direct"], ["steady"]),
              "sweep_7uW_8uW": (["--set", "sweep_powers=7uW, 8uW"],
                                ["sweep-power"]),

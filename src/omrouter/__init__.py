@@ -25,8 +25,8 @@ from .response import (ResponseCoefficients, ScanResult,
                        scan_spectrum, thermal_noise_spectrum, transmission,
                        vacuum_noise_spectrum)
 from .steady import (SteadyState, enumerate_branches, force_balance,
-                     pin_effective_detunings, solve_steady_state,
-                     steady_residual)
+                     operating_point, pin_effective_detunings,
+                     solve_steady_state, steady_residual)
 
 __version__ = "0.1.0"
 
@@ -40,10 +40,10 @@ __all__ = [
     "calibrate_couplings", "closed_form_coefficients",
     "closed_vs_oracle_deviation", "coefficients", "drive_amplitudes",
     "effective_detunings", "enumerate_branches", "find_extrema",
-    "force_balance", "linear_solve_coefficients", "parse_config",
-    "pin_effective_detunings", "power_sweep", "pump_amplitude", "reflection",
-    "routing_report", "scan_spectrum", "solve_steady_state",
-    "steady_residual", "thermal_noise_spectrum", "thermal_occupation",
-    "transmission", "vacuum_noise_spectrum", "window_splitting",
-    "__version__",
+    "force_balance", "linear_solve_coefficients", "operating_point",
+    "parse_config", "pin_effective_detunings", "power_sweep",
+    "pump_amplitude", "reflection", "routing_report", "scan_spectrum",
+    "solve_steady_state", "steady_residual", "thermal_noise_spectrum",
+    "thermal_occupation", "transmission", "vacuum_noise_spectrum",
+    "window_splitting", "__version__",
 ]

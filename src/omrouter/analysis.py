@@ -24,8 +24,7 @@ from .errors import AnalysisError, CalibrationError, InvalidParameterError, Rout
 from .model import CONSTANTS, SystemParams
 from .response import ScanResult, _node_spectra, transmission
 from .steady import (SteadyState, _companion_roots, _false_position,
-                     _note_missed_pins, pin_effective_detunings,
-                     solve_steady_state)
+                     operating_point, solve_steady_state)
 
 __all__ = [
     "Extremum",
@@ -418,12 +417,8 @@ def power_sweep(params: SystemParams, powers,
     for i, power in enumerate(powers):
         row_params = replace(params, power_p=power)
         try:
-            if pin_optical or pin_microwave:
-                row_params = pin_effective_detunings(
-                    row_params, pin_optical, pin_microwave)
-            state = _note_missed_pins(
-                row_params, solve_steady_state(row_params, q_seed=q_prev),
-                pin_optical, pin_microwave)
+            row_params, state = operating_point(
+                row_params, pin_optical, pin_microwave, q_seed=q_prev)
             report = routing_report(row_params, state=state,
                                     r_reflect_min=r_reflect_min,
                                     t_transmit_min=t_transmit_min,
@@ -485,9 +480,9 @@ def calibrate_couplings(params: SystemParams,
     slightly, so ``g2`` is re-bisected once, only if the splitting was
     lost; that last step does not check its bracket and never raises.
     Couplings that already meet a stage's target are kept.  Every check
-    first pins both effective detunings to ``omega_m``
-    (:func:`pin_effective_detunings`) and reads one :func:`routing_report`
-    per coupling pair.
+    first pins both effective detunings to ``omega_m`` and solves there
+    (:func:`~omrouter.steady.operating_point`), then reads one
+    :func:`routing_report` per coupling pair.
 
     Raises :class:`CalibrationError`, with the closest couplings tried in
     ``closest``, when a stage's target is unreachable inside its bracket.
@@ -499,8 +494,8 @@ def calibrate_couplings(params: SystemParams,
     g2_lo, g2_hi = g2_bracket or (params.g2, max(params.g2, 1.0) * 1e3)
 
     def t_center_off(g1):
-        p = pin_effective_detunings(replace(params, g1=g1, power_p=0.0))
-        state = solve_steady_state(p)
+        p, state = operating_point(replace(params, g1=g1, power_p=0.0),
+                                   True, True)
         return transmission(p, state, p.omega_m)
 
     reports = {}
@@ -508,9 +503,10 @@ def calibrate_couplings(params: SystemParams,
     def report_at(g1, g2):
         # both pump-on checks at one pair read one report
         if (g1, g2) not in reports:
-            p = pin_effective_detunings(replace(params, g1=g1, g2=g2))
+            p, state = operating_point(replace(params, g1=g1, g2=g2),
+                                       True, True)
             reports[g1, g2] = routing_report(
-                p, r_reflect_min=targets.r_reflect_min)
+                p, state=state, r_reflect_min=targets.r_reflect_min)
         return reports[g1, g2]
 
     def blocked(g1):

@@ -23,7 +23,7 @@ from .analysis import power_sweep, routing_report
 from .config import RunConfig, parse_config
 from .errors import ConfigError, RouterError
 from .response import closed_vs_oracle_deviation, scan_spectrum
-from .steady import _note_missed_pins, solve_steady_state
+from .steady import operating_point
 
 __all__ = ["main", "run_figure"]
 
@@ -36,22 +36,18 @@ def _fmt(value: float) -> str:
     return f"{value:.16e}"
 
 
-def _solve(cfg: RunConfig, params):
-    """Solve the steady state and print its warnings on stderr.
-
-    An ``auto`` detuning pins the effective detuning for the displacement
-    the pinning constructs; where the solve settles elsewhere, the state's
-    warnings gain a note.
+def _operating_point(cfg: RunConfig, power_p: float | None = None):
+    """The pinned params and steady state at ``power_p`` (default: the
+    configured one), by :func:`~omrouter.steady.operating_point`; the
+    state's warnings, a missed ``auto`` detuning among them, go to stderr.
     """
-    seed = 0.0 if cfg.branch_policy == "direct" else None
-    state = _note_missed_pins(
-        params, solve_steady_state(params, q_seed=seed,
-                                   ramp_steps=cfg.ramp_steps,
-                                   residual_tol=cfg.residual_tol),
-        cfg.pin_optical, cfg.pin_microwave)
+    params, state = operating_point(
+        cfg.base_params(power_p), cfg.pin_optical, cfg.pin_microwave,
+        q_seed=0.0 if cfg.branch_policy == "direct" else None,
+        ramp_steps=cfg.ramp_steps, residual_tol=cfg.residual_tol)
     for note in state.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    return state
+    return params, state
 
 
 def _prepare_outdir(cfg: RunConfig) -> Path:
@@ -82,8 +78,7 @@ def _report_kwargs(cfg: RunConfig) -> dict:
 
 def _cmd_steady(cfg: RunConfig) -> int:
     _prepare_outdir(cfg)
-    params = cfg.system_params()
-    state = _solve(cfg, params)
+    state = _operating_point(cfg)[1]
     print(f"branches ({len(state.branches)}):")
     for i, q in enumerate(state.branches):
         marker = " *" if i == state.branch_index else ""
@@ -100,8 +95,7 @@ def _cmd_steady(cfg: RunConfig) -> int:
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
     out = _prepare_outdir(cfg)
-    params = cfg.system_params()
-    state = _solve(cfg, params)
+    params, state = _operating_point(cfg)
     grid = _spectrum_grid(cfg)
     result = scan_spectrum(params, grid, method=cfg.method, state=state)
     path = out / "spectrum.csv"
@@ -120,8 +114,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
 
 def _cmd_route(cfg: RunConfig) -> int:
     out = _prepare_outdir(cfg)
-    params = cfg.system_params()
-    state = _solve(cfg, params)
+    params, state = _operating_point(cfg)
     report = routing_report(params, state=state, **_report_kwargs(cfg))
     wm = cfg.omega_m
     print(f"pump_on   = {report.pump_on}")
@@ -208,8 +201,7 @@ def run_figure(figure_id: str, cfg: RunConfig) -> list[Path]:
     written: list[Path] = []
 
     def scan_for(power_p=None):
-        params = cfg.system_params(power_p=power_p)
-        state = _solve(cfg, params)
+        params, state = _operating_point(cfg, power_p)
         return scan_spectrum(params, grid, method=cfg.method, state=state)
 
     if figure_id == "fig2":
@@ -249,8 +241,7 @@ def run_figure(figure_id: str, cfg: RunConfig) -> list[Path]:
 
 def _cmd_validate(cfg: RunConfig) -> int:
     _prepare_outdir(cfg)
-    params = cfg.system_params()
-    state = _solve(cfg, params)
+    params, state = _operating_point(cfg)
     lo, hi = _ORACLE_GRID_SPAN
     grid = cfg.omega_m * np.linspace(lo, hi, _ORACLE_GRID_POINTS)
     devs = closed_vs_oracle_deviation(params, state, grid)

@@ -224,25 +224,24 @@ class RunConfig:
     def pin_microwave(self) -> bool:
         return self.delta_c == "auto"
 
-    def base_params(self) -> SystemParams:
-        """System parameters with ``auto`` detunings left at omega_m."""
+    def base_params(self, power_p: float | None = None) -> SystemParams:
+        """System parameters with ``auto`` detunings left at omega_m, at
+        microwave power ``power_p`` if given."""
         values = {f.name: getattr(self, f.name) for f in fields(SystemParams)}
         if self.pin_optical:
             values["delta_a"] = self.omega_m
         if self.pin_microwave:
             values["delta_c"] = self.omega_m
         try:
-            return SystemParams(**values)
+            params = SystemParams(**values)
         except InvalidParameterError as exc:
             raise ConfigError(f"invalid physics configuration: {exc}") from exc
+        return params if power_p is None else replace(params, power_p=power_p)
 
     def system_params(self, power_p: float | None = None) -> SystemParams:
-        """System parameters with ``auto`` detunings resolved by pinning."""
-        params = self.base_params()
-        if power_p is not None:
-            params = replace(params, power_p=power_p)
-        return pin_effective_detunings(params, self.pin_optical,
-                                       self.pin_microwave)
+        """:meth:`base_params` with ``auto`` detunings resolved by pinning."""
+        return pin_effective_detunings(self.base_params(power_p),
+                                       self.pin_optical, self.pin_microwave)
 
     def validate(self) -> None:
         if self.ramp_steps < 2:

@@ -8,7 +8,9 @@ or 5 real solutions.  The solver brackets every branch by sign changes of
 the balance at samples placed by that quintic's roots, solves each bracket
 by false position started at the quintic's real root inside it, and selects
 the branch continuously connected to the undriven state via a power ramp.
-An ``auto`` detuning is pinned from the balance's own roots, with no solve.
+An ``auto`` detuning is pinned from the balance's own roots, with no solve;
+:func:`operating_point` pins, solves at the pinned detunings and notes each
+pinned detuning the solved state misses, in one call.
 One batched eigenvalue call gives the quintic's roots at every power scale
 of the ramp.  The ramp then scans every scale for its candidate roots
 (exact zeros and sign-change brackets) and solves a scale only where a
@@ -38,6 +40,7 @@ __all__ = [
     "solve_steady_state",
     "steady_residual",
     "pin_effective_detunings",
+    "operating_point",
 ]
 
 # A bracket is solved once it is this tight (absolute metres / relative).
@@ -547,7 +550,7 @@ def pin_effective_detunings(params: SystemParams, pin_optical: bool = True,
     and with one it is a cubic (:func:`_pinned_root`;
     docs/derivation_notes.md, "Pinned operating point").  No steady state
     is solved: where the ramped solve settles on another root,
-    :func:`_note_missed_pins` says so.
+    :func:`operating_point` says so.
     """
     if not (pin_optical or pin_microwave):
         return params
@@ -602,15 +605,26 @@ def _pinned_root(params: SystemParams, pin_optical: bool) -> float:
     return roots[_nearest(roots, q)[0]]
 
 
-def _note_missed_pins(params: SystemParams, state: SteadyState,
-                      pin_optical: bool, pin_microwave: bool) -> SteadyState:
-    """``state`` with one more warning per pinned effective detuning that
-    it misses by more than ``_PIN_TOL * omega_m``.
+def operating_point(params: SystemParams, pin_optical: bool = False,
+                    pin_microwave: bool = False, q_seed: float | None = None,
+                    ramp_steps: int = _DEFAULT_RAMP_STEPS,
+                    residual_tol: float = _DEFAULT_RESIDUAL_TOL
+                    ) -> tuple[SystemParams, SteadyState]:
+    """Pin the ``auto`` detunings, solve the steady state there, and note
+    each pinned effective detuning the state misses.
 
-    :func:`pin_effective_detunings` pins for the displacement it
-    constructs; a solve that settles on another branch (the ramp at high
-    power, or a sweep row seeded from the previous one) misses it.
+    Returns ``(pinned_params, state)``: the params of
+    :func:`pin_effective_detunings` and the state of
+    :func:`solve_steady_state` at them, which takes ``q_seed``,
+    ``ramp_steps`` and ``residual_tol``.  Pinning puts a detuning on
+    ``omega_m`` for the displacement it constructs; a solve that settles
+    on another root (the ramp above about 7.5 uW on the reference device,
+    or a sweep row seeded from the last) misses it.  The state's warnings
+    then gain one ``"<key> = auto missed omega_m: ..."`` note per pinned
+    side it misses by more than ``_PIN_TOL * omega_m``.
     """
+    params = pin_effective_detunings(params, pin_optical, pin_microwave)
+    state = solve_steady_state(params, q_seed, ramp_steps, residual_tol)
     wm = params.omega_m
     missed = tuple(
         f"{key} = auto missed omega_m: {name} = {value / wm:.6g} omega_m"
@@ -618,4 +632,4 @@ def _note_missed_pins(params: SystemParams, state: SteadyState,
             ("delta_a", "delta1", state.delta1, pin_optical),
             ("delta_c", "delta2", state.delta2, pin_microwave))
         if pinned and abs(value - wm) > _PIN_TOL * wm)
-    return replace(state, warnings=state.warnings + missed)
+    return params, replace(state, warnings=state.warnings + missed)

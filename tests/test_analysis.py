@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import omrouter.analysis as analysis_module
 import omrouter.response as response_module
+import omrouter.steady as steady_module
 from omrouter.analysis import (CalibrationTargets, calibrate_couplings,
                                find_extrema, power_sweep, routing_report,
                                window_splitting)
@@ -20,7 +21,7 @@ from omrouter.errors import (AnalysisError, CalibrationError,
                              SingularPointError)
 from omrouter.analysis import Extremum, ExtremaList
 from omrouter.response import ScanResult, scan_spectrum
-from omrouter.steady import solve_steady_state
+from omrouter.steady import pin_effective_detunings, solve_steady_state
 
 from test_model import make_params
 from test_steady import criterion3_params
@@ -653,14 +654,14 @@ class TestPowerSweep:
         assert missed_c.startswith("delta_c = auto missed omega_m")
 
     def test_row_errors_recorded(self, params_on, monkeypatch):
-        real_solve = analysis_module.solve_steady_state
+        real_solve = steady_module.solve_steady_state
 
         def failing(params, *args, **kwargs):
             if params.power_p == 600e-9:
                 raise RouterError("forced failure")
             return real_solve(params, *args, **kwargs)
 
-        monkeypatch.setattr(analysis_module, "solve_steady_state", failing)
+        monkeypatch.setattr(steady_module, "solve_steady_state", failing)
         result = power_sweep(params_on, [300e-9, 600e-9, 900e-9],
                              pin_optical=True, pin_microwave=True)
         assert len(result.rows) == 3
@@ -690,8 +691,7 @@ class TestCalibration:
             g2_bracket=(weak.g2, params_on.g2 * 2.0))
         assert g1 > weak.g1 and g2 > weak.g2
         calibrated = replace(params_on, g1=g1, g2=g2)
-        report = routing_report(
-            analysis_module.pin_effective_detunings(calibrated))
+        report = routing_report(pin_effective_detunings(calibrated))
         targets = CalibrationTargets()
         reflect = [p for p in report.ports if p.label.startswith("reflect")]
         assert report.omega0 > 5.0 * 2.0 * params_on.kappa1
@@ -710,7 +710,7 @@ class TestCalibration:
         assert weak.g1 < g1 < params_on.g1
 
         def reflect_r(g):
-            report = routing_report(analysis_module.pin_effective_detunings(
+            report = routing_report(pin_effective_detunings(
                 replace(weak, g1=g)))
             return [p.r_value for p in report.ports
                     if p.label.startswith("reflect")]

@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import omrouter.analysis as analysis_module
 import omrouter.config as config_module
 import omrouter.steady as steady_module
 from omrouter.analysis import find_extrema, window_splitting
-from omrouter.cli import _build_parser, _solve, main
+from omrouter.cli import _build_parser, main
 from omrouter.config import parse_config
 from omrouter.response import scan_spectrum
+from omrouter.steady import operating_point
 
 TAU = 2.0 * math.pi
 
@@ -114,9 +114,9 @@ def test_route_splitting_is_window_splitting(tmp_path, power_p):
                  "route"]) == 0
     payload = json.loads((tmp_path / "routing_report.json").read_text())
     cfg = parse_config(overrides=[f"power_p={power_p}"], env={})
-    params = cfg.system_params()
-    assert payload["omega0_window"] == window_splitting(
-        params, state=_solve(cfg, params))
+    params, state = operating_point(cfg.base_params(), cfg.pin_optical,
+                                    cfg.pin_microwave)
+    assert payload["omega0_window"] == window_splitting(params, state=state)
 
 
 @pytest.mark.parametrize("power_p, warns", [("1e-12", True),
@@ -150,6 +150,21 @@ def test_auto_detuning_miss_warns(tmp_path, capsys, power_p, warns):
             assert notes[1].startswith("warning: delta_c = auto missed")
 
 
+def test_operating_point_notes_the_route_warnings(tmp_path, capsys):
+    # at 8 uW with both sides auto the library call carries the two
+    # missed-pin notes that route prints on stderr
+    assert main(["--out", str(tmp_path), "--set", "power_p=8uW",
+                 "route"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    cfg = parse_config(overrides=["power_p=8uW"], env={})
+    _, state = operating_point(cfg.base_params(), True, True)
+    notes = [f"warning: {note}" for note in state.warnings]
+    assert len(notes) == 2
+    assert notes[0].startswith("warning: delta_a = auto missed omega_m")
+    assert notes[1].startswith("warning: delta_c = auto missed omega_m")
+    assert [line for line in err if "= auto missed" in line] == notes
+
+
 @pytest.mark.parametrize("power_p", ["2uW", "2.5uW", "3uW", "4uW", "5uW"])
 def test_route_three_ports_past_default_window(tmp_path, power_p):
     # the lower split line lies outside +-0.30 omega_m; each port lies
@@ -167,9 +182,10 @@ def test_route_three_ports_past_default_window(tmp_path, power_p):
     assert ports["reflect-upper"]["r"] > 0.99
 
     cfg = parse_config(overrides=[f"power_p={power_p}"], env={})
-    params = cfg.system_params()
+    params, state = operating_point(cfg.base_params(), cfg.pin_optical,
+                                    cfg.pin_microwave)
     grid = params.omega_m * np.linspace(0.4, 1.6, 8001)
-    scan = scan_spectrum(params, grid, state=_solve(cfg, params))
+    scan = scan_spectrum(params, grid, state=state)
     for label, port in ports.items():
         column = "R" if label.startswith("reflect") else "T"
         nearest = min(abs(e.omega - port["omega"])
@@ -332,8 +348,7 @@ def test_sweep_power_warns_on_missed_auto_detuning(tmp_path, capsys,
         ["warning", " row 1 (power_p=8e-06)"]] * 2
     assert "delta_a = auto missed omega_m" in err[0]
     assert "delta_c = auto missed omega_m" in err[1]
-    monkeypatch.setattr(analysis_module, "_note_missed_pins",
-                        lambda params, state, *pins: state)
+    monkeypatch.setattr(steady_module, "_PIN_TOL", math.inf)
     assert main(["--out", str(tmp_path / "unchecked"), *argv]) == 0
     assert capsys.readouterr().err == ""
     assert ((tmp_path / "checked" / "sweep_power.csv").read_bytes()
@@ -350,7 +365,7 @@ def test_sweep_power_pins_only_its_rows(tmp_path, capsys, monkeypatch):
             return pin(params, *pins)
         return wrapped
 
-    for module in (analysis_module, config_module):
+    for module in (steady_module, config_module):
         monkeypatch.setattr(module, "pin_effective_detunings",
                             spy(module.pin_effective_detunings))
     argv = ["--set", "delta_c=2pi*10.56MHz", "--set", "power_p=8uW",

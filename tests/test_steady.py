@@ -9,8 +9,8 @@ import omrouter.steady as steady_module
 from omrouter.errors import ConvergenceError, InvalidParameterError
 from omrouter.model import CONSTANTS, SystemParams, drive_amplitudes
 from omrouter.steady import (enumerate_branches, force_balance,
-                             pin_effective_detunings, solve_steady_state,
-                             steady_residual, SteadyState)
+                             operating_point, pin_effective_detunings,
+                             solve_steady_state, steady_residual, SteadyState)
 
 from test_model import make_params
 
@@ -542,6 +542,10 @@ class TestSolveSteadyState:
         with pytest.raises(ConvergenceError):
             solve_steady_state(params_on)
 
+    def test_rejects_a_one_stage_ramp(self, params_on):
+        with pytest.raises(InvalidParameterError, match="ramp_steps"):
+            solve_steady_state(params_on, ramp_steps=1)
+
 
 class TestSteadyResidual:
     def test_exact_fixed_point(self):
@@ -652,6 +656,49 @@ class TestPinning:
         again = pin_effective_detunings(p)
         assert again.delta_a == pytest.approx(p.delta_a, rel=1e-14)
         assert again.delta_c == pytest.approx(p.delta_c, rel=1e-14)
+
+
+class TestOperatingPoint:
+    @pytest.mark.parametrize("pins", [(False, False), (True, False),
+                                      (False, True), (True, True)])
+    def test_pins_then_solves(self, params_on, pins):
+        # at 300 nW every pinned detuning is met: the state is the one the
+        # pinned params give, with no note
+        base = replace(params_on, delta_a=TAU * 10.56e6,
+                       delta_c=TAU * 10.56e6)
+        params, state = operating_point(base, *pins)
+        assert params == pin_effective_detunings(base, *pins)
+        assert repr(state) == repr(solve_steady_state(params))
+        assert state.warnings == ()
+
+    def test_passes_the_solve_options(self, params_on, state_on,
+                                      monkeypatch):
+        _, seeded = operating_point(params_on, True, True,
+                                    q_seed=state_on.branches[-1])
+        assert seeded.q_s == state_on.branches[-1]
+        with pytest.raises(InvalidParameterError, match="ramp_steps"):
+            operating_point(params_on, True, True, ramp_steps=1)
+        monkeypatch.setattr(steady_module, "steady_residual",
+                            lambda params, state: 1e-6)
+        _, state = operating_point(params_on, residual_tol=1e-5)
+        assert state.residual == 1e-6
+        with pytest.raises(ConvergenceError):
+            operating_point(params_on)
+
+    @pytest.mark.parametrize("bare, missed", [
+        (None, ["delta_a", "delta_c"]), ("delta_c", ["delta_a"])])
+    def test_notes_each_missed_pin(self, default_cfg, bare, missed):
+        # at 8 uW the ramp settles off the pinned root; an unpinned side
+        # gets no note
+        base = default_cfg.system_params(power_p=8e-6)
+        if bare is not None:
+            base = replace(base, **{bare: TAU * 10.56e6})
+        params, state = operating_point(base, True, bare is None)
+        assert [note.split(" = ")[0] for note in state.warnings] == missed
+        assert all(" = auto missed omega_m: " in note
+                   for note in state.warnings)
+        assert repr(replace(state, warnings=())) == repr(
+            solve_steady_state(params))
 
 
 def test_randomized_root_counts_are_odd():

@@ -9,8 +9,9 @@ form's polynomials (one eigenvalue call seeds them, and a bracketed solve
 on the factored closed form certifies each one it needs), and measures
 both the ports and the window splitting from them;
 :func:`window_splitting` reads that splitting off the report.  The port
-spectra form only R and T, in one kernel call; :func:`find_extrema`
-searches one column of a full :class:`~omrouter.response.ScanResult`.
+spectra are R and T from one kernel call, which forms all five response
+coefficients at the ports; :func:`find_extrema` searches one column of a
+full :class:`~omrouter.response.ScanResult`.
 """
 
 from __future__ import annotations
@@ -226,9 +227,10 @@ def window_splitting(params: SystemParams,
     mechanical frequency.  With the microwave pump off only one minimum
     exists and the splitting is 0.
 
-    Raises :class:`AnalysisError` when transmission has no minimum at any
-    ``omega >= 0``, which signals parameters outside the transparency
-    regime.
+    Without ``state`` it solves at the detunings as given, as
+    :func:`routing_report` does.  Raises :class:`AnalysisError` when
+    transmission has no minimum at any ``omega >= 0``, which signals
+    parameters outside the transparency regime.
     """
     omega0 = routing_report(params, state=state, method=method).omega0_window
     if omega0 is None:
@@ -298,6 +300,10 @@ def routing_report(params: SystemParams,
     pumped report with fewer than three ports (no T dip on one side, or
     one R maximum nearest both dips) warns; it shows the pump-off pattern
     (one reflect port, ``omega0`` 0).
+
+    Without ``state`` it solves at the detunings as given, with no pin
+    check and no missed-pin note: it cannot know which were pinned.  Pass
+    the state of :func:`operating_point`, whose warnings carry those notes.
 
     Note the reflect-port midpoint sits slightly below the transmit port:
     position-type coupling pulls both hybrid modes down by about

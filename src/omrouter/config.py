@@ -63,7 +63,8 @@ def _parse_quantity(text: str, kind: str, key: str, where: str) -> float:
 
     A unit suffix shifts the decimal exponent, so ``300nW`` is the double
     nearest 3e-7, as ``float("300e-9")`` gives.  A ``2pi*`` frequency is
-    ``2*pi * num * 10**exponent`` in floating point.
+    ``2*pi * num * 10**exponent`` in floating point.  A value that
+    overflows a double raises :class:`ConfigError`.
     """
     m = _VALUE_RE.match(text.strip())
     if not m:
@@ -84,26 +85,31 @@ def _parse_quantity(text: str, kind: str, key: str, where: str) -> float:
                 raise ConfigError(
                     f"{where}: {key} is angular; write 2pi*{text.strip()} "
                     f"or give the rad/s number directly")
-            return _TAU * num * 10**exponent
-        if dim != kind:
-            raise ConfigError(
-                f"{where}: {key} expects {kind}, got {unit!r} ({dim})")
-        if tau:
-            raise ConfigError(f"{where}: 2pi* is only valid with "
-                              f"frequency-like keys, not {key}")
-        mantissa, _, shift = m.group("num").lower().partition("e")
-        try:
-            return float(f"{mantissa}e{int(shift or 0) + exponent}")
-        except ValueError:  # int() refuses exponents of over 4300 digits
-            raise ConfigError(f"{where}: exponent of {key} is too long") \
-                from None
-
-    if tau:
+            value = _TAU * num * 10**exponent
+        else:
+            if dim != kind:
+                raise ConfigError(
+                    f"{where}: {key} expects {kind}, got {unit!r} ({dim})")
+            if tau:
+                raise ConfigError(f"{where}: 2pi* is only valid with "
+                                  f"frequency-like keys, not {key}")
+            mantissa, _, shift = m.group("num").lower().partition("e")
+            try:
+                value = float(f"{mantissa}e{int(shift or 0) + exponent}")
+            except ValueError:  # int() refuses exponents of over 4300 digits
+                raise ConfigError(f"{where}: exponent of {key} is too "
+                                  "long") from None
+    elif tau:
         if kind not in ("angular", "coupling"):
             raise ConfigError(f"{where}: 2pi* is only valid with "
                               f"frequency-like keys, not {key}")
-        return _TAU * num
-    return num
+        value = _TAU * num
+    else:
+        value = num
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: value {text!r} for {key} overflows "
+                          "a double")
+    return value
 
 
 def _parse_bool(text, key, where):

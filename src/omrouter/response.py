@@ -13,22 +13,18 @@ matrix solve (see docs/derivation_notes.md).  The probe frequency ``omega``
 is measured relative to the optical pump carrier, so the conventional axis
 value "omega/omega_m = 1" is the lower mechanical sideband.
 
-One helper forms the spectra (R, T, S_thermal, S_vacuum) from either
-path's coefficient arrays; :func:`scan_spectrum` returns all four as the
-array columns of a :class:`ScanResult`.  A kernel call forms only the
-coefficients its caller reads: R and T read ``e1`` alone, S_vacuum ``f1``
-and S_thermal ``v``.  So :func:`scan_spectrum` forms ``e1``, ``f1`` and
-``v``; the routing report's port spectra and the scalar reflection and
-transmission form ``e1`` alone; and the microwave coefficients
-``e2``/``f2`` are formed only for :func:`coefficients` and
-:func:`closed_vs_oracle_deviation`.
-Leaving a coefficient out changes no bit of the others, and every node is
-evaluated by the same elementwise arithmetic, or the same 6x6 solve,
-whatever the size and shape of the call.
+Every kernel call forms all five coefficients (``e1``, ``f1``, ``e2``,
+``f2``, ``v``) on its nodes by either path.  One helper forms the spectra
+(R, T, S_thermal, S_vacuum) from them; :func:`scan_spectrum` returns all
+four as the array columns of a :class:`ScanResult`.  The routing report's
+port spectra form R and T alone, so no report op pays for the Bose
+occupation.  Every node is evaluated by the same elementwise arithmetic,
+or the same 6x6 solve, whatever the size and shape of the call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -54,11 +50,6 @@ __all__ = [
 
 _D_FLOOR = 1e-300
 _COEFF_NAMES = ("e1", "f1", "e2", "f2", "v")
-_SPECTRA_COEFFS = ("e1", "f1", "v")  # the coefficients the spectra read
-_RT_COEFFS = ("e1",)  # reflection and transmission read e1 alone
-# the coefficient each spectrum column is formed from
-_COLUMN_COEFF = {"r_refl": "e1", "t_trans": "e1", "s_thermal": "v",
-                 "s_vacuum": "f1"}
 _SCAN_COLUMNS = ("omega", "r_refl", "t_trans", "s_thermal", "s_vacuum")
 
 
@@ -138,33 +129,29 @@ def _intermediates(params: SystemParams, state: SteadyState, omega):
     return a1, b1, a2, b2, n, d
 
 
-def _closed_arrays(params: SystemParams, state: SteadyState, omega, names):
+def _closed_arrays(params: SystemParams, state: SteadyState, omega):
     """Closed-form coefficient arrays and a bad-node mask, elementwise on
-    ``omega`` of any shape.  Forms the coefficients in ``names`` only."""
+    ``omega`` of any shape."""
     a1, b1, a2, b2, n, d = _intermediates(params, state, omega)
     bad = (np.abs(d) < _D_FLOOR) | ~np.isfinite(d)
     d = np.where(bad, 1.0, d)
     hbar = CONSTANTS.hbar
     a_s, c_s = state.a_s, state.c_s
     g1, g2 = params.g1, params.g2
-    s1 = math.sqrt(2.0 * params.kappa1)
-
+    s1, s2 = math.sqrt(2.0 * params.kappa1), math.sqrt(2.0 * params.kappa2)
     # hbar multiplies only the coupling-squared terms of e1; putting it on
     # the mechanical term as well would be dimensionally inconsistent with
     # the shared denominator (docs/derivation_notes.md, verified vs oracle).
-    s2 = math.sqrt(2.0 * params.kappa2)
-    formulas = {
-        "e1": lambda: -1j * s1 * (
+    return {
+        "e1": -1j * s1 * (
             hbar * abs(a_s) ** 2 * g1**2 * a2 * b2
             + 2.0 * hbar * abs(c_s) ** 2 * g2**2 * state.delta2 * a1
             + params.mass * n * a1 * a2 * b2) / d,
-        "f1": lambda: -1j * s1 * hbar * a_s**2 * g1**2 * a2 * b2 / d,
-        "e2": lambda: (-1j * s2 * hbar * g1 * g2 * a_s * np.conj(c_s)
-                       * a1 * a2 / d),
-        "f2": lambda: 1j * s2 * hbar * g1 * g2 * a_s * c_s * a1 * b2 / d,
-        "v": lambda: a_s * g1 * a1 * a2 * b2 / d,
-    }
-    return {name: formulas[name]() for name in names}, bad
+        "f1": -1j * s1 * hbar * a_s**2 * g1**2 * a2 * b2 / d,
+        "e2": -1j * s2 * hbar * g1 * g2 * a_s * np.conj(c_s) * a1 * a2 / d,
+        "f2": 1j * s2 * hbar * g1 * g2 * a_s * c_s * a1 * b2 / d,
+        "v": a_s * g1 * a1 * a2 * b2 / d,
+    }, bad
 
 
 def _oracle_system(params: SystemParams, state: SteadyState, omega):
@@ -216,41 +203,32 @@ def _oracle_system(params: SystemParams, state: SteadyState, omega):
     return mat, rhs
 
 
-def _oracle_arrays(params: SystemParams, state: SteadyState, omega, names):
+def _oracle_arrays(params: SystemParams, state: SteadyState, omega):
     """Matrix-solve coefficient arrays and a bad-node mask, shaped like
-    ``omega``.  Solves for the coefficients in ``names`` only, one
-    right-hand side each."""
+    ``omega``.  A node whose matrix is singular, or whose solution is not
+    finite, is bad."""
     mat, rhs = _oracle_system(params, state, omega)
-    rhs = rhs[:, [_COEFF_NAMES.index(name) for name in names]]
-    n = mat.shape[0]
-    bad = np.zeros(n, dtype=bool)
     try:
-        sol = np.linalg.solve(mat, rhs[None, :, :])
-        row = sol[:, 0, :]
+        row = np.linalg.solve(mat, rhs[None, :, :])[:, 0, :]
     except np.linalg.LinAlgError:
-        row = np.zeros((n, len(names)), dtype=complex)
-        for i in range(n):
-            try:
-                row[i] = np.linalg.solve(mat[i], rhs)[0]
-            except np.linalg.LinAlgError:
-                bad[i] = True
-                row[i] = np.nan
-    nonfinite = ~np.isfinite(row).all(axis=1)
-    bad |= nonfinite
+        row = np.full((mat.shape[0], len(_COEFF_NAMES)), np.nan, dtype=complex)
+        for i, node in enumerate(mat):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                row[i] = np.linalg.solve(node, rhs)[0]
+    bad = ~np.isfinite(row).all(axis=1)
     shape = np.shape(omega)
-    return ({name: row[:, k].reshape(shape) for k, name in enumerate(names)},
-            bad.reshape(shape))
+    return ({name: row[:, k].reshape(shape)
+             for k, name in enumerate(_COEFF_NAMES)}, bad.reshape(shape))
 
 
-def _arrays(params, state, omega, method, names):
-    """One kernel call: the coefficient arrays in ``names`` and a bad-node
-    mask on the nodes of ``omega`` (at least 1-D, any shape) by either
-    path."""
+def _arrays(params, state, omega, method):
+    """One kernel call: the five coefficient arrays and a bad-node mask on
+    the nodes of ``omega`` (at least 1-D, any shape) by either path."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if method == "closed":
-        return _closed_arrays(params, state, omega, names)
+        return _closed_arrays(params, state, omega)
     if method == "oracle":
-        return _oracle_arrays(params, state, omega, names)
+        return _oracle_arrays(params, state, omega)
     raise InvalidParameterError(f"unknown evaluation method {method!r}")
 
 
@@ -274,7 +252,7 @@ def coefficients(params: SystemParams, state: SteadyState, omega: float,
     carries the 6x6 system's condition estimate there.
     """
     omega = float(omega)
-    arrs, bad = _arrays(params, state, omega, method, _COEFF_NAMES)
+    arrs, bad = _arrays(params, state, omega, method)
     if bad[0]:
         mat, _ = _oracle_system(params, state, omega)
         try:
@@ -285,85 +263,63 @@ def coefficients(params: SystemParams, state: SteadyState, omega: float,
             f"{method} response singular at omega={omega!r} "
             f"(condition estimate {cond:.3e})")
     a1, b1, a2, b2, n, d = _intermediates(params, state, omega)
-    e1, f1, e2, f2, v = (complex(arrs[k][0]) for k in _COEFF_NAMES)
     return ResponseCoefficients(
-        omega=omega, e1=e1, f1=f1, e2=e2, f2=f2, v=v,
+        omega=omega, **{k: complex(arrs[k][0]) for k in _COEFF_NAMES},
         a1=complex(a1), b1=complex(b1), a2=complex(a2), b2=complex(b2),
         n_mech=complex(n), d_det=complex(d))
 
 
+def _rt(params: SystemParams, e1) -> dict:
+    """R and T from the ``e1`` array."""
+    z = math.sqrt(2.0 * params.kappa1) * e1
+    return {"r_refl": np.abs(z - 1.0) ** 2, "t_trans": np.abs(z) ** 2}
+
+
 def _spectra(params: SystemParams, omega: np.ndarray, arrs) -> dict:
-    """The spectrum columns that the coefficient arrays ``arrs`` on
-    ``omega`` (any shape) allow: R and T from ``e1``, S_thermal from ``v``
-    and S_vacuum from ``f1``, for those present.
+    """The four spectrum columns from the coefficient arrays ``arrs`` on
+    ``omega`` (any shape).
 
     The thermal column is evaluated at 1 rad/s where omega = 0, since it
     is singular there; callers mask those nodes.
     """
-    cols = {}
-    if "e1" in arrs:
-        z = math.sqrt(2.0 * params.kappa1) * arrs["e1"]
-        cols["r_refl"] = np.abs(z - 1.0) ** 2
-        cols["t_trans"] = np.abs(z) ** 2
-    if "v" in arrs:
-        safe = np.where(omega == 0.0, 1.0, omega)
-        nbar = np.atleast_1d(thermal_occupation(np.abs(safe),
-                                                params.temperature))
-        cols["s_thermal"] = (4.0 * params.kappa1 * np.abs(arrs["v"]) ** 2
-                             * CONSTANTS.hbar * params.gamma_m * params.mass
-                             * np.abs(safe) * (nbar + (safe < 0.0)))
-    if "f1" in arrs:
-        cols["s_vacuum"] = 4.0 * params.kappa1 * np.abs(arrs["f1"]) ** 2
-    return cols
+    safe = np.where(omega == 0.0, 1.0, omega)
+    nbar = np.atleast_1d(thermal_occupation(np.abs(safe),
+                                            params.temperature))
+    return {**_rt(params, arrs["e1"]),
+            "s_thermal": (4.0 * params.kappa1 * np.abs(arrs["v"]) ** 2
+                          * CONSTANTS.hbar * params.gamma_m * params.mass
+                          * np.abs(safe) * (nbar + (safe < 0.0))),
+            "s_vacuum": 4.0 * params.kappa1 * np.abs(arrs["f1"]) ** 2}
 
 
-def _masked_spectra(params: SystemParams, grid: np.ndarray, arrs, singular):
-    """Spectrum columns with failed nodes masked, and the failure masks.
-
-    Returns ``(cols, zero, nonfinite)`` for the columns :func:`_spectra`
-    forms from ``arrs``.  A node fails, by precedence, on a singular
-    denominator (``singular``: all columns NaN), at omega = 0 when the
-    thermal column is formed (``zero``: thermal column NaN) or on a
-    non-finite value in a formed column (``nonfinite``: all columns NaN).
-    Elementwise on ``grid`` of any shape.
-    """
-    cols = _spectra(params, grid, arrs)
-    zero = (grid == 0.0) & ~singular & ("s_thermal" in cols)
-    finite = np.isfinite(np.stack(list(cols.values()))).all(axis=0)
-    nonfinite = ~finite & ~singular & ~zero
-    failed = singular | nonfinite
-    cols = {name: np.where(failed, np.nan, values)
-            for name, values in cols.items()}
-    if "s_thermal" in cols:
-        cols["s_thermal"][zero] = np.nan
-    return cols, zero, nonfinite
-
-
-def _node_spectra(params, state, nodes, method, names=_RT_COEFFS) -> dict:
-    """The spectrum columns that the coefficients ``names`` give (R and T
-    by default) at the frequencies ``nodes``, as 1-D arrays, from one
+def _node_spectra(params, state, nodes, method) -> dict:
+    """R and T at the frequencies ``nodes``, as 1-D arrays, from one
     kernel call.
 
     Raises :class:`SingularPointError` naming the first singular node.
     """
     grid = np.atleast_1d(np.asarray(nodes, dtype=float))
-    arrs, bad = _arrays(params, state, grid, method, names)
+    arrs, bad = _arrays(params, state, grid, method)
     if bad.any():
         omega = float(grid[np.argmax(bad)])
         raise SingularPointError(f"response singular at omega={omega!r}")
-    return _spectra(params, grid, arrs)
+    return _rt(params, arrs["e1"])
 
 
 def _one_spectrum(params, state, omega, method, column):
-    """One spectrum column at ``omega``, formed from its one coefficient:
-    a float for scalar input, else an array with NaN at singular nodes."""
-    names = (_COLUMN_COEFF[column],)
-    if np.ndim(omega) == 0:
-        return float(_node_spectra(params, state, omega, method,
-                                   names)[column][0])
-    grid = np.asarray(omega, dtype=float)
-    arrs, bad = _arrays(params, state, grid, method, names)
-    return np.where(bad, np.nan, _spectra(params, grid, arrs)[column])
+    """One spectrum column at ``omega``: a float for scalar input, else an
+    array with NaN at singular nodes.
+
+    Raises :class:`SingularPointError` at a singular scalar node.
+    """
+    grid = np.atleast_1d(np.asarray(omega, dtype=float))
+    arrs, bad = _arrays(params, state, grid, method)
+    scalar = np.ndim(omega) == 0
+    if scalar and bad[0]:
+        raise SingularPointError(
+            f"response singular at omega={float(grid[0])!r}")
+    values = np.where(bad, np.nan, _spectra(params, grid, arrs)[column])
+    return float(values[0]) if scalar else values
 
 
 def reflection(params: SystemParams, state: SteadyState, omega,
@@ -407,11 +363,13 @@ def scan_spectrum(params: SystemParams, omega_grid, method: str = "closed",
                   state: SteadyState | None = None) -> ScanResult:
     """Evaluate all four spectra on a frequency grid.
 
-    The steady state is solved once and reused.  Per-node failures are
-    recorded in the result's error list while the scan continues, one entry
-    per node, by precedence: a singular denominator (all columns NaN), then
-    omega = 0 (thermal column NaN), then a non-finite value (all columns
-    NaN).
+    Without ``state`` it solves at the detunings as given, with no pin
+    check and no missed-pin note; pass the state of
+    :func:`~omrouter.steady.operating_point`, whose warnings carry those
+    notes.  Per-node failures are recorded in the result's error list
+    while the scan continues, one entry per node, by precedence: a
+    singular denominator (all columns NaN), then omega = 0 (thermal column
+    NaN), then a non-finite value (all columns NaN).
     """
     grid = np.asarray(omega_grid, dtype=float)
     errors: list[tuple[int, float, str]] = []
@@ -425,8 +383,15 @@ def scan_spectrum(params: SystemParams, omega_grid, method: str = "closed",
                 "omega grid must be strictly increasing")
         if state is None:
             state = solve_steady_state(params)
-        arrs, singular = _arrays(params, state, grid, method, _SPECTRA_COEFFS)
-        cols, zero, nonfinite = _masked_spectra(params, grid, arrs, singular)
+        arrs, singular = _arrays(params, state, grid, method)
+        cols = _spectra(params, grid, arrs)
+        zero = (grid == 0.0) & ~singular
+        finite = np.isfinite(np.stack(list(cols.values()))).all(axis=0)
+        nonfinite = ~finite & ~singular & ~zero
+        failed = singular | nonfinite
+        cols = {name: np.where(failed, np.nan, values)
+                for name, values in cols.items()}
+        cols["s_thermal"][zero] = np.nan
         for i in np.flatnonzero(singular | zero | nonfinite).tolist():
             if singular[i]:
                 errors.append((i, float(grid[i]),
@@ -449,17 +414,14 @@ def closed_vs_oracle_deviation(params: SystemParams, state: SteadyState,
     coefficients that are identically zero compare cleanly.
     """
     grid = np.asarray(omega_grid, dtype=float)
-    closed, bad_c = _closed_arrays(params, state, grid, _COEFF_NAMES)
-    oracle, bad_o = _oracle_arrays(params, state, grid, _COEFF_NAMES)
+    closed, bad_c = _closed_arrays(params, state, grid)
+    oracle, bad_o = _oracle_arrays(params, state, grid)
     if np.any(bad_c) or np.any(bad_o):
         raise SingularPointError("deviation grid hits a singular node")
     out: dict[str, float] = {}
-    worst = 0.0
     for name in _COEFF_NAMES:
         x, y = closed[name], oracle[name]
         denom = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-12)
-        dev = float(np.max(np.abs(x - y) / denom))
-        out[name] = dev
-        worst = max(worst, dev)
-    out["max"] = worst
+        out[name] = float(np.max(np.abs(x - y) / denom))
+    out["max"] = max(out.values())
     return out

@@ -250,8 +250,7 @@ class TestStationaryPoints:
         params = default_cfg.system_params(power_p=power_p)
         state = solve_steady_state(params)
         grid = params.omega_m * np.linspace(0.7, 1.3, 4001)
-        arrs, _ = response_module._closed_arrays(params, state, grid,
-                                                 ("e1",))
+        arrs, _ = response_module._closed_arrays(params, state, grid)
         z = math.sqrt(2.0 * params.kappa1) * arrs["e1"]
         num, den = analysis_module._port_polynomials(
             analysis_module._port_factors(params, state))
@@ -392,22 +391,21 @@ class TestRoutingReport:
     def test_one_kernel_call_per_port(self, params_on, state_on, params_off,
                                       state_off, monkeypatch):
         # pump on: one call for all three ports; pump off: one call for
-        # the one port.  Each forms e1 alone, the one coefficient R and T
-        # read
+        # the one port
         real_arrays = response_module._arrays
         shapes = []
 
-        def counting(params, state, omega, method, names):
-            shapes.append((np.shape(omega), names))
-            return real_arrays(params, state, omega, method, names)
+        def counting(params, state, omega, method):
+            shapes.append(np.shape(omega))
+            return real_arrays(params, state, omega, method)
 
         monkeypatch.setattr(response_module, "_arrays", counting)
         report = routing_report(params_on, state=state_on)
         assert len(report.ports) == 3
-        assert shapes == [((3,), ("e1",))]
+        assert shapes == [(3,)]
         shapes.clear()
         routing_report(params_off, state=state_off)
-        assert shapes == [((1,), ("e1",))]
+        assert shapes == [(1,)]
 
     @pytest.mark.parametrize("method", ["closed", "oracle"])
     @pytest.mark.parametrize("power_p", [0.0, 300e-9, 2.5e-6])
@@ -420,9 +418,9 @@ class TestRoutingReport:
         real_arrays, real_eigvals = response_module._arrays, np.linalg.eigvals
         sizes, eigvals = [], []
 
-        def counting(params, state, omega, method, names):
+        def counting(params, state, omega, method):
             sizes.append(np.size(omega))
-            return real_arrays(params, state, omega, method, names)
+            return real_arrays(params, state, omega, method)
 
         def counting_eigvals(a):
             eigvals.append(np.shape(a))
@@ -447,10 +445,9 @@ class TestRoutingReport:
         real_arrays = response_module._arrays
         flagged = []
 
-        def singular_ports(params, state, omega, method, names):
+        def singular_ports(params, state, omega, method):
             # the port batch is the only 1-D call with at most 3 nodes
-            assert names == ("e1",)
-            arrs, bad = real_arrays(params, state, omega, method, names)
+            arrs, bad = real_arrays(params, state, omega, method)
             if np.ndim(omega) == 1 and np.size(omega) <= 3:
                 bad[flagged] = True
             return arrs, bad
@@ -681,6 +678,16 @@ class TestCalibration:
             calibrate_couplings(tiny, g1_bracket=(1e10, 2e10))
         assert info.value.closest is not None
         assert info.value.closest["t_center_off"] > 0.5
+
+    def test_unreachable_splitting(self, params_on):
+        # g1 already blocks the pump-off window, but no g2 in the bracket
+        # splits it far enough
+        weak = replace(params_on, g2=1e17)
+        with pytest.raises(CalibrationError, match=re.escape(
+                "unreachable for g2 <= 2e+17")) as info:
+            calibrate_couplings(weak, g2_bracket=(1e17, 2e17))
+        assert str(info.value).startswith("splitting target ")
+        assert info.value.closest == {"g1": params_on.g1, "g2": 2e17}
 
     def test_closed_loop_from_weak_couplings(self, params_on):
         weak = replace(params_on, g1=params_on.g1 / 10.0,

@@ -85,6 +85,19 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    "power_p=1e400", "mass=1e400", "g1=1e400", "omega_m=2pi*1e400MHz",
+    "power_p=1e310W", "g2=2pi*1e308"])
+def test_overflowing_value_exits_2(tmp_path, capsys, setting):
+    # an inf would reach the solver, and resolved.cfg could not echo it
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--set", setting, "route"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert setting.partition("=")[0] in err
+    assert not (out / "resolved.cfg").exists()
+
+
 def test_route_pump_off_single_port(tmp_path):
     code = main(["--out", str(tmp_path), "--set", "power_p=0", "route"])
     assert code == 0

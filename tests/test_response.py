@@ -21,6 +21,10 @@ from omrouter.steady import solve_steady_state
 from test_model import make_params
 
 TAU = 2.0 * math.pi
+_COLUMNS = ("r_refl", "t_trans", "s_thermal", "s_vacuum")
+_PUBLIC = ((reflection, "r_refl"), (transmission, "t_trans"),
+           (thermal_noise_spectrum, "s_thermal"),
+           (vacuum_noise_spectrum, "s_vacuum"))
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +153,39 @@ class TestCoefficients:
         values = transmission(params_on, state_on, [wm, 1.1 * wm],
                               method=method)
         assert np.isnan(values[0]) and np.isfinite(values[1])
+
+    def test_oracle_falls_back_to_per_node_solves(self, params_on,
+                                                  state_on, monkeypatch):
+        # a failed batched solve is retried node by node, and only the node
+        # whose own matrix is singular is bad
+        wm = params_on.omega_m
+        grid = wm * np.array([0.9, 1.0, 1.1])
+        expected = transmission(params_on, state_on, grid, method="oracle")
+        real_solve = np.linalg.solve
+        singular_entry = -1j * (grid[1] / wm)  # node 1's (4, 4) entry
+
+        def solve(a, b):
+            if np.ndim(a) == 3 or a[4, 4] == singular_entry:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        values = transmission(params_on, state_on, grid, method="oracle")
+        assert np.isnan(values[1])
+        assert values[[0, 2]] == pytest.approx(expected[[0, 2]], rel=1e-12)
+        result = scan_spectrum(params_on, grid, method="oracle",
+                               state=state_on)
+        assert result.errors == [(1, grid[1],
+                                  "singular response denominator")]
+        for name in _COLUMNS:
+            column = result.column(name)
+            assert np.isnan(column[1]) and np.all(np.isfinite(column[[0, 2]]))
+        with pytest.raises(SingularPointError,
+                           match="oracle .*condition estimate"):
+            response_module.coefficients(params_on, state_on, grid[1],
+                                         "oracle")
+        assert math.isfinite(abs(response_module.coefficients(
+            params_on, state_on, grid[0], "oracle").e1))
 
     def test_unknown_method_rejected(self, params_on, state_on):
         with pytest.raises(InvalidParameterError):
@@ -320,88 +357,53 @@ class TestScan:
             assert np.all(np.isfinite(result.column(name)))
 
 
-_COLUMNS = ("r_refl", "t_trans", "s_thermal", "s_vacuum")
-_RT = ("r_refl", "t_trans")
-
-
-def rt_batch(params, state, rows, method):
-    """Masked R and T on every row of a 2-D grid, from one kernel call
-    that forms e1 alone."""
-    arrs, singular = response_module._arrays(params, state, rows, method,
-                                             ("e1",))
-    return response_module._masked_spectra(params, rows, arrs, singular)[0]
-
-
 class TestKernelInvariance:
     """A node's spectra are the same bits whether it is evaluated alone, in
-    a 401-node row or in a batch of rows, and whether its kernel call forms
-    e1 alone (R and T) or e1, f1 and v (all four): the batched port
-    spectra of ``routing_report`` equal one call per port because of
-    this."""
+    a 401-node row or in a batch of rows: the batched port spectra of
+    ``routing_report`` equal one call per port because of this."""
 
     @pytest.mark.parametrize("method", ["closed", "oracle"])
     def test_alone_in_row_and_in_batch(self, params_on, state_on, method):
         wm = params_on.omega_m
         rows = np.stack([np.linspace(c - 0.01 * wm, c + 0.01 * wm, 401)
                          for c in (0.9 * wm, 1.1 * wm)])
-        batch = rt_batch(params_on, state_on, rows, method)
-        assert set(batch) == set(_RT)
+        arrs, _ = response_module._arrays(params_on, state_on, rows, method)
+        batch = response_module._spectra(params_on, rows, arrs)
         nodes = [0, 1, 57, 200, 343, 399, 400]
         for k, row in enumerate(rows):
             scan = scan_spectrum(params_on, row, method=method,
                                  state=state_on)
-            for name in _RT:
+            for name in _COLUMNS:
                 assert (batch[name][k].tobytes()
                         == scan.column(name).tobytes())
-            for names, columns in ((("e1",), _RT),
-                                   (("e1", "f1", "v"), _COLUMNS)):
-                together = response_module._node_spectra(
-                    params_on, state_on, row[nodes], method, names)
-                assert set(together) == set(columns)
-                for k, i in enumerate(nodes):
-                    alone = response_module._node_spectra(
-                        params_on, state_on, row[i], method, names)
-                    assert set(alone) == set(columns)
-                    for name in columns:
-                        assert (alone[name].tobytes()
-                                == together[name][k:k + 1].tobytes()
-                                == scan.column(name)[i:i + 1].tobytes())
+            together = response_module._node_spectra(
+                params_on, state_on, row[nodes], method)
+            assert set(together) == {"r_refl", "t_trans"}
+            for j, i in enumerate(nodes):
+                alone = response_module._node_spectra(
+                    params_on, state_on, row[i], method)
+                for name in together:
+                    assert (alone[name].tobytes()
+                            == together[name][j:j + 1].tobytes()
+                            == scan.column(name)[i:i + 1].tobytes())
+                for spectrum, name in _PUBLIC:
+                    value = spectrum(params_on, state_on, row[i], method)
+                    assert (np.float64(value).tobytes()
+                            == scan.column(name)[i:i + 1].tobytes())
 
     @pytest.mark.parametrize("method", ["closed", "oracle"])
     def test_spectra_coefficients_match_full_coefficients(
             self, params_on, state_on, method):
-        # a call forms only the coefficients asked for; each keeps every bit
+        # the grid call behind the spectra forms all five coefficients,
+        # each with every bit of the single-node coefficients()
         grid = params_on.omega_m * np.linspace(0.8, 1.2, 9)
-        for names in (("e1",), ("e1", "f1", "v")):
-            arrs, _ = response_module._arrays(params_on, state_on, grid,
-                                              method, names)
-            assert set(arrs) == set(names)
-            for i, omega in enumerate(grid):
-                full = response_module.coefficients(params_on, state_on,
-                                                    omega, method)
-                for name in names:
-                    assert complex(arrs[name][i]) == getattr(full, name)
-
-    def test_batch_masks_like_scan(self, params_on, state_on):
-        # a row through omega = 0 masks its thermal column as a scan does,
-        # and an R/T-only batch has no thermal column to mask there
-        wm = params_on.omega_m
-        rows = np.stack([np.linspace(-wm, wm, 401),
-                         np.linspace(0.5 * wm, 1.5 * wm, 401)])
-        assert rows[0, 200] == 0.0
-        arrs, singular = response_module._arrays(
-            params_on, state_on, rows, "closed", ("e1", "f1", "v"))
-        full, zero, _ = response_module._masked_spectra(params_on, rows,
-                                                        arrs, singular)
-        batch = rt_batch(params_on, state_on, rows, "closed")
-        scan = scan_spectrum(params_on, rows[0], state=state_on)
-        assert np.isnan(full["s_thermal"][0, 200])
-        assert np.flatnonzero(zero).tolist() == [200]
-        for name in _COLUMNS:
-            assert full[name][0].tobytes() == scan.column(name).tobytes()
-        for name in _RT:
-            assert batch[name][0].tobytes() == scan.column(name).tobytes()
-        assert np.all(np.isfinite(batch["r_refl"]))
+        arrs, _ = response_module._arrays(params_on, state_on, grid, method)
+        assert set(arrs) == {"e1", "f1", "e2", "f2", "v"}
+        for i, omega in enumerate(grid):
+            full = response_module.coefficients(params_on, state_on, omega,
+                                                method)
+            for name in arrs:
+                assert complex(arrs[name][i]) == getattr(full, name)
 
 
 @pytest.fixture(scope="module")

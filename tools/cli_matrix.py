@@ -16,7 +16,10 @@ RUNS.update({"steady": ([], ["steady"]), "spectrum": ([], ["spectrum"]),
              "sweep": ([], ["sweep-power"]), "validate": ([], ["validate"]),
              "sweep_list": (["--set", "sweep_powers=0, 300nW, 1uW, 1.5uW, "
                              "2uW, 2.5uW"], ["sweep-power"]),
-             **{f: ([], ["figure", f]) for f in ("fig2", "fig3", "fig4")}})
+             **{f: ([], ["figure", f]) for f in ("fig2", "fig3", "fig4")},
+             # the oracle's noise columns and its pump-off R and T
+             **{f"{f}_oracle": (["--oracle"], ["figure", f])
+                for f in ("fig2", "fig4")}})
 # the microwave pump off at low optical power, where the ramp's stages
 # have one candidate root each (all of them at 1 uW, up to scale 0.8 at
 # 10 uW)

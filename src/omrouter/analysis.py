@@ -5,9 +5,10 @@ the device: dip and peak locations, the splitting of the transparency window
 when the microwave pump is on, a port-by-port routing report, power sweeps,
 and a calibration routine for the two couplings.  :func:`routing_report`
 scans no grid: it finds the stationary points of T and R on the closed
-form's polynomials (one eigenvalue call seeds them, and a bracketed solve
-on the factored closed form certifies each one it needs), and measures
-both the ports and the window splitting from them;
+form's polynomials by the seed-and-certify pattern of
+:mod:`omrouter._roots` (one eigenvalue call seeds them, and a bracketed
+solve on the factored closed form certifies each one it needs), and
+measures both the ports and the window splitting from them;
 :func:`window_splitting` reads that splitting off the report.  The port
 spectra are R and T from one kernel call, which forms all five response
 coefficients at the ports; :func:`find_extrema` searches one column of a
@@ -21,11 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._roots import (companion_roots, false_position, samples_and_seeds,
+                     sign_changes)
 from .errors import AnalysisError, CalibrationError, InvalidParameterError, RouterError
 from .model import CONSTANTS, SystemParams
 from .response import ScanResult, _node_spectra, transmission
-from .steady import (SteadyState, _companion_roots, _false_position,
-                     operating_point, solve_steady_state)
+from .steady import SteadyState, operating_point, solve_steady_state
 
 __all__ = [
     "Extremum",
@@ -171,7 +173,7 @@ def _stationary_roots(factors):
     cdw = np.convolve(den.conjugate(), w)
     diff = -den
     diff[1:] += num
-    return _companion_roots(np.stack([
+    return companion_roots(np.stack([
         np.convolve(num.conjugate(), cdw).real,
         np.convolve(diff.conjugate(), cdw).real[1:]]))
 
@@ -180,39 +182,34 @@ def _stationary_points(params: SystemParams, state: SteadyState):
     """The T minima, T maxima and R maxima at ``omega >= 0``, each a list
     of ``(T, omega)`` by omega (rad/s).
 
-    The roots of :func:`_stationary_roots` only seed them.  The samples
-    are ``omega = 0``, the midpoints between the real parts of
-    neighbouring roots, the real part of each complex root and
-    ``omega_m`` above the highest root; each sign change of the slope
-    (:func:`_port_slopes`) between neighbouring samples is solved by
-    :func:`steady._false_position`, started at the one real root inside.
+    The roots of :func:`_stationary_roots` only seed them, through
+    :func:`~omrouter._roots.samples_and_seeds` on ``y`` from -1
+    (``omega = 0``) to 1 above the highest real part.  Each sign change
+    of the slope (:func:`_port_slopes`) between neighbouring samples is
+    solved in rad/s by :func:`~omrouter._roots.false_position`, started at
+    the one real root inside; a slope of exactly zero at a sample, or one
+    that is not finite, ends no bracket.
     """
     wm = params.omega_m
     factors = _port_factors(params, state)
     nodes, seeds = [], []
     for roots in _stationary_roots(factors):
-        parts = sorted(z.real for z in roots)
-        samples = ([0.5 * (a + b) for a, b in zip(parts, parts[1:])]
-                   + [z.real for z in roots if z.imag != 0.0]
-                   + [parts[-1] + 1.0])
-        nodes.append([0.0] + sorted(wm * (1.0 + x) for x in samples
-                                    if x > -1.0))
-        seeds.append([wm * (1.0 + z.real) for z in roots if z.imag == 0.0])
+        samples, real = samples_and_seeds(
+            roots, -1.0, max(z.real for z in roots) + 1.0)
+        nodes.append([wm * (1.0 + y) for y in samples])
+        seeds.append([wm * (1.0 + y) for y in real])
     split = len(nodes[0])
     d_t, d_r, _ = _port_slopes(factors,
                                np.array(nodes[0] + nodes[1]) / wm - 1.0)
     points = ([], [], [])
     for k, slopes in enumerate((d_t[:split].tolist(), d_r[split:].tolist())):
-        for lo, hi, f_lo, f_hi in zip(nodes[k], nodes[k][1:], slopes,
-                                      slopes[1:]):
-            if (f_lo < 0.0) == (f_hi < 0.0) or (k and f_lo < 0.0):
-                continue  # no sign change, or an R minimum
-            inside = [x for x in seeds[k] if lo < x < hi]
-            omega = _false_position(
+        for lo, hi, f_lo, f_hi in sign_changes(nodes[k], slopes)[1]:
+            if k and f_lo < 0.0:
+                continue  # an R minimum
+            omega = false_position(
                 lambda w, k=k: _port_slopes(factors, w / wm - 1.0)[k],
-                lo, hi, f_lo, f_hi,
-                inside[0] if len(inside) == 1 else math.nan)
-            points[k + (f_lo >= 0.0)].append(
+                lo, hi, f_lo, f_hi, seeds[k])
+            points[k + (f_lo > 0.0)].append(
                 (_port_slopes(factors, omega / wm - 1.0)[2], omega))
     return points
 

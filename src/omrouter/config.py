@@ -64,12 +64,14 @@ def _parse_quantity(text: str, kind: str, key: str, where: str) -> float:
     A unit suffix shifts the decimal exponent, so ``300nW`` is the double
     nearest 3e-7, as ``float("300e-9")`` gives.  A ``2pi*`` frequency is
     ``2*pi * num * 10**exponent`` in floating point.  A value that
-    overflows a double raises :class:`ConfigError`.
+    overflows a double, or a nonzero literal that underflows to 0, raises
+    :class:`ConfigError`.
     """
     m = _VALUE_RE.match(text.strip())
     if not m:
         raise ConfigError(f"{where}: cannot parse value {text!r} for {key}")
     num = float(m.group("num"))
+    mantissa, _, shift = m.group("num").lower().partition("e")
     tau = m.group("tau") is not None
     unit = m.group("unit")
 
@@ -93,7 +95,6 @@ def _parse_quantity(text: str, kind: str, key: str, where: str) -> float:
             if tau:
                 raise ConfigError(f"{where}: 2pi* is only valid with "
                                   f"frequency-like keys, not {key}")
-            mantissa, _, shift = m.group("num").lower().partition("e")
             try:
                 value = float(f"{mantissa}e{int(shift or 0) + exponent}")
             except ValueError:  # int() refuses exponents of over 4300 digits
@@ -106,9 +107,10 @@ def _parse_quantity(text: str, kind: str, key: str, where: str) -> float:
         value = _TAU * num
     else:
         value = num
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: value {text!r} for {key} overflows "
-                          "a double")
+    # an overflow, or a literal with a nonzero mantissa that rounds to 0
+    if not math.isfinite(value) or value == 0.0 != float(mantissa):
+        raise ConfigError(f"{where}: value {text!r} for {key} " + (
+            "underflows to 0" if value == 0.0 else "overflows a double"))
     return value
 
 

@@ -4,10 +4,12 @@ With both pumps on, the static displacement of the shared resonator obeys a
 force balance between its restoring force and the two radiation-pressure
 terms, each a Lorentzian in the displacement itself.  Clearing both
 denominators turns it into a polynomial of degree at most 5, so it has 1, 3,
-or 5 real solutions.  The solver brackets every branch by sign changes of
-the balance at samples placed by that quintic's roots, solves each bracket
-by false position started at the quintic's real root inside it, and selects
-the branch continuously connected to the undriven state via a power ramp.
+or 5 real solutions.  The solver finds them by the seed-and-certify pattern
+of :mod:`omrouter._roots`: the quintic's roots place the samples (its one
+sample rule, on ``[-1, 1]`` in ``q/q_max``), sign changes of the balance
+itself bracket every branch, and false position solves each bracket from
+the quintic's real root inside it.  It selects the branch continuously
+connected to the undriven state via a power ramp.
 An ``auto`` detuning is pinned from the balance's own roots, with no solve;
 :func:`operating_point` pins, solves at the pinned detunings and notes each
 pinned detuning the solved state misses, in one call.
@@ -30,6 +32,8 @@ from functools import partial
 
 import numpy as np
 
+from ._roots import (ABS_TOL, REL_TOL, companion_roots, samples_and_seeds,
+                     sign_changes, false_position as _false_position)
 from .errors import BracketingError, ConvergenceError, InvalidParameterError
 from .model import CONSTANTS, SystemParams, drive_amplitudes, effective_detunings
 
@@ -42,13 +46,6 @@ __all__ = [
     "pin_effective_detunings",
     "operating_point",
 ]
-
-# A bracket is solved once it is this tight (absolute metres / relative).
-# The relative term matters: the fixed-point residual is judged relative to
-# the displacement, and physical roots range from femtometres down to
-# ~1e-24 m at weak coupling, so the absolute floor sits far below them all.
-_Q_ABS_TOL = 1e-36
-_Q_REL_TOL = 1e-13
 
 _DEFAULT_RAMP_STEPS = 11
 _DEFAULT_RESIDUAL_TOL = 1e-10
@@ -137,17 +134,14 @@ def _quintic_samples(params: SystemParams, coeffs):
     ``coeffs`` are :func:`_balance`'s coefficients at each power scale in
     turn, as floats.  The balance times both Lorentzian denominators is a
     polynomial of degree at most 5 in ``x = q/q_max``, where ``q_max``
-    bounds every root.  The samples are ``x = +-1``, the midpoints between
-    the real parts of its roots and the real part of each complex pair,
-    which separates a near-double root's two sign changes.  A real root
-    itself is not a sample: as a bracket end within rounding of the true
-    root, it would stop the Newton polish short
-    (docs/derivation_notes.md).  Each scale's polynomial is formed in
-    scalar arithmetic; one eigenvalue call then takes the roots of every
-    scale from the stacked companion matrices.  The degree and any zero
-    root do not depend on the scale, so one trim of zero coefficients
-    serves the whole stack.  Yields, for each scale in turn, its ascending
-    samples and its real roots, both in ``q``.
+    bounds every root.  The samples and real roots are those of
+    :func:`~omrouter._roots.samples_and_seeds` on ``[-1, 1]`` in ``x``.
+    Each scale's polynomial is formed in scalar arithmetic; one eigenvalue
+    call then takes the roots of every scale from the stacked companion
+    matrices.  The degree and any zero root do not depend on the scale,
+    so one trim of zero coefficients serves the whole stack.  Yields, for
+    each scale in turn, its ascending samples and its real roots, both in
+    ``q``.
     """
     da, dc, g1, g2 = params.delta_a, params.delta_c, params.g1, params.g2
     rows, q_maxes = [], []
@@ -168,64 +162,10 @@ def _quintic_samples(params: SystemParams, coeffs):
     poly = np.array(rows)
     used = np.nonzero(np.any(poly != 0.0, axis=0))[0]
     zero_roots = [0j] * (5 - used[-1])
-    for scale_max, roots in zip(
-            q_maxes, _companion_roots(poly[:, used[0]:used[-1] + 1])):
-        roots += zero_roots
-        real = [min(max(z.real, -1.0), 1.0) for z in roots]
-        seeds = sorted(real)
-        samples = sorted([x for x, z in zip(real, roots) if z.imag != 0.0]
-                         + [0.5 * (b + a) for a, b in zip(seeds, seeds[1:])]
-                         + [-1.0, 1.0])
-        yield ([scale_max * x for x in samples],
-               [scale_max * z.real for z in roots if z.imag == 0.0])
-
-
-def _companion_roots(poly) -> list:
-    """The complex roots of each row of ``poly`` (highest power first, the
-    first coefficient nonzero), from one eigenvalue call on the stacked
-    companion matrices."""
-    n = poly.shape[1] - 1
-    companion = np.zeros((len(poly), n, n))
-    companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
-    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    return np.linalg.eigvals(companion).tolist()
-
-
-def _false_position(func, lo, hi, f_lo, f_hi, seed=math.nan):
-    """Refine a sign-change bracket by Anderson-Bjorck false position.
-
-    The first point is ``seed`` if it lies strictly inside the bracket.
-    ``b`` is the newest point and ``a`` the bracket's other end, so the two
-    always straddle a sign change and the secant point lies between them.
-    When ``a`` is kept, its value is scaled by ``1 - f_x/f_b`` (by 1/2 if
-    that is not positive), which pulls the next secant point across the
-    root.  The secant point is kept half the stopping width away from both
-    ends, so once it has converged the next step closes the bracket.  The
-    solve stops once the bracket is no wider than
-    ``_Q_ABS_TOL + _Q_REL_TOL*|mid|`` and returns its midpoint, or a point
-    at which ``func`` is exactly zero.
-    """
-    a, f_a, b, f_b = lo, f_lo, hi, f_hi
-    x = seed if lo < seed < hi else None
-    for _ in range(200):
-        width = b - a
-        tol = _Q_ABS_TOL + _Q_REL_TOL * abs(0.5 * (a + b))
-        if abs(width) <= tol:
-            break
-        if x is None:
-            edge = 0.5 * tol / abs(width)
-            # the secant point as the fraction of the way from b back to a
-            x = b - min(max(f_b / (f_b - f_a), edge), 1.0 - edge) * width
-        f_x = func(x)
-        if f_x == 0.0:
-            return x
-        if (f_x < 0.0) != (f_b < 0.0):
-            a, f_a = b, f_b
-        else:
-            m = 1.0 - f_x / f_b
-            f_a *= m if m > 0.0 else 0.5
-        b, f_b, x = x, f_x, None
-    return 0.5 * (a + b)
+    for q_max, roots in zip(
+            q_maxes, companion_roots(poly[:, used[0]:used[-1] + 1])):
+        samples, seeds = samples_and_seeds(roots + zero_roots, -1.0, 1.0)
+        yield [q_max * x for x in samples], [q_max * x for x in seeds]
 
 
 def _amplitude_form(params: SystemParams, drives, power_scale: float):
@@ -306,46 +246,32 @@ def _stages(params: SystemParams, scales) -> list:
 
 
 def _scan(stage) -> tuple[list, list]:
-    """The candidate roots of one stage from :func:`_stages`.
-
-    Evaluates the samples in turn: a sample at which the balance is
-    exactly zero is a root, and every sign change between neighbouring
-    samples with a finite, nonzero balance is a bracket.  Returns
-    ``(found, brackets)``: ``found`` holds, in sample order, each
-    exact-zero root and a ``None`` in each bracket's place, and
-    ``brackets`` holds ``(at, lo, hi, f_lo, f_hi)`` per bracket, ``at`` its
-    place in ``found``.  An undriven balance has the single candidate 0.
-    Raises :class:`BracketingError` if there is no candidate at all.
+    """The candidate roots of one stage from :func:`_stages`: the
+    ``(zeros, brackets)`` of :func:`~omrouter._roots.sign_changes` on the
+    balance at the stage's samples.  An undriven balance has the single
+    candidate 0.  Raises :class:`BracketingError` if there is no candidate
+    at all.
     """
     if stage is None:
         return [0.0], []
     func, _, samples, _ = stage
-    found, brackets, lo, f_lo = [], [], None, None
-    for hi in samples:
-        f_hi = func(hi)
-        if f_hi == 0.0:
-            found.append(hi)
-        elif math.isfinite(f_hi):
-            if lo is not None and (f_hi < 0.0) != (f_lo < 0.0):
-                # the root takes the bracket's place in sample order
-                brackets.append((len(found), lo, hi, f_lo, f_hi))
-                found.append(None)
-            lo, f_lo = hi, f_hi
-    if not found:
+    zeros, brackets = sign_changes(samples, map(func, samples))
+    if not (zeros or brackets):
         raise BracketingError(
             "no sign change found while bracketing the force balance")
-    return found, brackets
+    return zeros, brackets
 
 
 def _stage_roots(stage, scan, track: float | None = None) -> list[float]:
     """The ascending real roots of the balance at one power scale.
 
     ``stage`` comes from :func:`_stages` (or :func:`_pinned_root`), and
-    ``scan`` is its :func:`_scan`.  A bracket is solved by :func:`_false_position`,
-    started at the quintic's real root inside it if there is exactly one,
-    and then Newton-polished without leaving it.  Roots closer than the
-    dedupe tolerance ``_Q_ABS_TOL + 10*_Q_REL_TOL*|q|`` to the last one
-    kept are dropped.
+    ``scan`` is its :func:`_scan`.  Each exact zero is a root.  Each
+    bracket is solved by :func:`~omrouter._roots.false_position`, started
+    at the quintic's real root inside it if there is exactly one, and then
+    Newton-polished without leaving it.  Roots closer than the dedupe
+    tolerance ``ABS_TOL + 10*REL_TOL*|q|`` to the last one kept are
+    dropped.
 
     Without ``track`` every bracket is solved.  With ``track``, the root
     the power ramp kept at the previous scale, the brackets are solved in
@@ -376,16 +302,14 @@ def _stage_roots(stage, scan, track: float | None = None) -> list[float]:
     if stage is None:
         return [0.0]
     func, make_form, samples, real_roots = stage
-    found, brackets = scan
-    found = found.copy()
+    zeros, brackets = scan
+    found = list(zeros)
     form = make_form() if brackets else None
 
-    def solve(at, lo, hi, f_lo, f_hi):
-        inside = [q for q in real_roots if lo < q < hi]
-        seed = inside[0] if len(inside) == 1 else math.nan
-        root = _false_position(func, lo, hi, f_lo, f_hi, seed)
-        found[at] = _polish_root(form, root, lo, hi)
-        return found[at]
+    def solve(lo, hi, f_lo, f_hi):
+        root = _false_position(func, lo, hi, f_lo, f_hi, real_roots)
+        found.append(_polish_root(form, root, lo, hi))
+        return found[-1]
 
     if track is None:
         for bracket in brackets:
@@ -393,20 +317,18 @@ def _stage_roots(stage, scan, track: float | None = None) -> list[float]:
     else:
         gaps = [0.0 if lo <= track <= hi
                 else min(abs(lo - track), abs(hi - track))
-                for _, lo, hi, _, _ in brackets]
-        dedupe_tol = _Q_ABS_TOL + 10.0 * _Q_REL_TOL * samples[-1]
+                for lo, hi, _, _ in brackets]
+        dedupe_tol = ABS_TOL + 10.0 * REL_TOL * samples[-1]
         margin = _EQUIDISTANT_TOL + 2.0 * len(samples) * dedupe_tol
-        nearest = min([abs(q - track) for q in found if q is not None],
-                      default=math.inf)
+        nearest = min([abs(q - track) for q in zeros], default=math.inf)
         for k in sorted(range(len(brackets)), key=gaps.__getitem__):
             if gaps[k] > nearest + margin:
                 break
             nearest = min(nearest, abs(solve(*brackets[k]) - track))
-        found = [q for q in found if q is not None]
     found.sort()
     deduped = found[:1]
     for q in found[1:]:
-        if abs(q - deduped[-1]) > _Q_ABS_TOL + 10.0 * _Q_REL_TOL * abs(q):
+        if abs(q - deduped[-1]) > ABS_TOL + 10.0 * REL_TOL * abs(q):
             deduped.append(q)
     return deduped
 
@@ -485,8 +407,9 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
     stages = _stages(params, scales)
     scans = [_scan(stage) for stage in stages]
     last = len(scans) - 1
+    counts = [len(zeros) + len(brackets) for zeros, brackets in scans]
     for i, (scale, stage, scan) in enumerate(zip(scales, stages, scans)):
-        if i < last and len(scan[0]) == 1 == len(scans[i + 1][0]):
+        if i < last and counts[i] == 1 == counts[i + 1]:
             # one root whatever the track, and so has the next stage
             continue
         # an intermediate stage only needs the root nearest the last one

@@ -98,6 +98,19 @@ def test_overflowing_value_exits_2(tmp_path, capsys, setting):
     assert not (out / "resolved.cfg").exists()
 
 
+@pytest.mark.parametrize("setting, command", [
+    ("power_p=1e-400", "route"), ("power_p=1e-395uW", "route"),
+    ("g1=2pi*1e-400", "steady"), ("omega_m=2pi*1e-400MHz", "route")])
+def test_underflowing_value_exits_2(tmp_path, capsys, setting, command):
+    # a nonzero literal must not silently read as 0 (a pump turned off)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--set", setting, command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert setting.partition("=")[0] in err and "underflows" in err
+    assert not (out / "resolved.cfg").exists()
+
+
 def test_route_pump_off_single_port(tmp_path):
     code = main(["--out", str(tmp_path), "--set", "power_p=0", "route"])
     assert code == 0

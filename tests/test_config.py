@@ -101,6 +101,14 @@ class TestValueParsing:
         assert default_cfg.kappa1.hex() == (TAU * 100.0 * 1e3).hex()
         assert default_cfg.omega_l.hex() == (TAU * 195.0 * 1e12).hex()
 
+    @pytest.mark.parametrize("text, value", [
+        ("0", 0.0), ("0.0nW", 0.0), ("0e5", 0.0), ("-0", 0.0),
+        ("1e-320", 1e-320)])
+    def test_zero_and_subnormal_accepted(self, text, value):
+        # only a nonzero literal that underflows to 0 is rejected
+        cfg = parse_config(overrides=[f"power_p={text}"], env={})
+        assert cfg.power_p == value
+
     def test_overlong_exponent_rejected(self):
         with pytest.raises(ConfigError, match="power_p"):
             parse_config(overrides=["power_p=1e" + "1" * 5000 + "nW"],

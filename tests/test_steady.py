@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import omrouter.steady as steady_module
+from omrouter._roots import REL_TOL, false_position
 from omrouter.errors import ConvergenceError, InvalidParameterError
 from omrouter.model import CONSTANTS, SystemParams, drive_amplitudes
 from omrouter.steady import (enumerate_branches, force_balance,
@@ -287,7 +288,7 @@ class TestRampEnumeration:
         # 0.8 (the track of 0.9), one bracket at 0.9 and all 3 at 1.0 are
         # solved
         params = replace(params_on, **overrides)
-        counts = [len(steady_module._scan(stage)[0]) for stage in
+        counts = [sum(map(len, steady_module._scan(stage))) for stage in
                   steady_module._stages(params, np.linspace(0.0, 1.0, 11)[1:])]
         assert counts == ([1] * 10 if solves == 1 else [1] * 8 + [3, 3])
         assert count_bracket_solves(params, monkeypatch) == solves
@@ -342,20 +343,21 @@ class TestFalsePosition:
     ROOT = math.sqrt(2.0)
 
     @staticmethod
-    def solve(seed=None, func=lambda q: q * q - 2.0, lo=1.0, hi=2.0):
+    def solve(seed=None, func=lambda q: q * q - 2.0, lo=1.0, hi=2.0,
+              others=()):
+        # the seed list is ``others`` plus ``seed``, if given
         points = []
 
         def recording(q):
             points.append(q)
             return func(q)
 
-        args = (recording, lo, hi, func(lo), func(hi))
-        root = (steady_module._false_position(*args) if seed is None
-                else steady_module._false_position(*args, seed))
+        seeds = [*others, *(() if seed is None else (seed,))]
+        root = false_position(recording, lo, hi, func(lo), func(hi), seeds)
         return root, points
 
     def assert_solved(self, root):
-        assert abs(root - self.ROOT) <= steady_module._Q_REL_TOL * self.ROOT
+        assert abs(root - self.ROOT) <= REL_TOL * self.ROOT
 
     @pytest.mark.parametrize("seed", [None, math.nan, 1.0, 2.0, 2.5])
     def test_without_inner_seed_starts_at_secant_point(self, seed):
@@ -364,6 +366,17 @@ class TestFalsePosition:
         assert points[0] == pytest.approx(4.0 / 3.0)  # the secant point
         assert (root, points) == self.solve()
         self.assert_solved(root)
+
+    def test_two_inner_seeds_start_at_secant_point(self):
+        # neither of two seeds inside the bracket is taken
+        root, points = self.solve(self.ROOT, others=[1.5])
+        assert (root, points) == self.solve()
+
+    def test_outer_seeds_do_not_hide_the_inner_one(self):
+        seed = self.ROOT + 1e-6
+        root, points = self.solve(seed, others=[0.5, 1.0, 2.0, math.nan])
+        assert points[0] == seed
+        assert (root, points) == self.solve(seed)
 
     def test_seed_at_exact_zero_is_returned(self):
         root, points = self.solve(0.375, func=lambda q: q - 0.375, lo=0.0)
@@ -384,17 +397,17 @@ class TestFalsePosition:
         # returns the two nearly coincident roots as a complex pair, so
         # their brackets hold no real seed and start at the secant point
         power_scale = DEFAULT_FOLD_SCALE * (1.0 + 3e-13)
-        seeds = []
+        inner = []
         real_solve = steady_module._false_position
 
-        def recording(func, lo, hi, f_lo, f_hi, seed=math.nan):
-            seeds.append(seed)
-            return real_solve(func, lo, hi, f_lo, f_hi, seed)
+        def recording(func, lo, hi, f_lo, f_hi, seeds=()):
+            inner.append(sum(lo < q < hi for q in seeds))
+            return real_solve(func, lo, hi, f_lo, f_hi, seeds)
 
         monkeypatch.setattr(steady_module, "_false_position", recording)
         roots = enumerate_branches(params_on, power_scale)
-        assert len(seeds) == 5
-        assert sum(math.isnan(seed) for seed in seeds) == 2
+        assert len(inner) == 5
+        assert inner.count(1) == 3
         # a double root's position is conditioned as the square root of
         # rounding: the pair sits ~4e-12 (relative) off the 50-digit roots
         assert_roots_match(roots, reference_roots(params_on, power_scale),

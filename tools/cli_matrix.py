@@ -8,7 +8,7 @@ import filecmp, os, subprocess, sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-POWERS = "0 30nW 300nW 1uW 1.5uW 1.6uW 2.5uW 5uW 7.4uW 8uW 20uW".split()
+POWERS = "0 30nW 300nW 1uW 1.5uW 1.6uW 2.5uW 5uW 7.4uW 8uW 20uW 30uW".split()
 RUNS = {f"route_{p}{tag}": ([*flag, "--set", f"power_p={p}"], ["route"])
         for p in POWERS for tag, flag in (("", []), ("_oracle", ["--oracle"]))}
 RUNS.update({"steady": ([], ["steady"]), "spectrum": ([], ["spectrum"]),
@@ -29,8 +29,8 @@ RUNS.update({f"{cmd}_off_{p}": (["--set", "power_p=0", "--set",
                             ("steady", "10uW"))})
 # one-sided pinning (the other detuning bare, also at 2 uW, where the
 # lower reflect port sits at 0.494 omega_m; at 2.5 and 3 uW with delta_a
-# bare, where the ramp lands on the pinned root; at 8 uW with delta_c
-# bare, where it does not), the direct branch policy, a sweep whose
+# bare, where the ramp lands on the pinned root; at 3 and 8 uW with
+# delta_c bare, where it does not), the direct branch policy, a sweep whose
 # seeded row misses its auto detunings, and a sweep that pins at its rows'
 # powers only, not at power_p
 BARE = "2pi*10.56MHz"
@@ -42,6 +42,8 @@ RUNS.update({f"{cmd}_bare_{side}_{p}": (["--set", f"delta_{side}={BARE}",
                                   ("route", "a", "2.5uW"),
                                   ("route", "a", "3uW"),
                                   ("steady", "a", "3uW"),
+                                  ("route", "c", "3uW"),
+                                  ("steady", "c", "3uW"),
                                   ("route", "c", "8uW"))})
 # each command that pins and solves, at 8 uW, where the ramp misses omega_m
 RUNS.update({f"{cmd}_8uW": (["--set", "power_p=8uW"], [cmd])

@@ -8,42 +8,17 @@ behaviour (transparency-window splitting, port assignment) as a function of
 the microwave pump power.
 """
 
-from .analysis import (CalibrationTargets, ExtremaList, Extremum, Port,
-                       RoutingReport, SweepResult, SweepRow,
-                       calibrate_couplings, find_extrema, power_sweep,
-                       routing_report, window_splitting)
-from .config import DEFAULTS, RunConfig, parse_config
-from .errors import (AnalysisError, BracketingError, CalibrationError,
-                     ConfigError, ConvergenceError, InvalidParameterError,
-                     RouterError, SingularPointError)
-from .model import (CONSTANTS, PhysicalConstants, SystemParams,
-                    drive_amplitudes, effective_detunings, pump_amplitude,
-                    thermal_occupation)
-from .response import (ResponseCoefficients, ScanResult,
-                       closed_form_coefficients, closed_vs_oracle_deviation,
-                       coefficients, linear_solve_coefficients, reflection,
-                       scan_spectrum, thermal_noise_spectrum, transmission,
-                       vacuum_noise_spectrum)
-from .steady import (SteadyState, enumerate_branches, force_balance,
-                     operating_point, pin_effective_detunings,
-                     solve_steady_state, steady_residual)
+# each module's __all__ is its public list; the package re-exports them all
+from . import analysis, config, errors, model, response, steady
+from .analysis import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .response import *  # noqa: F401,F403
+from .steady import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisError", "BracketingError", "CONSTANTS", "CalibrationError",
-    "CalibrationTargets", "ConfigError", "ConvergenceError", "DEFAULTS",
-    "Extremum", "ExtremaList", "InvalidParameterError", "PhysicalConstants",
-    "Port", "ResponseCoefficients", "RouterError", "RoutingReport",
-    "RunConfig", "ScanResult", "SingularPointError", "SteadyState",
-    "SweepResult", "SweepRow", "SystemParams",
-    "calibrate_couplings", "closed_form_coefficients",
-    "closed_vs_oracle_deviation", "coefficients", "drive_amplitudes",
-    "effective_detunings", "enumerate_branches", "find_extrema",
-    "force_balance", "linear_solve_coefficients", "operating_point",
-    "parse_config", "pin_effective_detunings", "power_sweep",
-    "pump_amplitude", "reflection", "routing_report", "scan_spectrum",
-    "solve_steady_state", "steady_residual", "thermal_noise_spectrum",
-    "thermal_occupation", "transmission", "vacuum_noise_spectrum",
-    "window_splitting", "__version__",
-]
+__all__ = [name for module in (analysis, config, errors, model, response,
+                               steady) for name in module.__all__]
+__all__.append("__version__")

@@ -9,7 +9,8 @@ form's polynomials by the seed-and-certify pattern of
 :mod:`omrouter._roots` (one eigenvalue call seeds them, and a bracketed
 solve on the factored closed form certifies each one it needs), and
 measures both the ports and the window splitting from them;
-:func:`window_splitting` reads that splitting off the report.  The port
+:func:`window_splitting` reads that splitting off the same split lines
+(:func:`_split_lines`) and evaluates no port.  The port
 spectra are R and T from one kernel call, which forms all five response
 coefficients at the ports; :func:`find_extrema` searches one column of a
 full :class:`~omrouter.response.ScanResult`.
@@ -214,25 +215,37 @@ def _stationary_points(params: SystemParams, state: SteadyState):
     return points
 
 
+def _split_lines(t_min, wm):
+    """The split lines: the deepest T dip on each side of ``wm``, by omega
+    (zero to two of them), from the ``(T, omega)`` T minima ``t_min``;
+    :func:`min` takes the first by omega on a tie."""
+    return [min(side)[1] for side in ([d for d in t_min if d[1] < wm],
+                                      [d for d in t_min if d[1] >= wm])
+            if side]
+
+
 def window_splitting(params: SystemParams,
-                     state: SteadyState | None = None,
-                     method: str = "closed") -> float:
+                     state: SteadyState | None = None) -> float:
     """Half the separation of the split transparency window (rad/s).
 
     The :func:`routing_report` measure ``omega0_window``: half the distance
     between the deepest transmission minima on either side of the
-    mechanical frequency.  With the microwave pump off only one minimum
-    exists and the splitting is 0.
+    mechanical frequency (:func:`_split_lines`).  With the microwave pump
+    off only one minimum exists and the splitting is 0.  It reads the
+    stationary points of T alone and evaluates no port, so no report
+    error (a singular port, no R maximum) reaches it.
 
     Without ``state`` it solves at the detunings as given, as
     :func:`routing_report` does.  Raises :class:`AnalysisError` when
     transmission has no minimum at any ``omega >= 0``, which signals
     parameters outside the transparency regime.
     """
-    omega0 = routing_report(params, state=state, method=method).omega0_window
-    if omega0 is None:
+    if state is None:
+        state = solve_steady_state(params)
+    dips = _split_lines(_stationary_points(params, state)[0], params.omega_m)
+    if not dips:
         raise AnalysisError("no transmission dip at omega >= 0")
-    return omega0
+    return 0.5 * (dips[-1] - dips[0])
 
 
 @dataclass(frozen=True)
@@ -312,11 +325,7 @@ def routing_report(params: SystemParams,
     pump_on = params.power_p > 0.0
     wm = params.omega_m
     t_min, t_max, r_max = _stationary_points(params, state)
-    # the deepest T dip on each side of omega_m; min() takes the first by
-    # omega on a tie, here and below
-    dips = [min(side)[1] for side in ([d for d in t_min if d[1] < wm],
-                                      [d for d in t_min if d[1] >= wm])
-            if side]
+    dips = _split_lines(t_min, wm)
     omega0_window = 0.5 * (dips[-1] - dips[0]) if dips else None
     notes = []  # the warnings of tallest()
 
@@ -354,7 +363,8 @@ def routing_report(params: SystemParams,
     if not r_max:
         raise AnalysisError("no reflection maximum at omega >= 0")
     # a reflect port at the R maximum nearest each dip; two dips can
-    # share it
+    # share it.  min() takes the first by omega on a tie, here, in
+    # tallest() and in _split_lines
     reflect = sorted({min((abs(w - dip), w) for _, w in r_max)[1]
                       for dip in dips})
     if len(reflect) == 1:
@@ -512,62 +522,61 @@ def calibrate_couplings(params: SystemParams,
                 p, state=state, r_reflect_min=targets.r_reflect_min)
         return reports[g1, g2]
 
+    def guarded(check):
+        # a trial coupling whose solve or report fails misses its target
+        def ok(*args):
+            try:
+                return check(*args)
+            except RouterError:
+                return False
+        return ok
+
+    @guarded
     def blocked(g1):
-        try:
-            return t_center_off(g1) < targets.t_center_off_max
-        except RouterError:
-            return False
+        return t_center_off(g1) < targets.t_center_off_max
 
+    @guarded
     def splitting_ok(g1, g2):
-        try:
-            return report_at(g1, g2).omega0 > splitting_min
-        except RouterError:
-            return False
+        return report_at(g1, g2).omega0 > splitting_min
 
+    @guarded
     def depth_ok(g1, g2):
-        try:
-            rep = report_at(g1, g2)
-        except RouterError:
-            return False
-        reflect = [p for p in rep.ports if p.label.startswith("reflect")]
+        reflect = [p for p in report_at(g1, g2).ports
+                   if p.label.startswith("reflect")]
         return len(reflect) == 2 and all(p.threshold_met for p in reflect)
 
+    def meet(ok, value, lo, hi, failure):
+        # keep value if it meets the target, raise failure() if even hi
+        # misses it, else bisect the threshold in (lo, hi]
+        if ok(value):
+            return value
+        if not ok(hi):
+            raise failure()
+        return _bisect_threshold(ok, lo, hi)
+
+    def depth_failure():
+        closest = {"g1": g1_hi, "g2": g2}
+        try:
+            closest["report"] = report_at(g1_hi, g2)
+        except RouterError as exc:
+            closest["error"] = str(exc)
+        return CalibrationError(
+            f"reflect-port depth target {targets.r_reflect_min} "
+            f"unreachable for g1 <= {g1_hi:.6g}", closest=closest)
+
     # g1 until the pump-off window blocks transmission
-    if blocked(params.g1):
-        g1 = params.g1
-    else:
-        if not blocked(g1_hi):
-            raise CalibrationError(
-                f"pump-off transmission target "
-                f"{targets.t_center_off_max:.3g} unreachable for "
-                f"g1 <= {g1_hi:.6g}",
-                closest={"g1": g1_hi, "t_center_off": t_center_off(g1_hi)})
-        g1 = _bisect_threshold(blocked, g1_lo, g1_hi)
-
+    g1 = meet(blocked, params.g1, g1_lo, g1_hi, lambda: CalibrationError(
+        f"pump-off transmission target {targets.t_center_off_max:.3g} "
+        f"unreachable for g1 <= {g1_hi:.6g}",
+        closest={"g1": g1_hi, "t_center_off": t_center_off(g1_hi)}))
     # g2 until the window splits far enough
-    if splitting_ok(g1, params.g2):
-        g2 = params.g2
-    else:
-        if not splitting_ok(g1, g2_hi):
-            raise CalibrationError(
-                f"splitting target {splitting_min:.6g} rad/s unreachable "
-                f"for g2 <= {g2_hi:.6g}",
-                closest={"g1": g1, "g2": g2_hi})
-        g2 = _bisect_threshold(lambda g: splitting_ok(g1, g), g2_lo, g2_hi)
-
+    g2 = meet(lambda g: splitting_ok(g1, g), params.g2, g2_lo, g2_hi,
+              lambda: CalibrationError(
+                  f"splitting target {splitting_min:.6g} rad/s unreachable "
+                  f"for g2 <= {g2_hi:.6g}", closest={"g1": g1, "g2": g2_hi}))
     # reflect-port depth is bought with optical cooperativity, i.e. more g1
     # (raising g1 only deepens the pump-off dip, so that target stays met)
-    if not depth_ok(g1, g2):
-        if not depth_ok(g1_hi, g2):
-            closest = {"g1": g1_hi, "g2": g2}
-            try:
-                closest["report"] = report_at(g1_hi, g2)
-            except RouterError as exc:
-                closest["error"] = str(exc)
-            raise CalibrationError(
-                f"reflect-port depth target {targets.r_reflect_min} "
-                f"unreachable for g1 <= {g1_hi:.6g}", closest=closest)
-        g1 = _bisect_threshold(lambda g: depth_ok(g, g2), g1, g1_hi)
+    g1 = meet(lambda g: depth_ok(g, g2), g1, g1, g1_hi, depth_failure)
 
     # more g1 shifts the splitting only weakly; re-verify and nudge g2 once
     if not splitting_ok(g1, g2):

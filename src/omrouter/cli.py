@@ -193,7 +193,11 @@ def run_figure(figure_id: str, cfg: RunConfig) -> list[Path]:
 
     ``fig2``: reflection and transmission vs omega/omega_m with the
     microwave pump off and on.  ``fig3``: transmission at each configured
-    microwave power.  ``fig4``: vacuum and thermal output noise.
+    microwave power.  ``fig4``: vacuum and thermal output noise.  Every
+    column spans ``spectrum_min..spectrum_max`` (0.7 to 1.3 omega_m by
+    default).  With both detunings ``auto`` the lower reflect port leaves
+    that range at about 2 uW (0.6995 omega_m at 2 uW, 0.655 at 2.5 uW):
+    set a lower ``spectrum_min`` for ``fig3_powers`` above that.
     """
     out = _prepare_outdir(cfg)
     grid = _spectrum_grid(cfg)

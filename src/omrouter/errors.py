@@ -1,5 +1,9 @@
 """Exception hierarchy shared by all omrouter modules."""
 
+__all__ = ["RouterError", "InvalidParameterError", "BracketingError",
+           "ConvergenceError", "SingularPointError", "AnalysisError",
+           "CalibrationError", "ConfigError"]
+
 
 class RouterError(Exception):
     """Base class for every error raised by this package."""

@@ -21,7 +21,9 @@ from omrouter.errors import (AnalysisError, CalibrationError,
                              SingularPointError)
 from omrouter.analysis import Extremum, ExtremaList
 from omrouter.response import ScanResult, scan_spectrum
-from omrouter.steady import pin_effective_detunings, solve_steady_state
+from omrouter.config import parse_config
+from omrouter.steady import (operating_point, pin_effective_detunings,
+                             solve_steady_state)
 
 from test_model import make_params
 from test_steady import criterion3_params
@@ -336,6 +338,39 @@ class TestWindowSplitting:
             power_p=params_on.power_p * 1.01))
         grid_step = 2 * 0.3 * params_on.omega_m / 4000
         assert abs(nudged - base) < 10 * grid_step
+
+    def test_evaluates_no_port(self, params_on, state_on, monkeypatch):
+        calls, real_arrays = [], response_module._arrays
+        monkeypatch.setattr(response_module, "_arrays", lambda *args: (
+            calls.append(args) or real_arrays(*args)))
+        assert window_splitting(params_on, state=state_on) > 0.0
+        assert calls == []
+
+    @pytest.mark.parametrize("pins", [(True, True), (True, False),
+                                      (False, True)])
+    def test_is_the_report_measure(self, default_cfg, pins):
+        # the CLI matrix's route powers, pinned both-sided and one-sided
+        for power in ("0", "30nW", "300nW", "1uW", "1.5uW", "1.6uW", "2.5uW",
+                      "5uW", "7.4uW", "8uW", "20uW", "30uW"):
+            cfg = parse_config(overrides=[f"power_p={power}"], env={})
+            params, state = operating_point(cfg.base_params(), *pins)
+            expected = routing_report(params, state=state).omega0_window
+            assert window_splitting(params, state=state) == expected
+
+    def test_survives_singular_ports(self, params_on, state_on,
+                                     monkeypatch):
+        expected = window_splitting(params_on, state=state_on)
+        real_arrays = response_module._arrays
+
+        def singular_ports(params, state, omega, method):
+            arrs, bad = real_arrays(params, state, omega, method)
+            bad[:] = True
+            return arrs, bad
+
+        monkeypatch.setattr(response_module, "_arrays", singular_ports)
+        with pytest.raises(SingularPointError):
+            routing_report(params_on, state=state_on)
+        assert window_splitting(params_on, state=state_on) == expected
 
 
 class TestRoutingReport:

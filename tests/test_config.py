@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from omrouter.config import RunConfig, parse_config
+import omrouter.analysis as analysis_module
+import omrouter.steady as steady_module
+from omrouter.config import DEFAULTS, RunConfig, parse_config
 from omrouter.errors import ConfigError
 
 TAU = 2.0 * math.pi
@@ -45,6 +47,17 @@ class TestDefaults:
         with resources.as_file(ref) as path:
             cfg = parse_config(path, env={})
         assert cfg == default_cfg
+
+    def test_library_defaults_agree(self):
+        # the library states these defaults too; they must not drift apart
+        assert DEFAULTS["ramp_steps"] == steady_module._DEFAULT_RAMP_STEPS
+        assert DEFAULTS["residual_tol"] == steady_module._DEFAULT_RESIDUAL_TOL
+        assert DEFAULTS["r_reflect_min"] == (
+            analysis_module.DEFAULT_R_REFLECT_MIN)
+        assert DEFAULTS["t_transmit_min"] == (
+            analysis_module.DEFAULT_T_TRANSMIT_MIN)
+        assert DEFAULTS["r_reflect_min"] == (
+            analysis_module.CalibrationTargets().r_reflect_min)
 
 
 class TestValueParsing:

@@ -49,6 +49,11 @@ RUNS.update({f"{cmd}_bare_{side}_{p}": (["--set", f"delta_{side}={BARE}",
 RUNS.update({f"{cmd}_8uW": (["--set", "power_p=8uW"], [cmd])
              for cmd in ("steady", "spectrum", "validate")})
 RUNS["fig3_8uW"] = (["--set", "fig3_powers=300nW, 8uW"], ["figure", "fig3"])
+# fig3 above 2 uW, with spectrum_min lowered to keep the lower reflect port
+# (0.655 omega_m at 2.5 uW, 0.612 at 3 uW), and the sweep on the oracle
+RUNS["fig3_2.5uW_3uW"] = (["--set", "fig3_powers=2.5uW, 3uW", "--set",
+                           "spectrum_min=0.5"], ["figure", "fig3"])
+RUNS["sweep_oracle"] = (["--oracle"], ["sweep-power"])
 RUNS.update({"steady_direct": (["--set", "branch_policy=direct"], ["steady"]),
              "sweep_7uW_8uW": (["--set", "sweep_powers=7uW, 8uW"],
                                ["sweep-power"]),

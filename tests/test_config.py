@@ -170,6 +170,30 @@ class TestValueParsing:
             parse_config(path, env={})
 
 
+    @pytest.mark.parametrize("setting, message", [
+        ("power_p=3furlongs", "unknown unit 'furlongs' for power_p"),
+        ("omega_m=2pi*3furlongs", "unknown unit 'furlongs' for omega_m"),
+        ("mass=3nW", "mass expects mass, got 'nW' (power)"),
+        ("omega_m=2pi*3nW", "omega_m expects a frequency, got 'nW'"),
+        ("omega_m=10.56MHz", "omega_m is angular; write 2pi*10.56MHz or "
+                             "give the rad/s number directly"),
+        ("power_p=2pi*3nW",
+         "2pi* is only valid with frequency-like keys, not power_p"),
+        ("mass=2pi*3", "2pi* is only valid with frequency-like keys, "
+                       "not mass"),
+        # the unit is checked before the 2pi* prefix
+        ("power_p=2pi*3Hz", "power_p expects power, got 'Hz' (frequency)"),
+        ("mass=2pi*3Hz", "mass expects mass, got 'Hz' (frequency)"),
+        ("g1=2pi*3nW", "g1 expects coupling, got 'nW' (power)"),
+        ("g1=5e19Hz", "g1 expects coupling, got 'Hz' (frequency)"),
+        ("oracle=maybe", "oracle expects true/false, got 'maybe'")])
+    def test_value_message(self, setting, message):
+        key = setting.partition("=")[0]
+        with pytest.raises(ConfigError) as info:
+            parse_config(overrides=[setting], env={})
+        assert str(info.value) == f"override {key!r}: {message}"
+
+
 class TestPrecedence:
     def test_env_below_file(self, tmp_path):
         path = write_cfg(tmp_path, "power_p = 5nW\n")
@@ -217,6 +241,17 @@ class TestValidation:
         # a line break would split the resolved.cfg echo over two lines
         with pytest.raises(ConfigError, match="output_dir"):
             parse_config(overrides=[f"output_dir={text}"], env={})
+
+    @pytest.mark.parametrize("setting, message", [
+        ("residual_tol=0", "residual_tol must be > 0"),
+        ("spectrum_min=1.3", "spectrum_min must be < spectrum_max"),
+        ("spectrum_min=0", "spectrum_min must be > 0"),
+        ("r_reflect_min=1", "r_reflect_min must be in (0, 1)"),
+        ("fig3_powers=-1nW", "powers must be nonnegative")])
+    def test_validation_message(self, setting, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(overrides=[setting], env={})
+        assert str(info.value) == message
 
     def test_invalid_physics_surfaces_as_config_error(self):
         cfg = parse_config(overrides=["mass=-1"], env={})

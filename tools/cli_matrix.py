@@ -49,6 +49,10 @@ RUNS.update({f"{cmd}_bare_{side}_{p}": (["--set", f"delta_{side}={BARE}",
 RUNS.update({f"{cmd}_8uW": (["--set", "power_p=8uW"], [cmd])
              for cmd in ("steady", "spectrum", "validate")})
 RUNS["fig3_8uW"] = (["--set", "fig3_powers=300nW, 8uW"], ["figure", "fig3"])
+# a power listed twice, and route at a power where the ramped solve fails
+# (exit 1, ConvergenceError)
+RUNS["fig3_8uW_8uW"] = (["--set", "fig3_powers=8uW, 8uW"], ["figure", "fig3"])
+RUNS["route_197nW"] = (["--set", "power_p=1.9715142722466877e-07"], ["route"])
 # fig3 above 2 uW, with spectrum_min lowered to keep the lower reflect port
 # (0.655 omega_m at 2.5 uW, 0.612 at 3 uW), and the sweep on the oracle
 RUNS["fig3_2.5uW_3uW"] = (["--set", "fig3_powers=2.5uW, 3uW", "--set",

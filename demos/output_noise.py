@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from omrouter import parse_config, scan_spectrum, solve_steady_state
+from omrouter import operating_point, parse_config, scan_spectrum
 
 try:
     import matplotlib
@@ -31,8 +31,11 @@ def main():
     print(f"{'T [mK]':>8}  {'max s_vacuum':>14}  {'max s_thermal':>14}")
     curves = {}
     for temperature in (0.0, 0.02, 0.1, 0.3):
-        params = replace(cfg.system_params(), temperature=temperature)
-        state = solve_steady_state(params)
+        params, state = operating_point(
+            replace(cfg.base_params(), temperature=temperature),
+            cfg.pin_optical, cfg.pin_microwave)
+        for note in state.warnings:
+            print(f"warning: {note}")
         result = scan_spectrum(params, grid, state=state)
         sv = result.column("s_vacuum")
         st = result.column("s_thermal")

@@ -9,14 +9,18 @@ is the router's tuning knob: the sweep below maps power to port frequencies.
 
 import numpy as np
 
-from omrouter import parse_config, power_sweep, routing_report
+from omrouter import (operating_point, parse_config, power_sweep,
+                      routing_report)
 
 
 def main():
     cfg = parse_config(env={})
-    params = cfg.system_params()
+    params, state = operating_point(cfg.base_params(), cfg.pin_optical,
+                                    cfg.pin_microwave)
 
-    report = routing_report(params)
+    report = routing_report(params, state=state)
+    for note in state.warnings + report.warnings:
+        print(f"warning: {note}")
     print("routing report at the reference power "
           f"({params.power_p * 1e9:.0f} nW):")
     for port in report.ports:
@@ -25,7 +29,9 @@ def main():
               f"T = {port.t_value:.2e}")
 
     powers = np.linspace(50e-9, 1500e-9, 25)
-    sweep = power_sweep(params, powers, pin_optical=True, pin_microwave=True)
+    sweep = power_sweep(cfg.base_params(), powers,
+                        pin_optical=cfg.pin_optical,
+                        pin_microwave=cfg.pin_microwave)
     print("\npower sweep (splitting should follow sqrt(power)):")
     print(f"  {'power_p [nW]':>12}  {'omega0/omega_m':>14}  "
           f"{'omega0/sqrt(P) [rad/s/sqrt(W)]':>30}")

@@ -10,7 +10,7 @@ available, saves a two-panel figure next to it.
 
 import numpy as np
 
-from omrouter import parse_config, scan_spectrum, solve_steady_state
+from omrouter import operating_point, parse_config, scan_spectrum
 
 
 def main():
@@ -20,8 +20,10 @@ def main():
 
     curves = {}
     for label, power in (("off", 0.0), ("on", None)):
-        params = cfg.system_params(power_p=power)
-        state = solve_steady_state(params)
+        params, state = operating_point(cfg.base_params(power),
+                                        cfg.pin_optical, cfg.pin_microwave)
+        for note in state.warnings:
+            print(f"warning: pump {label}: {note}")
         result = scan_spectrum(params, grid, state=state)
         curves[label] = (result.column("r_refl"), result.column("t_trans"))
 

@@ -12,13 +12,14 @@ hand.
 
 import numpy as np
 
-from omrouter import (drive_amplitudes, force_balance, parse_config,
-                      solve_steady_state, steady_residual)
+from omrouter import (drive_amplitudes, force_balance, operating_point,
+                      parse_config, steady_residual)
 
 
 def main():
     cfg = parse_config(env={})
-    params = cfg.system_params()
+    params, state = operating_point(cfg.base_params(), cfg.pin_optical,
+                                    cfg.pin_microwave)
     print("reference device, both pumps on "
           f"(optical {params.power_l * 1e6:.0f} uW, "
           f"microwave {params.power_p * 1e9:.0f} nW)")
@@ -26,7 +27,8 @@ def main():
     print(f"drive amplitudes: eps_l = {eps_l:.4e} 1/s, "
           f"eps_p = {eps_p:.4e} 1/s\n")
 
-    state = solve_steady_state(params)
+    for note in state.warnings:
+        print(f"warning: {note}")
     print(f"force balance has {len(state.branches)} real roots (metres):")
     for i, q in enumerate(state.branches):
         print(f"  [{i}] q = {q:+.6e}   F(q) = {force_balance(params, q):+.3e} N")
@@ -43,10 +45,12 @@ def main():
 
     print("\nbranch structure vs microwave power:")
     for power in np.array([0.0, 0.1, 0.5, 1.0, 5.0]) * 300e-9:
-        p = cfg.system_params(power_p=float(power))
-        state = solve_steady_state(p)
+        _, state = operating_point(cfg.base_params(float(power)),
+                                   cfg.pin_optical, cfg.pin_microwave)
         print(f"  power_p = {power * 1e9:7.1f} nW: {len(state.branches)} "
               f"branches, selected q_s = {state.q_s:+.3e} m")
+        for note in state.warnings:
+            print(f"    warning: {note}")
 
 
 if __name__ == "__main__":

@@ -93,22 +93,41 @@ def _cmd_steady(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
+def _write_scans(cfg: RunConfig, outputs: dict) -> list[Path]:
+    """Write the CSV files of ``spectrum`` or a figure.
+
+    ``outputs`` maps each file name to its columns after the
+    ``omega/omega_m`` axis, each ``(header, power_p, ScanResult column)``.
+    Each distinct power is solved and scanned once, in order of first use,
+    and a scan's failed nodes go to stderr.
+    """
     out = _prepare_outdir(cfg)
-    params, state = _operating_point(cfg)
     grid = _spectrum_grid(cfg)
-    result = scan_spectrum(params, grid, method=cfg.method, state=state)
-    path = out / "spectrum.csv"
-    _write_csv(path,
-               ["omega_over_omega_m[1]", "reflection[1]", "transmission[1]",
-                "s_thermal[1]", "s_vacuum[1]"],
-               zip((result.omega / cfg.omega_m).tolist(),
-                   result.r_refl.tolist(), result.t_trans.tolist(),
-                   result.s_thermal.tolist(), result.s_vacuum.tolist()))
-    for index, omega, message in result.errors:
-        print(f"warning: node {index} (omega={omega!r}): {message}",
-              file=sys.stderr)
-    print(f"wrote {path}")
+    axis = (grid / cfg.omega_m).tolist()
+    scans = {}
+    for power in (p for columns in outputs.values() for _, p, _ in columns):
+        if power not in scans:
+            params, state = _operating_point(cfg, power)
+            scans[power] = scan_spectrum(params, grid, method=cfg.method,
+                                         state=state)
+            for index, omega, message in scans[power].errors:
+                print(f"warning: node {index} (omega={omega!r}): {message}",
+                      file=sys.stderr)
+    for name, columns in outputs.items():
+        header = ["omega_over_omega_m[1]"] + [h for h, _, _ in columns]
+        values = (scans[p].column(c).tolist() for _, p, c in columns)
+        _write_csv(out / name, header, zip(axis, *values))
+    return [out / name for name in outputs]
+
+
+def _cmd_spectrum(cfg: RunConfig) -> int:
+    on = cfg.power_p
+    columns = [("reflection[1]", on, "r_refl"),
+               ("transmission[1]", on, "t_trans"),
+               ("s_thermal[1]", on, "s_thermal"),
+               ("s_vacuum[1]", on, "s_vacuum")]
+    for path in _write_scans(cfg, {"spectrum.csv": columns}):
+        print(f"wrote {path}")
     return 0
 
 
@@ -199,48 +218,22 @@ def run_figure(figure_id: str, cfg: RunConfig) -> list[Path]:
     that range at about 2 uW (0.6995 omega_m at 2 uW, 0.655 at 2.5 uW):
     set a lower ``spectrum_min`` for ``fig3_powers`` above that.
     """
-    out = _prepare_outdir(cfg)
-    grid = _spectrum_grid(cfg)
-    axis = grid / cfg.omega_m
-    written: list[Path] = []
-
-    def scan_for(power_p=None):
-        params, state = _operating_point(cfg, power_p)
-        return scan_spectrum(params, grid, method=cfg.method, state=state)
-
+    on = cfg.power_p
     if figure_id == "fig2":
-        off = scan_for(power_p=0.0)
-        on = scan_for()
-        for name, column in (("reflection", "r_refl"),
-                             ("transmission", "t_trans")):
-            path = out / f"fig2_{name}.csv"
-            tag = name[0]
-            _write_csv(path,
-                       ["omega_over_omega_m[1]", f"{tag}_pump_off[1]",
-                        f"{tag}_pump_on[1]"],
-                       zip(axis.tolist(), off.column(column).tolist(),
-                           on.column(column).tolist()))
-            written.append(path)
+        outputs = {f"fig2_{name}.csv": [(f"{name[0]}_pump_off[1]", 0.0, col),
+                                        (f"{name[0]}_pump_on[1]", on, col)]
+                   for name, col in (("reflection", "r_refl"),
+                                     ("transmission", "t_trans"))}
     elif figure_id == "fig3":
-        columns = [(p, scan_for(power_p=p).column("t_trans"))
+        columns = [(f"t_at_{p:.6g}W[1]", p, "t_trans")
                    for p in cfg.fig3_powers]
-        path = out / "fig3_transmission.csv"
-        header = ["omega_over_omega_m[1]"]
-        header += [f"t_at_{p:.6g}W[1]" for p, _ in columns]
-        rows = zip(axis.tolist(), *(c.tolist() for _, c in columns))
-        _write_csv(path, header, rows)
-        written.append(path)
+        outputs = {"fig3_transmission.csv": columns}
     elif figure_id == "fig4":
-        on = scan_for()
-        path = out / "fig4_noise.csv"
-        _write_csv(path,
-                   ["omega_over_omega_m[1]", "s_vacuum[1]", "s_thermal[1]"],
-                   zip(axis.tolist(), on.column("s_vacuum").tolist(),
-                       on.column("s_thermal").tolist()))
-        written.append(path)
+        outputs = {"fig4_noise.csv": [("s_vacuum[1]", on, "s_vacuum"),
+                                      ("s_thermal[1]", on, "s_thermal")]}
     else:
         raise ConfigError(f"unknown figure id {figure_id!r}")
-    return written
+    return _write_scans(cfg, outputs)
 
 
 def _cmd_validate(cfg: RunConfig) -> int:

@@ -75,38 +75,34 @@ def _parse_quantity(text: str, kind: str, key: str, where: str) -> float:
     tau = m.group("tau") is not None
     unit = m.group("unit")
 
+    exponent = 0
     if unit:
         if unit not in _UNITS:
             raise ConfigError(f"{where}: unknown unit {unit!r} for {key}")
         dim, exponent = _UNITS[unit]
-        if kind == "angular":
-            if dim != "frequency":
-                raise ConfigError(
-                    f"{where}: {key} expects a frequency, got {unit!r}")
-            if not tau:
-                raise ConfigError(
-                    f"{where}: {key} is angular; write 2pi*{text.strip()} "
-                    f"or give the rad/s number directly")
-            value = _TAU * num * 10**exponent
-        else:
-            if dim != kind:
-                raise ConfigError(
-                    f"{where}: {key} expects {kind}, got {unit!r} ({dim})")
-            if tau:
-                raise ConfigError(f"{where}: 2pi* is only valid with "
-                                  f"frequency-like keys, not {key}")
-            try:
-                value = float(f"{mantissa}e{int(shift or 0) + exponent}")
-            except ValueError:  # int() refuses exponents of over 4300 digits
-                raise ConfigError(f"{where}: exponent of {key} is too "
-                                  "long") from None
-    elif tau:
-        if kind not in ("angular", "coupling"):
-            raise ConfigError(f"{where}: 2pi* is only valid with "
-                              f"frequency-like keys, not {key}")
-        value = _TAU * num
-    else:
+        if kind == "angular" and dim != "frequency":
+            raise ConfigError(
+                f"{where}: {key} expects a frequency, got {unit!r}")
+        if kind != "angular" and dim != kind:
+            raise ConfigError(
+                f"{where}: {key} expects {kind}, got {unit!r} ({dim})")
+        if kind == "angular" and not tau:
+            raise ConfigError(
+                f"{where}: {key} is angular; write 2pi*{text.strip()} "
+                f"or give the rad/s number directly")
+    if tau and kind not in ("angular", "coupling"):
+        raise ConfigError(f"{where}: 2pi* is only valid with "
+                          f"frequency-like keys, not {key}")
+    if tau:  # exponent is 0 unless an angular key has a unit
+        value = _TAU * num * 10**exponent
+    elif not unit:
         value = num
+    else:
+        try:
+            value = float(f"{mantissa}e{int(shift or 0) + exponent}")
+        except ValueError:  # int() refuses exponents of over 4300 digits
+            raise ConfigError(f"{where}: exponent of {key} is too "
+                              "long") from None
     # an overflow, or a literal with a nonzero mantissa that rounds to 0
     if not math.isfinite(value) or value == 0.0 != float(mantissa):
         raise ConfigError(f"{where}: value {text!r} for {key} " + (

@@ -499,6 +499,21 @@ class TestRoutingReport:
                 f"omega={ports[2].omega!r}") + "$"):
             routing_report(params_on, state=state_on)
 
+    def test_no_reflection_maximum_raises(self, params_on, state_on,
+                                          monkeypatch):
+        # T dips but no R maximum: no reflect port can be placed
+        real_points = analysis_module._stationary_points
+
+        def no_r_maximum(params, state):
+            t_min, t_max, _ = real_points(params, state)
+            return t_min, t_max, []
+
+        monkeypatch.setattr(analysis_module, "_stationary_points",
+                            no_r_maximum)
+        with pytest.raises(AnalysisError,
+                           match="^no reflection maximum at omega >= 0$"):
+            routing_report(params_on, state=state_on)
+
     def test_reflect_ports_sit_on_reflection_peaks(self, default_cfg):
         # each reflect port is the R maximum beside its T dip, so R falls
         # on both sides of it, also at 7.4 uW, near the instability, where
@@ -779,6 +794,19 @@ class TestCalibration:
         calibrate_couplings(weak, g1_bracket=(weak.g1, params_on.g1),
                             g2_bracket=(weak.g2, 2.0 * weak.g2))
         assert len(windows) == len(set(windows)) <= 13
+
+    @pytest.mark.xfail(strict=True, raises=CalibrationError, reason=(
+        "stage 2 reads a miss at the top of the g2 bracket as unreachable, "
+        "but the splitting is not monotone in g2"))
+    def test_splitting_met_inside_default_bracket(self, params_on):
+        # at g2 = 6e19 the default bracket (6e19, 6e22] holds the default
+        # g2 = 1.2e20, whose splitting meets the target; from 1e22 up the
+        # pins are missed and the report has one port
+        weak = replace(params_on, g2=6e19)
+        g1, g2 = calibrate_couplings(weak)
+        p, state = operating_point(replace(weak, g1=g1, g2=g2), True, True)
+        report = routing_report(p, state=state)
+        assert report.omega0 > 5.0 * 2.0 * params_on.kappa1
 
     def test_depth_unreachable_inside_bracket(self, params_on):
         weak = replace(params_on, g1=0.3 * params_on.g1)

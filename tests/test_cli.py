@@ -2,16 +2,19 @@ import argparse
 import json
 import math
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import omrouter.cli as cli_module
 import omrouter.config as config_module
 import omrouter.steady as steady_module
 from omrouter.analysis import find_extrema, window_splitting
-from omrouter.cli import _build_parser, main
+from omrouter.cli import _build_parser, main, run_figure
 from omrouter.config import parse_config
+from omrouter.errors import ConfigError, ConvergenceError
 from omrouter.response import scan_spectrum
 from omrouter.steady import operating_point
 
@@ -334,6 +337,95 @@ def test_figure_rejects_unknown_id(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["--out", str(tmp_path), "figure", "fig9"])
     assert info.value.code == 2
+
+
+def test_run_figure_rejects_spectrum(tmp_path):
+    # spectrum shares the figures' writer but is not a figure
+    cfg = parse_config(overrides=[f"output_dir={tmp_path}"], env={})
+    with pytest.raises(ConfigError, match="^unknown figure id 'spectrum'$"):
+        run_figure("spectrum", cfg)
+
+
+@pytest.mark.parametrize("argv, scans, columns", [
+    (["--set", "power_p=0", "figure", "fig2"], [0.0],
+     {"fig2_reflection.csv": 3, "fig2_transmission.csv": 3}),
+    (["--set", "fig3_powers=300nW, 1uW, 300nW", "figure", "fig3"],
+     [3e-7, 1e-6], {"fig3_transmission.csv": 4}),
+    (["figure", "fig4"], [3e-7], {"fig4_noise.csv": 3}),
+    (["spectrum"], [3e-7], {"spectrum.csv": 5})])
+def test_each_power_scanned_once(tmp_path, monkeypatch, argv, scans,
+                                 columns):
+    # a power that several columns share is solved and scanned once, in
+    # order of first use
+    seen = []
+    real_scan = cli_module.scan_spectrum
+
+    def recording(params, *args, **kwargs):
+        seen.append(params.power_p)
+        return real_scan(params, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "scan_spectrum", recording)
+    assert main(["--out", str(tmp_path), "--set", "spectrum_points=11",
+                 *argv]) == 0
+    assert seen == scans
+    for name, count in columns.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert len(lines) == 12
+        assert {len(line.split(",")) for line in lines} == {count}
+
+
+def test_repeated_fig3_power_gives_equal_columns(tmp_path):
+    assert main(["--out", str(tmp_path), "--set", "spectrum_points=11",
+                 "--set", "fig3_powers=300nW, 1uW, 300nW",
+                 "figure", "fig3"]) == 0
+    lines = (tmp_path / "fig3_transmission.csv").read_text().splitlines()
+    assert lines[0].split(",")[1:] == [
+        "t_at_3e-07W[1]", "t_at_1e-06W[1]", "t_at_3e-07W[1]"]
+    for line in lines[1:]:
+        values = line.split(",")
+        assert values[1] == values[3] != values[2]
+
+
+def test_figure_reports_failed_nodes(tmp_path, capsys, monkeypatch):
+    # each scan's failed nodes go to stderr, as spectrum's do: fig2 makes
+    # two scans, pump off and pump on
+    real_scan = cli_module.scan_spectrum
+
+    def failing(*args, **kwargs):
+        result = real_scan(*args, **kwargs)
+        return replace(result, errors=[
+            (4, float(result.omega[4]), "singular response denominator")])
+
+    monkeypatch.setattr(cli_module, "scan_spectrum", failing)
+    assert main(["--out", str(tmp_path), "--set", "spectrum_points=11",
+                 "figure", "fig2"]) == 0
+    out, err = capsys.readouterr()
+    omega = float(parse_config(env={}).omega_m * np.linspace(0.7, 1.3, 11)[4])
+    assert err.splitlines() == [
+        f"warning: node 4 (omega={omega!r}): singular response "
+        "denominator"] * 2
+    assert out.count("wrote ") == 2
+
+
+def test_solve_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise ConvergenceError("steady-state residual too large")
+
+    monkeypatch.setattr(steady_module, "solve_steady_state", failing)
+    assert main(["--out", str(tmp_path), "route"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ("error: ConvergenceError: steady-state residual too "
+                   "large\n")
+    assert not (tmp_path / "routing_report.json").exists()
+
+
+def test_validate_failure_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli_module, "_ORACLE_TOL", 0.0)
+    assert main(["--out", str(tmp_path), "validate"]) == 1
+    out, err = capsys.readouterr()
+    assert "(tolerance 0e+00)" in out
+    assert "validation passed" not in out
+    assert err == "validation FAILED\n"
 
 
 def test_sweep_power_ordering(tmp_path):

@@ -500,3 +500,20 @@ def test_deviation_helper_reports_per_coefficient(params_on, state_on):
     assert set(devs) == {"e1", "f1", "e2", "f2", "v", "max"}
     assert devs["max"] == max(devs[k] for k in ("e1", "f1", "e2", "f2", "v"))
     assert devs["max"] < 1e-9
+
+
+@pytest.mark.parametrize("path", ["_closed_arrays", "_oracle_arrays"])
+def test_deviation_helper_raises_on_singular_node(params_on, state_on,
+                                                  monkeypatch, path):
+    real_arrays = getattr(response_module, path)
+
+    def singular_first(*args):
+        arrs, bad = real_arrays(*args)
+        bad[0] = True
+        return arrs, bad
+
+    monkeypatch.setattr(response_module, path, singular_first)
+    grid = params_on.omega_m * np.linspace(0.9, 1.1, 5)
+    with pytest.raises(SingularPointError,
+                       match="^deviation grid hits a singular node$"):
+        closed_vs_oracle_deviation(params_on, state_on, grid)

@@ -7,7 +7,8 @@ import pytest
 
 import omrouter.steady as steady_module
 from omrouter._roots import REL_TOL, false_position
-from omrouter.errors import ConvergenceError, InvalidParameterError
+from omrouter.errors import (BracketingError, ConvergenceError,
+                             InvalidParameterError)
 from omrouter.model import CONSTANTS, SystemParams, drive_amplitudes
 from omrouter.steady import (enumerate_branches, force_balance,
                              operating_point, pin_effective_detunings,
@@ -437,6 +438,14 @@ class TestEnumerateBranches:
         ours = force_balance(params_on, qs)
         theirs = np.array([balance_oracle(params_on, q) for q in qs])
         np.testing.assert_allclose(ours, theirs, rtol=1e-12)
+
+    def test_no_sign_change_raises(self, params_on, monkeypatch):
+        # impossible for the continuous balance; a bug would show here
+        monkeypatch.setattr(steady_module, "sign_changes",
+                            lambda samples, values: ([], []))
+        with pytest.raises(BracketingError, match="^no sign change found "
+                           "while bracketing the force balance$"):
+            enumerate_branches(params_on)
 
     def test_power_scale_reduces_to_no_drive(self):
         p = make_params()

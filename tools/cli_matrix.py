@@ -52,6 +52,10 @@ RUNS["fig3_8uW"] = (["--set", "fig3_powers=300nW, 8uW"], ["figure", "fig3"])
 # a power listed twice, and route at a power where the ramped solve fails
 # (exit 1, ConvergenceError)
 RUNS["fig3_8uW_8uW"] = (["--set", "fig3_powers=8uW, 8uW"], ["figure", "fig3"])
+# two powers that agree to 6 significant digits: their columns need
+# distinct headers
+RUNS["fig3_near_equal"] = (["--set", "fig3_powers=300nW, 300.0000001nW"],
+                           ["figure", "fig3"])
 RUNS["route_197nW"] = (["--set", "power_p=1.9715142722466877e-07"], ["route"])
 # fig3 above 2 uW, with spectrum_min lowered to keep the lower reflect port
 # (0.655 omega_m at 2.5 uW, 0.612 at 3 uW), and the sweep on the oracle

@@ -28,7 +28,7 @@ from ._roots import (companion_roots, false_position, samples_and_seeds,
 from .errors import AnalysisError, CalibrationError, InvalidParameterError, RouterError
 from .model import CONSTANTS, SystemParams
 from .response import ScanResult, _node_spectra, transmission
-from .steady import SteadyState, operating_point, solve_steady_state
+from .steady import SteadyState, operating_point
 
 __all__ = [
     "Extremum",
@@ -224,8 +224,7 @@ def _split_lines(t_min, wm):
             if side]
 
 
-def window_splitting(params: SystemParams,
-                     state: SteadyState | None = None) -> float:
+def window_splitting(params: SystemParams, state: SteadyState) -> float:
     """Half the separation of the split transparency window (rad/s).
 
     The :func:`routing_report` measure ``omega0_window``: half the distance
@@ -235,13 +234,10 @@ def window_splitting(params: SystemParams,
     stationary points of T alone and evaluates no port, so no report
     error (a singular port, no R maximum) reaches it.
 
-    Without ``state`` it solves at the detunings as given, as
-    :func:`routing_report` does.  Raises :class:`AnalysisError` when
-    transmission has no minimum at any ``omega >= 0``, which signals
-    parameters outside the transparency regime.
+    Raises :class:`AnalysisError` when transmission has no minimum at any
+    ``omega >= 0``, which signals parameters outside the transparency
+    regime.
     """
-    if state is None:
-        state = solve_steady_state(params)
     dips = _split_lines(_stationary_points(params, state)[0], params.omega_m)
     if not dips:
         raise AnalysisError("no transmission dip at omega >= 0")
@@ -283,8 +279,7 @@ class RoutingReport:
     omega0_window: float | None = None
 
 
-def routing_report(params: SystemParams,
-                   state: SteadyState | None = None,
+def routing_report(params: SystemParams, state: SteadyState,
                    r_reflect_min: float = DEFAULT_R_REFLECT_MIN,
                    t_transmit_min: float = DEFAULT_T_TRANSMIT_MIN,
                    method: str = "closed") -> RoutingReport:
@@ -311,17 +306,11 @@ def routing_report(params: SystemParams,
     one R maximum nearest both dips) warns; it shows the pump-off pattern
     (one reflect port, ``omega0`` 0).
 
-    Without ``state`` it solves at the detunings as given, with no pin
-    check and no missed-pin note: it cannot know which were pinned.  Pass
-    the state of :func:`operating_point`, whose warnings carry those notes.
-
     Note the reflect-port midpoint sits slightly below the transmit port:
     position-type coupling pulls both hybrid modes down by about
     ``omega0**2 / (2*omega_m)``, a real second-order effect, not a grid
     artefact.
     """
-    if state is None:
-        state = solve_steady_state(params)
     pump_on = params.power_p > 0.0
     wm = params.omega_m
     t_min, t_max, r_max = _stationary_points(params, state)
@@ -492,7 +481,11 @@ def calibrate_couplings(params: SystemParams,
     More ``g1`` keeps the pump-off window blocked but shifts the splitting
     slightly, so ``g2`` is re-bisected once, only if the splitting was
     lost; that last step does not check its bracket and never raises.
-    Couplings that already meet a stage's target are kept.  Every check
+    Couplings that already meet a stage's target are kept.  When the top
+    of a stage's bracket misses its target (the splitting is not monotone
+    in ``g2``: past some ``g2`` the pins are missed), the stage tries 2, 4,
+    8, ... times the bracket's lower end, below the top, and bisects below
+    the first that meets it; a lower end of 0 tries nothing.  Every check
     first pins both effective detunings to ``omega_m`` and solves there
     (:func:`~omrouter.steady.operating_point`), then reads one
     :func:`routing_report` per coupling pair.
@@ -546,13 +539,19 @@ def calibrate_couplings(params: SystemParams,
         return len(reflect) == 2 and all(p.threshold_met for p in reflect)
 
     def meet(ok, value, lo, hi, failure):
-        # keep value if it meets the target, raise failure() if even hi
-        # misses it, else bisect the threshold in (lo, hi]
+        # keep value if it meets the target, else bisect the threshold in
+        # (lo, hi]; if even hi misses it (a target need not be monotone
+        # in the coupling), bisect below the first of 2*lo, 4*lo, ...
+        # under hi that meets it, and raise failure() if none does
         if ok(value):
             return value
-        if not ok(hi):
-            raise failure()
-        return _bisect_threshold(ok, lo, hi)
+        if ok(hi):
+            return _bisect_threshold(ok, lo, hi)
+        while 0.0 < 2.0 * lo < hi:
+            if ok(2.0 * lo):
+                return _bisect_threshold(ok, lo, 2.0 * lo)
+            lo *= 2.0
+        raise failure()
 
     def depth_failure():
         closest = {"g1": g1_hi, "g2": g2}

@@ -225,7 +225,7 @@ def run_figure(figure_id: str, cfg: RunConfig) -> list[Path]:
                    for name, col in (("reflection", "r_refl"),
                                      ("transmission", "t_trans"))}
     elif figure_id == "fig3":
-        columns = [(f"t_at_{p:.6g}W[1]", p, "t_trans")
+        columns = [(f"t_at_{p!r}W[1]", p, "t_trans")
                    for p in cfg.fig3_powers]
         outputs = {"fig3_transmission.csv": columns}
     elif figure_id == "fig4":

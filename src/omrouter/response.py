@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SingularPointError
 from .model import CONSTANTS, SystemParams, thermal_occupation
-from .steady import SteadyState, solve_steady_state
+from .steady import SteadyState
 
 __all__ = [
     "ResponseCoefficients",
@@ -360,48 +360,35 @@ def thermal_noise_spectrum(params: SystemParams, state: SteadyState, omega,
 
 
 def scan_spectrum(params: SystemParams, omega_grid, method: str = "closed",
-                  state: SteadyState | None = None) -> ScanResult:
-    """Evaluate all four spectra on a frequency grid.
+                  *, state: SteadyState) -> ScanResult:
+    """Evaluate all four spectra on a 1-D frequency grid at ``state``.
 
-    Without ``state`` it solves at the detunings as given, with no pin
-    check and no missed-pin note; pass the state of
-    :func:`~omrouter.steady.operating_point`, whose warnings carry those
-    notes.  Per-node failures are recorded in the result's error list
-    while the scan continues, one entry per node, by precedence: a
-    singular denominator (all columns NaN), then omega = 0 (thermal column
-    NaN), then a non-finite value (all columns NaN).
+    Per-node failures are recorded in the result's error list while the
+    scan continues, one entry per node, by precedence: a singular
+    denominator (all columns NaN), then omega = 0 (thermal column NaN),
+    then a non-finite value (all columns NaN).  An empty grid gives empty
+    columns.
     """
     grid = np.asarray(omega_grid, dtype=float)
-    errors: list[tuple[int, float, str]] = []
-    if grid.size == 0:
-        grid = np.empty(0)
-        cols = dict.fromkeys(_SCAN_COLUMNS[1:], grid)
-    else:
-        if grid.ndim != 1 or (grid.size > 1
-                              and not np.all(np.diff(grid) > 0.0)):
-            raise InvalidParameterError(
-                "omega grid must be strictly increasing")
-        if state is None:
-            state = solve_steady_state(params)
-        arrs, singular = _arrays(params, state, grid, method)
-        cols = _spectra(params, grid, arrs)
-        zero = (grid == 0.0) & ~singular
-        finite = np.isfinite(np.stack(list(cols.values()))).all(axis=0)
-        nonfinite = ~finite & ~singular & ~zero
-        failed = singular | nonfinite
-        cols = {name: np.where(failed, np.nan, values)
-                for name, values in cols.items()}
-        cols["s_thermal"][zero] = np.nan
-        for i in np.flatnonzero(singular | zero | nonfinite).tolist():
-            if singular[i]:
-                errors.append((i, float(grid[i]),
-                               "singular response denominator"))
-            elif zero[i]:
-                errors.append((i, 0.0,
-                               "thermal spectrum singular at omega = 0"))
-            else:
-                errors.append((i, float(grid[i]),
-                               "non-finite spectrum value"))
+    if grid.ndim != 1 or not np.all(np.diff(grid) > 0.0):
+        raise InvalidParameterError("omega grid must be strictly increasing")
+    arrs, singular = _arrays(params, state, grid, method)
+    cols = _spectra(params, grid, arrs)
+    zero = (grid == 0.0) & ~singular
+    finite = np.isfinite(np.stack(list(cols.values()))).all(axis=0)
+    nonfinite = ~finite & ~singular & ~zero
+    failed = singular | nonfinite
+    cols = {name: np.where(failed, np.nan, values)
+            for name, values in cols.items()}
+    cols["s_thermal"][zero] = np.nan
+    errors = []
+    for i in np.flatnonzero(singular | zero | nonfinite).tolist():
+        if singular[i]:
+            errors.append((i, float(grid[i]), "singular response denominator"))
+        elif zero[i]:
+            errors.append((i, 0.0, "thermal spectrum singular at omega = 0"))
+        else:
+            errors.append((i, float(grid[i]), "non-finite spectrum value"))
     return ScanResult(omega=grid, errors=errors, **cols)
 
 

@@ -85,11 +85,11 @@ def _balance(params: SystemParams, power_scale, drives=None):
 
     Returns its coefficients ``(m_w2, num_opt, num_mw, k1sq, k2sq)`` and the
     balance ``m_w2*q - num_mw/(k2sq + (delta_c - g2*q)**2)
-    + num_opt/(k1sq + (delta_a + g1*q)**2)`` as a function of floats or
-    arrays.  An array of scales gives arrays ``num_opt`` and ``num_mw`` that
-    broadcast against ``q``.  At one float scale it closes over plain
-    floats: the sample checks and the bracket solve call it many times
-    across a ramp, where attribute lookups would dominate.  ``drives`` are
+    + num_opt/(k1sq + (delta_a + g1*q)**2)`` as a function of a float or
+    an array ``q``.  ``power_scale`` is one float, so the coefficients are
+    floats and the function closes over plain floats: the sample checks
+    and the bracket solve call it many times across a ramp, where
+    attribute lookups would dominate.  ``drives`` are
     the pump amplitudes of :func:`drive_amplitudes`, if the caller already
     has them.
     """

@@ -147,7 +147,7 @@ def test_criterion_4_router_behavior(cfg):
 
     w_low = window_splitting(p_on, state=s_on)
     p_high = cfg.system_params(power_p=1500e-9)
-    w_high = window_splitting(p_high)
+    w_high = window_splitting(p_high, solve_steady_state(p_high))
 
     elapsed = time.perf_counter() - t0
     ok = (r_off > 0.99 and t_off < 0.01

@@ -237,7 +237,7 @@ class TestWindowScan:
         # where every port fit in the former +-0.30 omega_m window, the
         # stationary points keep those ports to within 1.5e-9 omega_m
         params = default_cfg.system_params(power_p=power_p)
-        report = routing_report(params)
+        report = routing_report(params, solve_steady_state(params))
         ports = [p.omega / params.omega_m for p in report.ports]
         assert ports == pytest.approx(self.WINDOW_PORTS[power_p], abs=1.5e-9)
 
@@ -323,19 +323,20 @@ class TestWindowSplitting:
     def test_grows_with_power(self, default_cfg, params_on, state_on):
         low = window_splitting(params_on, state=state_on)
         p_high = default_cfg.system_params(power_p=1500e-9)
-        high = window_splitting(p_high)
+        high = window_splitting(p_high, solve_steady_state(p_high))
         assert high > low
 
     def test_no_structure_raises(self):
         params = make_params(g1=0.0)
         with pytest.raises(AnalysisError):
-            window_splitting(params)
+            window_splitting(params, solve_steady_state(params))
 
     def test_continuous_under_small_power_change(self, default_cfg,
                                                  params_on, state_on):
         base = window_splitting(params_on, state=state_on)
-        nudged = window_splitting(default_cfg.system_params(
-            power_p=params_on.power_p * 1.01))
+        p_nudged = default_cfg.system_params(
+            power_p=params_on.power_p * 1.01)
+        nudged = window_splitting(p_nudged, solve_steady_state(p_nudged))
         grid_step = 2 * 0.3 * params_on.omega_m / 4000
         assert abs(nudged - base) < 10 * grid_step
 
@@ -412,15 +413,15 @@ class TestRoutingReport:
 
     def test_decoupled_is_degenerate(self):
         params = make_params(g1=0.0)
-        report = routing_report(params)
+        report = routing_report(params, solve_steady_state(params))
         assert report.degenerate
         assert [p.label for p in report.ports] == ["transmit"]
         assert report.ports[0].t_value > 0.95
         assert report.omega0 == 0.0
 
     def test_report_is_deterministic(self, params_on):
-        first = routing_report(params_on)
-        second = routing_report(params_on)
+        first = routing_report(params_on, solve_steady_state(params_on))
+        second = routing_report(params_on, solve_steady_state(params_on))
         assert first == second
 
     def test_one_kernel_call_per_port(self, params_on, state_on, params_off,
@@ -551,7 +552,8 @@ class TestRoutingReport:
                                            warns):
         # at 1 pW the split lines are one T dip, below omega_m; at 20 uW
         # the upper split line is a T dip at 2.1 omega_m
-        report = routing_report(default_cfg.system_params(power_p=power_p))
+        params = default_cfg.system_params(power_p=power_p)
+        report = routing_report(params, solve_steady_state(params))
         assert report.pump_on == (power_p > 0.0)
         assert bool(report.warnings) == warns
         if warns:
@@ -659,7 +661,8 @@ class TestPowerSweep:
                              pin_optical=True, pin_microwave=True)
         assert result.errors == []
         row = result.rows[0]
-        report = routing_report(default_cfg.system_params())
+        params = default_cfg.system_params()
+        report = routing_report(params, solve_steady_state(params))
         assert row.omega0 == report.omega0
         assert [p.omega for p in row.ports] == [p.omega for p in report.ports]
 
@@ -748,7 +751,8 @@ class TestCalibration:
             g2_bracket=(weak.g2, params_on.g2 * 2.0))
         assert g1 > weak.g1 and g2 > weak.g2
         calibrated = replace(params_on, g1=g1, g2=g2)
-        report = routing_report(pin_effective_detunings(calibrated))
+        pinned = pin_effective_detunings(calibrated)
+        report = routing_report(pinned, solve_steady_state(pinned))
         targets = CalibrationTargets()
         reflect = [p for p in report.ports if p.label.startswith("reflect")]
         assert report.omega0 > 5.0 * 2.0 * params_on.kappa1
@@ -767,8 +771,8 @@ class TestCalibration:
         assert weak.g1 < g1 < params_on.g1
 
         def reflect_r(g):
-            report = routing_report(pin_effective_detunings(
-                replace(weak, g1=g)))
+            pinned = pin_effective_detunings(replace(weak, g1=g))
+            report = routing_report(pinned, solve_steady_state(pinned))
             return [p.r_value for p in report.ports
                     if p.label.startswith("reflect")]
 
@@ -795,9 +799,6 @@ class TestCalibration:
                             g2_bracket=(weak.g2, 2.0 * weak.g2))
         assert len(windows) == len(set(windows)) <= 13
 
-    @pytest.mark.xfail(strict=True, raises=CalibrationError, reason=(
-        "stage 2 reads a miss at the top of the g2 bracket as unreachable, "
-        "but the splitting is not monotone in g2"))
     def test_splitting_met_inside_default_bracket(self, params_on):
         # at g2 = 6e19 the default bracket (6e19, 6e22] holds the default
         # g2 = 1.2e20, whose splitting meets the target; from 1e22 up the
@@ -807,6 +808,22 @@ class TestCalibration:
         p, state = operating_point(replace(weak, g1=g1, g2=g2), True, True)
         report = routing_report(p, state=state)
         assert report.omega0 > 5.0 * 2.0 * params_on.kappa1
+
+    def test_no_microwave_coupling_raises_promptly(self, params_on,
+                                                   monkeypatch):
+        # with g2 = 0 the default g2 bracket starts at 0, so the search
+        # inside it tries nothing: stage 2 reads g2 = 0 and the top only
+        real_points = analysis_module._stationary_points
+        tried = []
+
+        def counting(params, state):
+            tried.append(params.g2)
+            return real_points(params, state)
+
+        monkeypatch.setattr(analysis_module, "_stationary_points", counting)
+        with pytest.raises(CalibrationError, match="^splitting target "):
+            calibrate_couplings(replace(params_on, g2=0.0))
+        assert tried == [0.0, 1e3]
 
     def test_depth_unreachable_inside_bracket(self, params_on):
         weak = replace(params_on, g1=0.3 * params_on.g1)

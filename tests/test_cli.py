@@ -386,6 +386,17 @@ def test_repeated_fig3_power_gives_equal_columns(tmp_path):
         assert values[1] == values[3] != values[2]
 
 
+def test_near_equal_fig3_powers_get_distinct_headers(tmp_path):
+    # two powers that agree to 6 significant digits: each header carries
+    # its power's shortest round-trip repr
+    assert main(["--out", str(tmp_path), "--set", "spectrum_points=3",
+                 "--set", "fig3_powers=300nW, 300.0000001nW",
+                 "figure", "fig3"]) == 0
+    lines = (tmp_path / "fig3_transmission.csv").read_text().splitlines()
+    assert lines[0].split(",")[1:] == [
+        "t_at_3e-07W[1]", "t_at_3.000000001e-07W[1]"]
+
+
 def test_figure_reports_failed_nodes(tmp_path, capsys, monkeypatch):
     # each scan's failed nodes go to stderr, as spectrum's do: fig2 makes
     # two scans, pump off and pump on

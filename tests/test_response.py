@@ -273,9 +273,19 @@ class TestSpectra:
 
 
 class TestScan:
-    def test_empty_grid(self, params_on):
-        result = scan_spectrum(params_on, [])
-        assert len(result) == 0 and result.errors == []
+    def test_empty_grid(self, params_on, state_on):
+        # the general path: empty columns and no errors on either kernel
+        for method in ("closed", "oracle"):
+            result = scan_spectrum(params_on, [], method=method,
+                                   state=state_on)
+            assert len(result) == 0 and result.errors == []
+            for name in ("omega", *_COLUMNS):
+                assert result.column(name).shape == (0,)
+
+    def test_empty_2d_grid_rejected(self, params_on, state_on):
+        # a 2-D grid is rejected whatever its size
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            scan_spectrum(params_on, np.empty((0, 3)), state=state_on)
 
     def test_single_node_matches_pointwise(self, params_on, state_on):
         omega = 1.07 * params_on.omega_m

@@ -62,6 +62,10 @@ RUNS["route_197nW"] = (["--set", "power_p=1.9715142722466877e-07"], ["route"])
 RUNS["fig3_2.5uW_3uW"] = (["--set", "fig3_powers=2.5uW, 3uW", "--set",
                            "spectrum_min=0.5"], ["figure", "fig3"])
 RUNS["sweep_oracle"] = (["--oracle"], ["sweep-power"])
+# a ramp stage at scale 20/301 = 0.066445, just past the reference device's
+# 3 -> 5 branch fold at 0.066232, where the tracked root meets a near-double
+# root
+RUNS["steady_fold"] = (["--set", "ramp_steps=302"], ["steady"])
 RUNS.update({"steady_direct": (["--set", "branch_policy=direct"], ["steady"]),
              "sweep_7uW_8uW": (["--set", "sweep_powers=7uW, 8uW"],
                                ["sweep-power"]),

@@ -14,14 +14,12 @@ An ``auto`` detuning is pinned from the balance's own roots, with no solve;
 :func:`operating_point` pins, solves at the pinned detunings and notes each
 pinned detuning the solved state misses, in one call.
 One batched eigenvalue call gives the quintic's roots at every power scale
-of the ramp.  The ramp then scans every scale for its candidate roots
-(exact zeros and sign-change brackets) and solves a scale only where a
-later decision reads its root: an intermediate stage with one candidate,
-followed by another, is skipped, since both have the same single root
-whatever the track.  The ramp tracks a branch rather than enumerating
-them: an intermediate stage it solves gets only the brackets that can
-hold the root nearest the previous stage's, and only the full-power stage
-solves them all.
+of the ramp.  Every scale is scanned for sign changes of the balance
+itself, which certifies its candidate roots (exact zeros and brackets).
+An intermediate scale only steers the track, so each of its brackets
+stands for the one real quintic root inside it, and only a bracket that
+holds none or several is solved.  The full-power scale solves every
+bracket.
 """
 
 from __future__ import annotations
@@ -248,12 +246,9 @@ def _stages(params: SystemParams, scales) -> list:
 def _scan(stage) -> tuple[list, list]:
     """The candidate roots of one stage from :func:`_stages`: the
     ``(zeros, brackets)`` of :func:`~omrouter._roots.sign_changes` on the
-    balance at the stage's samples.  An undriven balance has the single
-    candidate 0.  Raises :class:`BracketingError` if there is no candidate
-    at all.
+    balance at the samples of a driven stage.  Raises
+    :class:`BracketingError` if there is no candidate at all.
     """
-    if stage is None:
-        return [0.0], []
     func, _, samples, _ = stage
     zeros, brackets = sign_changes(samples, map(func, samples))
     if not (zeros or brackets):
@@ -262,69 +257,32 @@ def _scan(stage) -> tuple[list, list]:
     return zeros, brackets
 
 
-def _stage_roots(stage, scan, track: float | None = None) -> list[float]:
+def _stage_roots(stage, follow: bool = False) -> list[float]:
     """The ascending real roots of the balance at one power scale.
 
-    ``stage`` comes from :func:`_stages` (or :func:`_pinned_root`), and
-    ``scan`` is its :func:`_scan`.  Each exact zero is a root.  Each
+    ``stage`` comes from :func:`_stages` (or :func:`_pinned_root`), and its
+    :func:`_scan` gives the candidates.  Each exact zero is a root.  Each
     bracket is solved by :func:`~omrouter._roots.false_position`, started
     at the quintic's real root inside it if there is exactly one, and then
-    Newton-polished without leaving it.  Roots closer than the dedupe
-    tolerance ``ABS_TOL + 10*REL_TOL*|q|`` to the last one kept are
-    dropped.
-
-    Without ``track`` every bracket is solved.  With ``track``, the root
-    the power ramp kept at the previous scale, the brackets are solved in
-    ascending order of their distance from ``track`` (0 for a bracket that
-    contains it), and the solve stops at the first bracket farther than
-    ``d + _EQUIDISTANT_TOL + 2*n*T``.  Here ``d`` is the distance of the
-    nearest root found so far, ``n`` the number of samples and ``T`` the
-    dedupe tolerance at ``q_max`` (the outermost sample), which bounds the
-    tolerance of every root.  ``_nearest(roots, track)`` then gives the
-    same root and the same ambiguity flag as on all the roots:
-
-    * There are at most ``n`` roots, one per sample at most, so a cluster
-      of roots with neighbours no more than ``T`` apart spans less than
-      ``n*T``.  The dedupe keeps the first root of each cluster and decides
-      within a cluster from that cluster alone.
-    * A skipped root is farther than ``d + _EQUIDISTANT_TOL + 2*n*T``.
-      The cluster of the nearest solved root lies within ``d + n*T``, so
-      it holds no skipped root, and its first root, which is kept, is
-      within ``d + n*T`` on both lists.
-    * Every root that shares a cluster with a skipped root is farther than
-      ``d + n*T + _EQUIDISTANT_TOL``.  It is neither the nearest root nor
-      a runner-up within the ambiguity threshold, on either list.  All
-      roots nearer than that come from clusters without a skipped root,
-      which the dedupe treats alike on both lists.
-
-    The roots that are solved are bit for bit the ones a full solve gives.
+    Newton-polished without leaving it.  With ``follow``, as at an
+    intermediate ramp stage, a bracket that holds exactly one real quintic
+    root stands for that root unsolved, and only a bracket that holds none
+    or several is solved.  Roots closer than the dedupe tolerance
+    ``ABS_TOL + 10*REL_TOL*|q|`` to the last one kept are dropped.
     """
     if stage is None:
         return [0.0]
-    func, make_form, samples, real_roots = stage
-    zeros, brackets = scan
-    found = list(zeros)
-    form = make_form() if brackets else None
-
-    def solve(lo, hi, f_lo, f_hi):
+    func, make_form, _, real_roots = stage
+    zeros, brackets = _scan(stage)
+    found, form = list(zeros), None
+    for lo, hi, f_lo, f_hi in brackets:
+        inside = [q for q in real_roots if lo < q < hi]
+        if follow and len(inside) == 1:
+            found.append(inside[0])
+            continue
+        form = form or make_form()
         root = _false_position(func, lo, hi, f_lo, f_hi, real_roots)
         found.append(_polish_root(form, root, lo, hi))
-        return found[-1]
-
-    if track is None:
-        for bracket in brackets:
-            solve(*bracket)
-    else:
-        gaps = [0.0 if lo <= track <= hi
-                else min(abs(lo - track), abs(hi - track))
-                for lo, hi, _, _ in brackets]
-        dedupe_tol = ABS_TOL + 10.0 * REL_TOL * samples[-1]
-        margin = _EQUIDISTANT_TOL + 2.0 * len(samples) * dedupe_tol
-        nearest = min([abs(q - track) for q in zeros], default=math.inf)
-        for k in sorted(range(len(brackets)), key=gaps.__getitem__):
-            if gaps[k] > nearest + margin:
-                break
-            nearest = min(nearest, abs(solve(*brackets[k]) - track))
     found.sort()
     deduped = found[:1]
     for q in found[1:]:
@@ -350,8 +308,7 @@ def enumerate_branches(params: SystemParams,
     negative at ``-q_max`` and positive at ``+q_max``, and indicates a bug.
     """
     _check_power_scale(power_scale)
-    stage = _stages(params, [power_scale])[0]
-    return _stage_roots(stage, _scan(stage))
+    return _stage_roots(_stages(params, [power_scale])[0])
 
 
 def _state_from_root(params: SystemParams, roots: list[float], index: int,
@@ -378,42 +335,39 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
     stages and at each stage the root nearest the previous selection is
     kept.  Passing ``q_seed`` tracks from the seed instead, over the single
     full-power stage, which is what sweep continuation uses.  One
-    eigenvalue call serves all stages, and every stage is scanned for its
-    candidate roots before any is solved.  An intermediate stage is solved
-    only if it or the next stage has two or more candidates: otherwise
-    both have one root whatever the track, and one root is never
-    ambiguous, so the skipped stage's root is read by no later decision.
-    A solved intermediate stage does not return every root: it solves
-    only the brackets that can hold the root nearest the previous
-    selection (see :func:`_stage_roots`), and that root and its ambiguity
-    flag are the ones all roots would give.  The full-power stage solves
-    every bracket through the same per-scale code as
-    :func:`enumerate_branches`, so the state carries, as ``branches``, the
-    full-power roots it was picked from, equal bit for bit to
-    ``enumerate_branches(params)``.
+    eigenvalue call serves all stages.  Every stage is scanned for the
+    sign changes of the balance itself, so each candidate root it keeps is
+    certified.  An intermediate stage's roots only steer the track, so it
+    stands each bracket for the one real quintic root inside it and
+    solves only a bracket that holds none or several (see
+    :func:`_stage_roots`); a stand-in lies in the same bracket as the root
+    it stands for.  The full-power stage solves every bracket through the
+    same per-scale code as :func:`enumerate_branches`, so the state
+    carries, as ``branches``, the full-power roots it was picked from,
+    equal bit for bit to ``enumerate_branches(params)``.
 
-    Raises :class:`ConvergenceError` if the fixed-point residual of the
-    returned state exceeds ``residual_tol``.
+    Raises :class:`InvalidParameterError` for a ``q_seed`` that is not
+    finite, a NaN ``residual_tol`` or a ramp of fewer than 2 steps, and
+    :class:`ConvergenceError` if the fixed-point residual of the returned
+    state exceeds ``residual_tol``.
     """
+    if math.isnan(residual_tol):
+        raise InvalidParameterError("residual_tol must not be NaN")
     if q_seed is None:
         if ramp_steps < 2:
             raise InvalidParameterError("ramp_steps must be >= 2")
         prev, scales = 0.0, np.linspace(0.0, 1.0, ramp_steps)[1:]
         where = " at power scale {:.2f}"
+    elif not math.isfinite(q_seed):
+        raise InvalidParameterError(f"q_seed must be finite, got {q_seed!r}")
     else:
         prev, scales = q_seed, [1.0]
         where = ": two roots equidistant from seed"
     warnings: tuple[str, ...] = ()
     stages = _stages(params, scales)
-    scans = [_scan(stage) for stage in stages]
-    last = len(scans) - 1
-    counts = [len(zeros) + len(brackets) for zeros, brackets in scans]
-    for i, (scale, stage, scan) in enumerate(zip(scales, stages, scans)):
-        if i < last and counts[i] == 1 == counts[i + 1]:
-            # one root whatever the track, and so has the next stage
-            continue
-        # an intermediate stage only needs the root nearest the last one
-        roots = _stage_roots(stage, scan, None if i == last else prev)
+    last = len(stages) - 1
+    for i, (scale, stage) in enumerate(zip(scales, stages)):
+        roots = _stage_roots(stage, follow=i < last)
         index, ambiguous = _nearest(roots, prev)
         prev = roots[index]
         if ambiguous:
@@ -499,8 +453,9 @@ def _pinned_root(params: SystemParams, pin_optical: bool) -> float:
     With that side's coupling zeroed and its detuning at ``omega_m``
     (``fixed``), its Lorentzian is the pinned constant, and the quintic of
     :func:`_quintic_samples` is the pinned cubic.  Its real root nearest
-    the last is followed over the default ramp's scales from ``q = 0``,
-    then solved at full power as a ramp stage is (:func:`_stage_roots`).
+    the last is followed over the default ramp's scales from ``q = 0``;
+    every full-power bracket is then solved (:func:`_stage_roots`), and
+    the root nearest the followed one is returned.
     """
     t = params.omega_m
     fixed = (replace(params, delta_a=t, g1=0.0) if pin_optical
@@ -524,7 +479,7 @@ def _pinned_root(params: SystemParams, pin_optical: bool) -> float:
         q = real[_nearest(real, q)[0]]
     stage = (lambda x: balance_and_slope(x)[0], lambda: balance_and_slope,
              samples, real)
-    roots = _stage_roots(stage, _scan(stage), q)
+    roots = _stage_roots(stage)
     return roots[_nearest(roots, q)[0]]
 
 

@@ -235,59 +235,50 @@ class TestRampEnumeration:
         ids=[*(f"criterion3-{k}" for k in range(8)),
              "g1=0", "g2=0", "power_l=0", "power_p=0"])
     def test_ramp_roots_equal_enumerate_branches(self, params, monkeypatch):
-        # the ramp solves an intermediate stage only where a later decision
-        # reads its root, and then only the brackets that can hold the root
-        # nearest the previous one; each solved stage tracks the root and
-        # ambiguity flag that all the roots give, and a skipped stage and
-        # the one after it each have a single root
-        stages, solved, tracked = [], [], []
+        # an intermediate stage tracks a quintic root standing for its
+        # bracket: it lies in the candidate of the all-roots reference's
+        # tracked root, with the same ambiguity flag, and full power gives
+        # the reference state bit for bit
+        stages, tracked = [], []
         real_stages = steady_module._stages
-        real_stage_roots = steady_module._stage_roots
         real_nearest = steady_module._nearest
 
         def listing(params, scales):
             stages[:] = real_stages(params, scales)
             return stages
 
-        def solving(stage, *args):
-            solved.append(next(k for k, s in enumerate(stages) if s is stage))
-            return real_stage_roots(stage, *args)
-
         def recording(roots, target):
             index, ambiguous = real_nearest(roots, target)
-            tracked.append((roots[index].hex(), ambiguous))
+            tracked.append((roots[index], ambiguous))
             return index, ambiguous
 
         monkeypatch.setattr(steady_module, "_stages", listing)
-        monkeypatch.setattr(steady_module, "_stage_roots", solving)
         monkeypatch.setattr(steady_module, "_nearest", recording)
         state = solve_steady_state(params, ramp_steps=11,
                                    residual_tol=math.inf)
         monkeypatch.undo()
         reference, expected = ramp_reference(params)
-        assert tracked == [(reference[k][1].hex(), reference[k][2])
-                           for k in solved]
-        assert solved[-1] == len(reference) - 1
-        for k in set(range(len(reference))) - set(solved):
-            assert len(reference[k][0]) == len(reference[k + 1][0]) == 1
-        # the full-power stage still solves every bracket
-        assert ([q.hex() for q in state.branches]
-                == [q.hex() for q in expected.branches])
-        assert state.q_s.hex() == expected.q_s.hex()
-        assert state.branch_index == expected.branch_index
-        assert state.warnings == expected.warnings
+        assert len(tracked) == len(reference)
+        for stage, (q, ambiguous), (_, ref_q, ref_ambiguous) in zip(
+                stages, tracked, reference):
+            zeros, brackets = steady_module._scan(stage)
+            spans = [(z, z) for z in zeros] + [b[:2] for b in brackets]
+            holds = [[lo <= x <= hi for lo, hi in spans] for x in (q, ref_q)]
+            assert holds[0] == holds[1] and sum(holds[0]) == 1
+            assert ambiguous == ref_ambiguous
+        assert tracked[-1][0].hex() == reference[-1][1].hex()
+        assert repr(state) == repr(expected)
 
     @pytest.mark.parametrize("overrides, solves", [
         (dict(power_p=0.0, power_l=1e-6), 1),
-        (dict(power_p=0.0, power_l=10e-6), 5)])
+        (dict(power_p=0.0, power_l=10e-6), 3)])
     def test_single_candidate_stages_are_not_solved(self, params_on,
                                                     monkeypatch, overrides,
                                                     solves):
         # the default device with the microwave pump off: at 1 uW every
-        # stage has one candidate root and only full power is solved; at
-        # 10 uW the stages up to 0.8 have one and the last two three, so
-        # 0.8 (the track of 0.9), one bracket at 0.9 and all 3 at 1.0 are
-        # solved
+        # stage has one candidate root, at 10 uW the stages up to 0.8 have
+        # one and the last two three; each intermediate bracket holds one
+        # quintic root, so only the full-power brackets are solved
         params = replace(params_on, **overrides)
         counts = [sum(map(len, steady_module._scan(stage))) for stage in
                   steady_module._stages(params, np.linspace(0.0, 1.0, 11)[1:])]
@@ -309,24 +300,37 @@ class TestRampEnumeration:
                                        residual_tol=math.inf)
             assert repr(state) == repr(ramp_reference(params, ramp_steps)[1])
 
-    @pytest.mark.parametrize("power_p, brackets", [(None, 14), (0.0, 12)])
-    def test_one_bracket_per_intermediate_stage(self, params_on, monkeypatch,
-                                                power_p, brackets):
-        # the default device: one bracket at each of the 9 intermediate
-        # stages, then all 5 (pumped) or 3 (pump off) at full power
+    @pytest.mark.parametrize("power_p, brackets", [(None, 5), (0.0, 3)])
+    def test_only_full_power_brackets_are_solved(self, params_on, monkeypatch,
+                                                 power_p, brackets):
+        # the default device: every bracket of the 9 intermediate stages
+        # holds one quintic root and is not solved; full power solves all
+        # 5 (pumped) or 3 (pump off)
         params = (params_on if power_p is None
                   else replace(params_on, power_p=power_p))
-        calls = [0]
+        assert count_bracket_solves(params, monkeypatch) == brackets
+        assert len(solve_steady_state(params).branches) == brackets
+
+    def test_bracket_without_a_seed_is_solved(self, params_on, monkeypatch):
+        # both pumps scaled so that the first stage of a 3-step ramp sits
+        # 3e-13 past the default device's 3 -> 5 fold: the eigen-solver
+        # returns the near-double root as a complex pair, so its two
+        # brackets hold no real quintic root and are solved there
+        scale = 2.0 * DEFAULT_FOLD_SCALE * (1.0 + 3e-13)
+        params = replace(params_on, power_l=scale * params_on.power_l,
+                         power_p=scale * params_on.power_p)
+        inner = []
         real_solve = steady_module._false_position
 
-        def counting(*args):
-            calls[0] += 1
-            return real_solve(*args)
+        def recording(func, lo, hi, f_lo, f_hi, seeds=()):
+            inner.append(sum(lo < q < hi for q in seeds))
+            return real_solve(func, lo, hi, f_lo, f_hi, seeds)
 
-        monkeypatch.setattr(steady_module, "_false_position", counting)
-        state = solve_steady_state(params)
-        assert calls[0] == brackets
-        assert len(state.branches) == brackets - 9
+        monkeypatch.setattr(steady_module, "_false_position", recording)
+        state = solve_steady_state(params, ramp_steps=3)
+        monkeypatch.undo()
+        assert inner == [0, 0] + [1] * len(state.branches)
+        assert repr(state) == repr(ramp_reference(params, 3)[1])
 
     def test_ambiguous_intermediate_stage_still_warns(self):
         # a criterion-3 draw whose root at power scale 0.1 is within the
@@ -567,6 +571,19 @@ class TestSolveSteadyState:
     def test_rejects_a_one_stage_ramp(self, params_on):
         with pytest.raises(InvalidParameterError, match="ramp_steps"):
             solve_steady_state(params_on, ramp_steps=1)
+
+    @pytest.mark.parametrize("solve", [solve_steady_state, operating_point])
+    @pytest.mark.parametrize("q_seed", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_seed(self, params_on, solve, q_seed):
+        with pytest.raises(InvalidParameterError, match="q_seed must be"):
+            solve(params_on, q_seed=q_seed)
+
+    @pytest.mark.parametrize("solve", [solve_steady_state, operating_point])
+    def test_rejects_a_nan_residual_tol(self, params_on, solve):
+        # an infinite tolerance switches the gate off on purpose; NaN would
+        # do so silently
+        with pytest.raises(InvalidParameterError, match="residual_tol"):
+            solve(params_on, residual_tol=math.nan)
 
 
 class TestSteadyResidual:

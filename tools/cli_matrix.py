@@ -66,7 +66,20 @@ RUNS["sweep_oracle"] = (["--oracle"], ["sweep-power"])
 # 3 -> 5 branch fold at 0.066232, where the tracked root meets a near-double
 # root
 RUNS["steady_fold"] = (["--set", "ramp_steps=302"], ["steady"])
-RUNS.update({"steady_direct": (["--set", "branch_policy=direct"], ["steady"]),
+# a random device (criterion 3's distribution, default_rng(9090) draw 19)
+# with delta_c pinned and delta_a bare: the pinned cubic has three real
+# roots, two of them on the side of q = 0 away from the net force there
+DRAW_19 = dict(omega_m=6321435.346967736, mass=6.290967646236554e-13,
+               gamma_m=454.8809128943795, kappa1=149402.32342885158,
+               kappa2=11603.032230476885, g1=7.269189584341966e+18,
+               g2=1.893413685314467e+18, delta_a=10873183.9230244,
+               delta_c="auto", omega_l=1225221134900019.2,
+               omega_p=44610615680.97506, power_l=4.562661080942954e-05,
+               power_p=9.071398033275378e-07, temperature=0.02)
+RUNS["steady_draw_19"] = ([arg for key, value in DRAW_19.items()
+                           for arg in ("--set", f"{key}={value}")],
+                          ["steady"])
+RUNS.update({"steady_direct":(["--set", "branch_policy=direct"], ["steady"]),
              "sweep_7uW_8uW": (["--set", "sweep_powers=7uW, 8uW"],
                                ["sweep-power"]),
              "sweep_bare_c_8uW": (["--set", f"delta_c={BARE}", "--set",

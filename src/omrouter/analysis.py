@@ -399,13 +399,13 @@ def power_sweep(params: SystemParams, powers,
     Rows run in ascending power order.  The first row ramps its solve
     from zero; each later row is seeded from the displacement of the last
     row solved, so the steady-state branch is tracked from row to row.
-    Every solve uses the default ``ramp_steps`` and ``residual_tol``.
-    Errors in one row are recorded and the sweep continues.  In pinned
-    mode the detunings are re-pinned per row, since the static
-    displacement changes with power; the bare detunings of ``params`` on
-    a pinned side are not used.  Each row carries its steady state's
-    warnings, among them a pinned detuning that the seeded solve misses,
-    then its routing report's.
+    Every solve uses the default ``residual_tol``.  Errors in one row are
+    recorded and the sweep continues.  In pinned mode the detunings are
+    re-pinned per row, at the root connected to zero power, since the
+    static displacement changes with power; the bare detunings of
+    ``params`` on a pinned side are not used.  Each row carries its
+    steady state's warnings, among them a pinned detuning that the seeded
+    solve misses, then its routing report's.
     """
     powers = [float(p) for p in powers]
     if any(p < 0.0 for p in powers):

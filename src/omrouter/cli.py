@@ -44,7 +44,7 @@ def _operating_point(cfg: RunConfig, power_p: float | None = None):
     params, state = operating_point(
         cfg.base_params(power_p), cfg.pin_optical, cfg.pin_microwave,
         q_seed=0.0 if cfg.branch_policy == "direct" else None,
-        ramp_steps=cfg.ramp_steps, residual_tol=cfg.residual_tol)
+        residual_tol=cfg.residual_tol)
     for note in state.warnings:
         print(f"warning: {note}", file=sys.stderr)
     return params, state

@@ -202,7 +202,6 @@ class RunConfig:
     power_p: float = _key(_POWER, "300nW")
     temperature: float = _key(_TEMPERATURE, "20mK")
     pump_hbar: bool = _key(_parse_bool, "true")
-    ramp_steps: int = _key(_parse_int, "11")
     residual_tol: float = _key(_PLAIN, "1e-10")
     branch_policy: str = _key(_parse_choice({"ramp", "direct"}), "ramp")
     oracle: bool = _key(_parse_bool, "false")
@@ -248,8 +247,6 @@ class RunConfig:
                                        self.pin_optical, self.pin_microwave)
 
     def validate(self) -> None:
-        if self.ramp_steps < 2:
-            raise ConfigError("ramp_steps must be >= 2")
         if not self.residual_tol > 0.0:
             raise ConfigError("residual_tol must be > 0")
         if self.spectrum_points < 1:

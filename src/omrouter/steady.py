@@ -10,7 +10,9 @@ sample rule, on ``[-1, 1]`` in ``q/q_max``), sign changes of the balance
 itself bracket every branch, and false position solves each bracket from
 the quintic's real root inside it.  It selects the branch continuously
 connected to the undriven state via a power ramp.
-An ``auto`` detuning is pinned from the balance's own roots, with no solve;
+An ``auto`` detuning is pinned from the balance's own roots at full power,
+with no ramp and no solve: the root connected to zero power is the first
+one met walking from ``q = 0`` in the direction of the net force there.
 :func:`operating_point` pins, solves at the pinned detunings and notes each
 pinned detuning the solved state misses, in one call.
 One batched eigenvalue call gives the quintic's roots at every power scale
@@ -45,7 +47,8 @@ __all__ = [
     "operating_point",
 ]
 
-_DEFAULT_RAMP_STEPS = 11
+# the ramp's nonzero power scales, from zero power to full
+_RAMP_SCALES = tuple(np.linspace(0.0, 1.0, 11)[1:].tolist())
 _DEFAULT_RESIDUAL_TOL = 1e-10
 _EQUIDISTANT_TOL = 1e-15  # metres; branch-tracking ambiguity threshold
 # a pinned effective detuning farther than this from omega_m (relative)
@@ -326,14 +329,16 @@ def _state_from_root(params: SystemParams, roots: list[float], index: int,
 
 
 def solve_steady_state(params: SystemParams, q_seed: float | None = None,
-                       ramp_steps: int = _DEFAULT_RAMP_STEPS,
                        residual_tol: float = _DEFAULT_RESIDUAL_TOL) -> SteadyState:
     """Solve for the physical steady state.
 
     By default the selected branch is the one continuously connected to the
-    undriven system: both pump powers are ramped from zero in ``ramp_steps``
-    stages and at each stage the root nearest the previous selection is
-    kept.  Passing ``q_seed`` tracks from the seed instead, over the single
+    undriven system: both pump powers are ramped from zero over the
+    private ``_RAMP_SCALES`` (0.1 to 1.0 in steps of 0.1) and at each
+    stage the root nearest the previous selection is kept.  The ramp can
+    step over a fold and land on a root on the far side of ``q = 0`` from
+    the net force there, which :func:`_pinned_root`'s exact rule never
+    does.  Passing ``q_seed`` tracks from the seed instead, over the single
     full-power stage, which is what sweep continuation uses.  One
     eigenvalue call serves all stages.  Every stage is scanned for the
     sign changes of the balance itself, so each candidate root it keeps is
@@ -347,16 +352,13 @@ def solve_steady_state(params: SystemParams, q_seed: float | None = None,
     equal bit for bit to ``enumerate_branches(params)``.
 
     Raises :class:`InvalidParameterError` for a ``q_seed`` that is not
-    finite, a NaN ``residual_tol`` or a ramp of fewer than 2 steps, and
-    :class:`ConvergenceError` if the fixed-point residual of the returned
-    state exceeds ``residual_tol``.
+    finite or a NaN ``residual_tol``, and :class:`ConvergenceError` if the
+    fixed-point residual of the returned state exceeds ``residual_tol``.
     """
     if math.isnan(residual_tol):
         raise InvalidParameterError("residual_tol must not be NaN")
     if q_seed is None:
-        if ramp_steps < 2:
-            raise InvalidParameterError("ramp_steps must be >= 2")
-        prev, scales = 0.0, np.linspace(0.0, 1.0, ramp_steps)[1:]
+        prev, scales = 0.0, _RAMP_SCALES
         where = " at power scale {:.2f}"
     elif not math.isfinite(q_seed):
         raise InvalidParameterError(f"q_seed must be finite, got {q_seed!r}")
@@ -452,17 +454,18 @@ def _pinned_root(params: SystemParams, pin_optical: bool) -> float:
 
     With that side's coupling zeroed and its detuning at ``omega_m``
     (``fixed``), its Lorentzian is the pinned constant, and the quintic of
-    :func:`_quintic_samples` is the pinned cubic.  Its real root nearest
-    the last is followed over the default ramp's scales from ``q = 0``;
-    every full-power bracket is then solved (:func:`_stage_roots`), and
-    the root nearest the followed one is returned.
+    :func:`_quintic_samples` is the pinned cubic.  Its full-power roots are
+    solved once (:func:`_stage_roots`), and the one connected to zero power
+    is returned: the nearest root above ``q = 0`` if the pinned balance is
+    negative there, the nearest below if it is positive, and the root
+    nearest 0 if it is exactly 0 (docs/derivation_notes.md, "Pinned
+    operating point").
     """
     t = params.omega_m
     fixed = (replace(params, delta_a=t, g1=0.0) if pin_optical
              else replace(params, delta_c=t, g2=0.0))
-    coeffs = [_balance(params, scale)[0] for scale
-              in np.linspace(0.0, 1.0, _DEFAULT_RAMP_STEPS)[1:].tolist()]
-    m_w2, num_opt, num_mw, k1sq, k2sq = coeffs[-1]
+    coeffs = _balance(params, 1.0)[0]
+    m_w2, num_opt, num_mw, k1sq, k2sq = coeffs
     if not (num_opt or num_mw):
         return 0.0
     da, dc, g1, g2 = fixed.delta_a, fixed.delta_c, fixed.g1, fixed.g2
@@ -474,18 +477,17 @@ def _pinned_root(params: SystemParams, pin_optical: bool) -> float:
                 m_w2 - 2.0 * (g2 * num_mw * d2 / den2**2
                               + g1 * num_opt * d1 / den1**2))
 
-    q = 0.0
-    for samples, real in _quintic_samples(fixed, coeffs):
-        q = real[_nearest(real, q)[0]]
-    stage = (lambda x: balance_and_slope(x)[0], lambda: balance_and_slope,
-             samples, real)
-    roots = _stage_roots(stage)
-    return roots[_nearest(roots, q)[0]]
+    samples, real = next(_quintic_samples(fixed, [coeffs]))
+    roots = _stage_roots((lambda x: balance_and_slope(x)[0],
+                          lambda: balance_and_slope, samples, real))
+    at_zero = balance_and_slope(0.0)[0]
+    if at_zero == 0.0:
+        return roots[_nearest(roots, 0.0)[0]]
+    return min((q for q in roots if (q > 0.0) == (at_zero < 0.0)), key=abs)
 
 
 def operating_point(params: SystemParams, pin_optical: bool = False,
                     pin_microwave: bool = False, q_seed: float | None = None,
-                    ramp_steps: int = _DEFAULT_RAMP_STEPS,
                     residual_tol: float = _DEFAULT_RESIDUAL_TOL
                     ) -> tuple[SystemParams, SteadyState]:
     """Pin the ``auto`` detunings, solve the steady state there, and note
@@ -493,16 +495,17 @@ def operating_point(params: SystemParams, pin_optical: bool = False,
 
     Returns ``(pinned_params, state)``: the params of
     :func:`pin_effective_detunings` and the state of
-    :func:`solve_steady_state` at them, which takes ``q_seed``,
-    ``ramp_steps`` and ``residual_tol``.  Pinning puts a detuning on
-    ``omega_m`` for the displacement it constructs; a solve that settles
-    on another root (the ramp above about 7.5 uW on the reference device,
-    or a sweep row seeded from the last) misses it.  The state's warnings
-    then gain one ``"<key> = auto missed omega_m: ..."`` note per pinned
-    side it misses by more than ``_PIN_TOL * omega_m``.
+    :func:`solve_steady_state` at them, which takes ``q_seed`` and
+    ``residual_tol``.  Pinning puts a detuning on ``omega_m`` for the
+    displacement it constructs, the pinned balance's root connected to
+    zero power; a solve that settles on another root (the ramp above
+    about 7.5 uW on the reference device, or a sweep row seeded from the
+    last) misses it.  The state's warnings then gain one
+    ``"<key> = auto missed omega_m: ..."`` note per pinned side it misses
+    by more than ``_PIN_TOL * omega_m``.
     """
     params = pin_effective_detunings(params, pin_optical, pin_microwave)
-    state = solve_steady_state(params, q_seed, ramp_steps, residual_tol)
+    state = solve_steady_state(params, q_seed, residual_tol)
     wm = params.omega_m
     missed = tuple(
         f"{key} = auto missed omega_m: {name} = {value / wm:.6g} omega_m"

@@ -553,7 +553,7 @@ def test_parser_built_once_and_calls_share_no_arguments(tmp_path, capsys,
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert main(["--out", str(second), "--set", "ramp_steps=5",
+    assert main(["--out", str(second), "--set", "residual_tol=1e-9",
                  "steady"]) == 0
     assert built == []
     assert _build_parser().get_default("overrides") == []
@@ -568,7 +568,7 @@ def test_parser_built_once_and_calls_share_no_arguments(tmp_path, capsys,
     assert (one["oracle"], two["oracle"]) == ("true", "false")
     assert (one["spectrum_points"], two["spectrum_points"]) == (
         "7", str(defaults.spectrum_points))
-    assert (one["ramp_steps"], two["ramp_steps"]) == (
-        str(defaults.ramp_steps), "5")
+    assert (one["residual_tol"], two["residual_tol"]) == (
+        repr(defaults.residual_tol), "1e-09")
     assert (one["output_dir"], two["output_dir"]) == (str(first),
                                                       str(second))

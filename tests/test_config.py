@@ -50,7 +50,6 @@ class TestDefaults:
 
     def test_library_defaults_agree(self):
         # the library states these defaults too; they must not drift apart
-        assert DEFAULTS["ramp_steps"] == steady_module._DEFAULT_RAMP_STEPS
         assert DEFAULTS["residual_tol"] == steady_module._DEFAULT_RESIDUAL_TOL
         assert DEFAULTS["r_reflect_min"] == (
             analysis_module.DEFAULT_R_REFLECT_MIN)
@@ -136,15 +135,17 @@ class TestValueParsing:
                                             ("t_blocked_max", "0.01"),
                                             ("splitting_window", "0.30"),
                                             ("splitting_points", "4001"),
-                                            ("splitting_mode", "t-minima")],
+                                            ("splitting_mode", "t-minima"),
+                                            ("ramp_steps", "11")],
                              ids=["scan_points", "t_blocked_max",
                                   "splitting_window", "splitting_points",
-                                  "splitting_mode"])
+                                  "splitting_mode", "ramp_steps"])
     def test_removed_key_rejected(self, tmp_path, key, value):
         # branch enumeration has no sampling density to set, no command
         # reads a blocked-transmission threshold from the config, the
-        # routing window is sized from the solved state, and the routing
-        # report measures its splitting one way only
+        # routing window is sized from the solved state, the routing
+        # report measures its splitting one way only, and the ramp's
+        # power scales are fixed
         path = write_cfg(tmp_path, f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=rf"1: unknown key '{key}'"):
             parse_config(path, env={})
@@ -223,10 +224,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="spectrum"):
             parse_config(overrides=["spectrum_points=0"], env={})
 
-    def test_ramp_steps_rejected(self):
-        with pytest.raises(ConfigError, match="ramp_steps"):
-            parse_config(overrides=["ramp_steps=1"], env={})
-
     def test_decreasing_sweep_rejected(self):
         with pytest.raises(ConfigError, match="increasing"):
             parse_config(overrides=["sweep_powers=1nW, 1nW"], env={})
@@ -264,7 +261,7 @@ class TestParserRobustness:
     def test_any_value_parses_or_raises_config_error(self, text):
         # the parser may reject garbage, but only ever with ConfigError
         for key in ("omega_m", "power_p", "mass", "sweep_powers",
-                    "ramp_steps", "branch_policy"):
+                    "spectrum_points", "branch_policy"):
             try:
                 parse_config(overrides=[f"{key}={text}"], env={})
             except ConfigError:

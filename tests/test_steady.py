@@ -134,6 +134,13 @@ def ramp_reference(params, ramp_steps=11):
                                                   warnings)
 
 
+def set_ramp_steps(monkeypatch, ramp_steps):
+    """Make the ramp of ``solve_steady_state`` take ``ramp_steps`` power
+    scales, counting zero, as ``ramp_reference`` does."""
+    monkeypatch.setattr(steady_module, "_RAMP_SCALES", tuple(
+        np.linspace(0.0, 1.0, ramp_steps)[1:].tolist()))
+
+
 def count_bracket_solves(params, monkeypatch):
     """The ``_false_position`` calls of one ramped solve."""
     calls = [0]
@@ -199,7 +206,7 @@ class TestRampEnumeration:
             return real_eigvals(matrices)
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
-        solve_steady_state(params_on, ramp_steps=11)
+        solve_steady_state(params_on)
         # one stack of companion matrices, one per nonzero power scale
         assert shapes == [(10, 5, 5)]
 
@@ -254,8 +261,7 @@ class TestRampEnumeration:
 
         monkeypatch.setattr(steady_module, "_stages", listing)
         monkeypatch.setattr(steady_module, "_nearest", recording)
-        state = solve_steady_state(params, ramp_steps=11,
-                                   residual_tol=math.inf)
+        state = solve_steady_state(params, residual_tol=math.inf)
         monkeypatch.undo()
         reference, expected = ramp_reference(params)
         assert len(tracked) == len(reference)
@@ -280,7 +286,7 @@ class TestRampEnumeration:
         # quintic root, so only the full-power brackets are solved
         params = replace(params_on, **overrides)
         counts = [sum(map(len, steady_module._scan(stage))) for stage in
-                  steady_module._stages(params, np.linspace(0.0, 1.0, 11)[1:])]
+                  steady_module._stages(params, steady_module._RAMP_SCALES)]
         assert counts == ([1] * 10 if solves == 1 else [1] * 8 + [3, 3])
         assert count_bracket_solves(params, monkeypatch) == solves
 
@@ -290,13 +296,13 @@ class TestRampEnumeration:
         assert count_bracket_solves(params, monkeypatch) == 1
 
     @pytest.mark.parametrize("ramp_steps", [3, 11])
-    def test_skipped_stages_change_no_bit(self, ramp_steps):
+    def test_skipped_stages_change_no_bit(self, ramp_steps, monkeypatch):
         rng = np.random.default_rng(20261019)
         draws = [criterion3_params(rng) for _ in range(200)]
         draws.append(criterion3_params(np.random.default_rng([0, 1882])))
+        set_ramp_steps(monkeypatch, ramp_steps)
         for params in draws:
-            state = solve_steady_state(params, ramp_steps=ramp_steps,
-                                       residual_tol=math.inf)
+            state = solve_steady_state(params, residual_tol=math.inf)
             assert repr(state) == repr(ramp_reference(params, ramp_steps)[1])
 
     @pytest.mark.parametrize("power_p, brackets", [(None, 5), (0.0, 3)])
@@ -326,7 +332,8 @@ class TestRampEnumeration:
             return real_solve(func, lo, hi, f_lo, f_hi, seeds)
 
         monkeypatch.setattr(steady_module, "_false_position", recording)
-        state = solve_steady_state(params, ramp_steps=3)
+        set_ramp_steps(monkeypatch, 3)
+        state = solve_steady_state(params)
         monkeypatch.undo()
         assert inner == [0, 0] + [1] * len(state.branches)
         assert repr(state) == repr(ramp_reference(params, 3)[1])
@@ -567,10 +574,6 @@ class TestSolveSteadyState:
         with pytest.raises(ConvergenceError):
             solve_steady_state(params_on)
 
-    def test_rejects_a_one_stage_ramp(self, params_on):
-        with pytest.raises(InvalidParameterError, match="ramp_steps"):
-            solve_steady_state(params_on, ramp_steps=1)
-
     @pytest.mark.parametrize("solve", [solve_steady_state, operating_point])
     @pytest.mark.parametrize("q_seed", [math.nan, math.inf, -math.inf])
     def test_rejects_a_non_finite_seed(self, params_on, solve, q_seed):
@@ -636,24 +639,48 @@ class TestPinning:
             (base.omega_m, base.delta_c) if pin_optical
             else (base.delta_a, base.omega_m)))
 
-    @pytest.mark.parametrize("power_p", [3e-7, 2e-6])
+    @pytest.mark.parametrize("power_p", [3e-7, 2e-6, 8e-6, 2e-5])
     @pytest.mark.parametrize("pin_optical", [True, False])
     def test_single_side_root_of_pinned_cubic(self, default_cfg, power_p,
                                               pin_optical):
-        # the other detuning bare: the root continued from zero power is
-        # the cubic's root nearest zero, of three
+        # the other detuning bare: the root connected to zero power is the
+        # cubic's root nearest zero, of three, or of one with delta_c bare
+        # from 8 uW; the ramped solve lands on it up to 2 uW only
         bare = "delta_c" if pin_optical else "delta_a"
         base = replace(default_cfg.system_params(), power_p=power_p,
                        **{bare: TAU * 10.56e6})
         q = steady_module._pinned_root(base, pin_optical)
         roots = pinned_cubic_roots(base, pin_optical)
-        assert len(roots) == 3
+        assert len(roots) == (1 if pin_optical and power_p > 2e-6 else 3)
         assert abs(q - min(roots, key=abs)) <= 4 * math.ulp(q)
         pinned = pin_effective_detunings(base, pin_optical, not pin_optical)
         assert getattr(pinned, bare) == getattr(base, bare)
         st = solve_steady_state(pinned)
         delta = st.delta1 if pin_optical else st.delta2
-        assert abs(delta - base.omega_m) <= 1e-14 * base.omega_m
+        assert (abs(delta - base.omega_m) <= 1e-14 * base.omega_m) == (
+            power_p <= 2e-6)
+
+    @pytest.mark.parametrize("draw, pin_optical, expected", [
+        (19, False, 8.894e-10), (82, True, -1.0515e-10)])
+    def test_single_side_root_on_the_force_side(self, draw, pin_optical,
+                                                expected):
+        # random devices whose pinned cubic has three real roots, two of
+        # them on the side of q = 0 away from the pinned balance's force
+        # there: the connected root is the force side's root nearest 0,
+        # not the middle root of the three
+        rng = np.random.default_rng(9090)
+        params = [criterion3_params(rng) for _ in range(draw + 1)][-1]
+        t = params.omega_m
+        at_zero = balance_oracle(replace(
+            params, **{"delta_a" if pin_optical else "delta_c": t}), 0.0)
+        roots = pinned_cubic_roots(params, pin_optical)
+        assert len(roots) == 3
+        connected = min((r for r in roots if (r > 0.0) == (at_zero < 0.0)),
+                        key=abs)
+        assert connected != roots[1]
+        assert connected == pytest.approx(expected, rel=1e-4)
+        q = steady_module._pinned_root(params, pin_optical)
+        assert abs(q - connected) <= 4 * math.ulp(connected)
 
     @pytest.mark.parametrize("pins", [(True, False), (False, True),
                                       (True, True)])
@@ -714,8 +741,6 @@ class TestOperatingPoint:
         _, seeded = operating_point(params_on, True, True,
                                     q_seed=state_on.branches[-1])
         assert seeded.q_s == state_on.branches[-1]
-        with pytest.raises(InvalidParameterError, match="ramp_steps"):
-            operating_point(params_on, True, True, ramp_steps=1)
         monkeypatch.setattr(steady_module, "steady_residual",
                             lambda params, state: 1e-6)
         _, state = operating_point(params_on, residual_tol=1e-5)
@@ -746,6 +771,52 @@ class TestOperatingPoint:
         # fails on the default device; a fix must make this pass
         operating_point(default_cfg.base_params(1.9715142722466877e-07),
                         True, True)
+
+
+# criterion 3's sets on which the ramp's root is on the far side of q = 0
+# from the net force there
+FAR_SIDE_SETS = (0, 12, 25, 81, 95, 99)
+FAR_SIDE = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ramp picks a root on the far side of q = 0 from the net force"))
+
+
+def criterion3_sets():
+    """Acceptance criterion 3's 100 parameter sets, in its order."""
+    rng = np.random.default_rng(20260810)
+    return [criterion3_params(rng) for _ in range(100)]
+
+
+def assert_on_force_side(params, state):
+    """The state's root is the first one met walking from ``q = 0`` in the
+    direction of the net force there, the root connected to zero power."""
+    assert state.q_s * -force_balance(params, 0.0) > 0.0
+    lo, hi = sorted((0.0, state.q_s))
+    assert not any(lo < q < hi for q in state.branches)
+
+
+class TestConnectedBranch:
+    """The ramp's root against the connected-branch rule; the ramp misses
+    it where it steps past a fold on the far side of ``q = 0``."""
+
+    @FAR_SIDE
+    @pytest.mark.parametrize("index", FAR_SIDE_SETS)
+    def test_far_side_criterion3_set(self, index):
+        params = criterion3_sets()[index]
+        assert_on_force_side(params, solve_steady_state(params))
+
+    @FAR_SIDE
+    @pytest.mark.parametrize("power_p", [3e-6, 8e-6])
+    def test_far_side_default_device_delta_c_bare(self, default_cfg,
+                                                  power_p):
+        base = replace(default_cfg.base_params(power_p),
+                       delta_c=TAU * 10.56e6)
+        params = pin_effective_detunings(base, True, False)
+        assert_on_force_side(params, solve_steady_state(params))
+
+    def test_other_criterion3_sets(self):
+        for index, params in enumerate(criterion3_sets()):
+            if index not in FAR_SIDE_SETS:
+                assert_on_force_side(params, solve_steady_state(params))
 
 
 def test_randomized_root_counts_are_odd():

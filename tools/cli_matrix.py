@@ -62,13 +62,10 @@ RUNS["route_197nW"] = (["--set", "power_p=1.9715142722466877e-07"], ["route"])
 RUNS["fig3_2.5uW_3uW"] = (["--set", "fig3_powers=2.5uW, 3uW", "--set",
                            "spectrum_min=0.5"], ["figure", "fig3"])
 RUNS["sweep_oracle"] = (["--oracle"], ["sweep-power"])
-# a ramp stage at scale 20/301 = 0.066445, just past the reference device's
-# 3 -> 5 branch fold at 0.066232, where the tracked root meets a near-double
-# root
-RUNS["steady_fold"] = (["--set", "ramp_steps=302"], ["steady"])
 # a random device (criterion 3's distribution, default_rng(9090) draw 19)
 # with delta_c pinned and delta_a bare: the pinned cubic has three real
-# roots, two of them on the side of q = 0 away from the net force there
+# roots, two of them on the side of q = 0 away from the net force there;
+# delta_c is pinned at the third, which the ramp misses
 DRAW_19 = dict(omega_m=6321435.346967736, mass=6.290967646236554e-13,
                gamma_m=454.8809128943795, kappa1=149402.32342885158,
                kappa2=11603.032230476885, g1=7.269189584341966e+18,
@@ -79,7 +76,7 @@ DRAW_19 = dict(omega_m=6321435.346967736, mass=6.290967646236554e-13,
 RUNS["steady_draw_19"] = ([arg for key, value in DRAW_19.items()
                            for arg in ("--set", f"{key}={value}")],
                           ["steady"])
-RUNS.update({"steady_direct":(["--set", "branch_policy=direct"], ["steady"]),
+RUNS.update({"steady_direct": (["--set", "branch_policy=direct"], ["steady"]),
              "sweep_7uW_8uW": (["--set", "sweep_powers=7uW, 8uW"],
                                ["sweep-power"]),
              "sweep_bare_c_8uW": (["--set", f"delta_c={BARE}", "--set",

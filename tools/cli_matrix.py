@@ -1,11 +1,22 @@
 """Run a fixed matrix of omrouter commands and keep every output.
 
-Usage: python tools/cli_matrix.py OUTDIR.  Each run writes OUTDIR/<name>/
-(its files, stdout.txt, stderr.txt, exit.txt) and runs again from its
-resolved.cfg into <name>.rt/; a round trip that changes an output is
-reported.  Compare two checkouts' OUTDIRs with ``diff -r``."""
-import filecmp, os, subprocess, sys
+Usage: python tools/cli_matrix.py OUTDIR [--write MANIFEST | --check MANIFEST].
+Each run writes OUTDIR/<name>/ (its files, stdout.txt, stderr.txt,
+exit.txt) and runs again from its resolved.cfg into <name>.rt/; a round
+trip that changes an output is reported and exits 1.  OUTDIR should start
+empty.
+
+``--write`` records one SHA-256 per file under OUTDIR in MANIFEST, with the
+Python, numpy and BLAS versions and the platform it ran on.  ``--check``
+lists every file added, missing or changed against MANIFEST and exits 1 if
+there is one.  Output bits depend on that environment, so where it differs
+from the manifest's, ``--check`` says so and exits 2 without comparing:
+run the matrix in two checkouts instead and compare their OUTDIRs with
+``diff -r``."""
+import argparse, filecmp, hashlib, json, os, platform, subprocess, sys
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 POWERS = "0 30nW 300nW 1uW 1.5uW 1.6uW 2.5uW 5uW 7.4uW 8uW 20uW 30uW".split()
@@ -94,12 +105,65 @@ def run(out, name, argv):
         (out / name / f"{part}.txt").write_text(text, encoding="utf-8")
 
 
+def environment():
+    """What the output bits depend on besides the source: the Python,
+    numpy and BLAS versions and the platform."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "platform": platform.platform()}
+
+
+def digests(out):
+    """The SHA-256 of every file under ``out``, by its relative path."""
+    return {path.relative_to(out).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def check(manifest, env, files):
+    """The exit code and report lines of ``--check``: 2 if ``manifest``
+    was made in an environment other than ``env``, else 1 if a file of
+    ``files`` (from :func:`digests`) is added, missing or changed, else 0.
+    """
+    if manifest["environment"] != env:
+        return 2, [f"manifest environment {manifest['environment']}",
+                   f"differs from this one {env}: nothing compared; run "
+                   "the matrix in two checkouts and compare them with "
+                   "diff -r"]
+    old = manifest["files"]
+    lines = ([f"added: {f}" for f in files if f not in old]
+             + [f"missing: {f}" for f in old if f not in files]
+             + [f"changed: {f}" for f in files
+                if f in old and files[f] != old[f]])
+    return (1 if lines else 0), lines
+
+
 if __name__ == "__main__":
-    out, changed = Path(sys.argv[1]).resolve(), []
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("outdir", type=Path)
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", type=Path, metavar="MANIFEST")
+    mode.add_argument("--check", type=Path, metavar="MANIFEST")
+    args = parser.parse_args()
+    manifest = (json.loads(args.check.read_text(encoding="utf-8"))
+                if args.check else None)
+    out, changed = args.outdir.resolve(), []
     for name, (options, command) in RUNS.items():
         run(out, name, options + command)
         run(out, name + ".rt", ["--config", f"{name}/resolved.cfg", *command])
         rt = filecmp.dircmp(out / name, out / (name + ".rt"), ["resolved.cfg"])
         if rt.diff_files or rt.left_only or rt.right_only:
             changed.append(name)
-    sys.exit(f"round trip changed: {changed}" if changed else 0)
+    code = 1 if changed else 0
+    if changed:
+        print(f"round trip changed: {changed}")
+    if args.write:
+        args.write.write_text(json.dumps(
+            {"environment": environment(), "files": digests(out)},
+            indent=1) + "\n", encoding="utf-8")
+    if manifest is not None:
+        status, lines = check(manifest, environment(), digests(out))
+        print("\n".join(lines or ["every output matches the manifest"]))
+        code = status if status == 2 else max(code, status)
+    sys.exit(code)

@@ -5,9 +5,10 @@ the device: dip and peak locations, the splitting of the transparency window
 when the microwave pump is on, a port-by-port routing report, power sweeps,
 and a calibration routine for the two couplings.  :func:`routing_report`
 scans no grid: it finds the stationary points of T and R on the closed
-form's polynomials by the seed-and-certify pattern of
-:mod:`omrouter._roots` (one eigenvalue call seeds them, and a bracketed
-solve on the factored closed form certifies each one it needs), and
+form's polynomials, formed in :mod:`omrouter._forms`, by the
+seed-and-certify pattern of :mod:`omrouter._roots` (one eigenvalue call
+seeds them, and a bracketed solve on the factored closed form certifies
+each one it needs), and
 measures both the ports and the window splitting from them;
 :func:`window_splitting` reads that splitting off the same split lines
 (:func:`_split_lines`) and evaluates no port.  The port
@@ -23,10 +24,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._forms import port_factors, port_slopes, stationary_polynomials
 from ._roots import (companion_roots, false_position, samples_and_seeds,
                      sign_changes)
 from .errors import AnalysisError, CalibrationError, InvalidParameterError, RouterError
-from .model import CONSTANTS, SystemParams
+from .model import SystemParams
 from .response import ScanResult, _node_spectra, transmission
 from .steady import SteadyState, operating_point
 
@@ -110,108 +112,41 @@ def find_extrema(points: ScanResult, column: str) -> ExtremaList:
                        tuple(e for e, m in zip(entries, kinds) if not m))
 
 
-def _port_factors(params: SystemParams, state: SteadyState):
-    """``response._intermediates`` in ``y = omega/omega_m - 1``, frequencies
-    scaled by ``omega_m``: with ``a1 = y + al1``, ``b1 = be1 - y``,
-    ``a2 = y + al2``, ``b2 = be2 - y`` and ``n = y*(y + 2 + ig) + ig``,
-    ``z = sqrt(2*kappa1)*e1 = -i*k1*num/den`` for
-    ``num = ca*a2*b2 + cc*a1 + n*a1*a2*b2`` and
-    ``den = pa*a2*b2 + cc*a1*b1 + n*b1*a1*a2*b2``."""
-    wm = params.omega_m
-    d1, d2 = state.delta1 / wm, state.delta2 / wm
-    k1, k2 = 2.0 * params.kappa1 / wm, 2.0 * params.kappa2 / wm
-    scale = CONSTANTS.hbar / (params.mass * wm**3)
-    ca = scale * abs(state.a_s) ** 2 * params.g1**2
-    cc = 2.0 * scale * abs(state.c_s) ** 2 * params.g2**2 * d2
-    return (k1, ca, cc, 2.0 * ca * d1, 1.0 + d1 + 1j * k1,
-            d1 - 1.0 - 1j * k1, 1.0 + d2 + 1j * k2, d2 - 1.0 - 1j * k2,
-            1j * params.gamma_m / wm)
-
-
-def _port_slopes(factors, y):
-    """``(dT, dR, T)`` at ``y`` (a float or an array) on the factored
-    closed form; ``dT`` and ``dR`` are dT/dy and dR/dy times
-    ``|den|**4/2``."""
-    k1, ca, cc, pa, al1, be1, al2, be2, ig = factors
-    a1, b1 = y + al1, be1 - y
-    n, dn = y * (y + (2.0 + ig)) + ig, 2.0 * y + (2.0 + ig)
-    p, dp = (y + al2) * (be2 - y), (be2 - al2) - 2.0 * y  # a2*b2
-    q, dq = a1 * p, p + a1 * dp
-    bq = b1 * q
-    num = ca * p + cc * a1 + n * q
-    den = pa * p + cc * a1 * b1 + n * bq
-    dnum = ca * dp + cc + dn * q + n * dq
-    dden = pa * dp + cc * (b1 - a1) + dn * bq + n * (b1 * dq - q)
-    z = -1j * k1 * num
-    cw = den.conjugate() * (-1j * k1) * (dnum * den - num * dden)
-    return ((z.conjugate() * cw).real, ((z - den).conjugate() * cw).real,
-            abs(z) ** 2 / abs(den) ** 2)
-
-
-def _port_polynomials(factors):
-    """``N`` (degree 5) and ``D`` (degree 6), highest power first, with
-    ``z = N(y)/D(y)`` (:func:`_port_factors`)."""
-    k1, ca, cc, pa, al1, be1, al2, be2, ig = factors
-    a1, b1 = np.array([1.0, al1]), np.array([-1.0, be1])
-    p = np.convolve([1.0, al2], [-1.0, be2])
-    nq = np.convolve([1.0, 2.0 + ig, ig], np.convolve(a1, p))
-    num = nq.copy()
-    num[3:] += ca * p
-    num[4:] += cc * a1
-    den = np.convolve(b1, nq)
-    den[4:] += pa * p + cc * np.convolve(a1, b1)
-    return -1j * k1 * num, den
-
-
-def _stationary_roots(factors):
-    """The roots, in y, of ``Re(conj(N)*conj(D)*W)`` (T stationary) and of
-    ``Re(conj(N - D)*conj(D)*W)`` (R stationary), ``W = N'*D - N*D'``, from
-    one eigenvalue call on their stacked degree-21 companion matrices
-    (``docs/derivation_notes.md``, "Ports at stationary points")."""
-    num, den = _port_polynomials(factors)
-    w = (np.convolve(num[:-1] * np.arange(5.0, 0.0, -1.0), den)
-         - np.convolve(num, den[:-1] * np.arange(6.0, 0.0, -1.0)))
-    cdw = np.convolve(den.conjugate(), w)
-    diff = -den
-    diff[1:] += num
-    return companion_roots(np.stack([
-        np.convolve(num.conjugate(), cdw).real,
-        np.convolve(diff.conjugate(), cdw).real[1:]]))
-
-
 def _stationary_points(params: SystemParams, state: SteadyState):
     """The T minima, T maxima and R maxima at ``omega >= 0``, each a list
     of ``(T, omega)`` by omega (rad/s).
 
-    The roots of :func:`_stationary_roots` only seed them, through
-    :func:`~omrouter._roots.samples_and_seeds` on ``y`` from -1
-    (``omega = 0``) to 1 above the highest real part.  Each sign change
-    of the slope (:func:`_port_slopes`) between neighbouring samples is
-    solved in rad/s by :func:`~omrouter._roots.false_position`, started at
+    The roots of :func:`~omrouter._forms.stationary_polynomials`, from
+    one eigenvalue call on their stacked companion matrices, only seed
+    them, through :func:`~omrouter._roots.samples_and_seeds` on ``y`` from
+    -1 (``omega = 0``) to 1 above the highest real part.  Each sign change
+    of the slope (:func:`~omrouter._forms.port_slopes`) between
+    neighbouring samples is solved in rad/s by :func:`~omrouter._roots.false_position`, started at
     the one real root inside; a slope of exactly zero at a sample, or one
     that is not finite, ends no bracket.
     """
     wm = params.omega_m
-    factors = _port_factors(params, state)
+    factors = port_factors(params, state.delta1, state.delta2,
+                           abs(state.a_s) ** 2, abs(state.c_s) ** 2)
     nodes, seeds = [], []
-    for roots in _stationary_roots(factors):
+    for roots in companion_roots(stationary_polynomials(factors)):
         samples, real = samples_and_seeds(
             roots, -1.0, max(z.real for z in roots) + 1.0)
         nodes.append([wm * (1.0 + y) for y in samples])
         seeds.append([wm * (1.0 + y) for y in real])
     split = len(nodes[0])
-    d_t, d_r, _ = _port_slopes(factors,
-                               np.array(nodes[0] + nodes[1]) / wm - 1.0)
+    d_t, d_r, _ = port_slopes(factors,
+                              np.array(nodes[0] + nodes[1]) / wm - 1.0)
     points = ([], [], [])
     for k, slopes in enumerate((d_t[:split].tolist(), d_r[split:].tolist())):
         for lo, hi, f_lo, f_hi in sign_changes(nodes[k], slopes)[1]:
             if k and f_lo < 0.0:
                 continue  # an R minimum
             omega = false_position(
-                lambda w, k=k: _port_slopes(factors, w / wm - 1.0)[k],
+                lambda w, k=k: port_slopes(factors, w / wm - 1.0)[k],
                 lo, hi, f_lo, f_hi, seeds[k])
             points[k + (f_lo > 0.0)].append(
-                (_port_slopes(factors, omega / wm - 1.0)[2], omega))
+                (port_slopes(factors, omega / wm - 1.0)[2], omega))
     return points
 
 

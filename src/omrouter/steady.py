@@ -8,7 +8,9 @@ or 5 real solutions.  The solver finds them by the seed-and-certify pattern
 of :mod:`omrouter._roots`: the quintic's roots place the samples (its one
 sample rule, on ``[-1, 1]`` in ``q/q_max``), sign changes of the balance
 itself bracket every branch, and false position solves each bracket from
-the quintic's real root inside it.  It selects the branch continuously
+the quintic's real root inside it.  The balance's coefficients and its
+cleared quintic are formed in :mod:`omrouter._forms`; this module keeps the
+sampling, bracketing, polishing and branch policy.  It selects the branch continuously
 connected to the undriven state via a power ramp.
 An ``auto`` detuning is pinned from the balance's own roots at full power,
 with no ramp and no solve: the root connected to zero power is the first
@@ -32,6 +34,7 @@ from functools import partial
 
 import numpy as np
 
+from ._forms import balance_coefficients, quintic_row
 from ._roots import (ABS_TOL, REL_TOL, companion_roots, samples_and_seeds,
                      sign_changes, false_position as _false_position)
 from .errors import BracketingError, ConvergenceError, InvalidParameterError
@@ -84,22 +87,17 @@ class SteadyState:
 def _balance(params: SystemParams, power_scale, drives=None):
     """The static force balance at ``power_scale``.
 
-    Returns its coefficients ``(m_w2, num_opt, num_mw, k1sq, k2sq)`` and the
-    balance ``m_w2*q - num_mw/(k2sq + (delta_c - g2*q)**2)
-    + num_opt/(k1sq + (delta_a + g1*q)**2)`` as a function of a float or
-    an array ``q``.  ``power_scale`` is one float, so the coefficients are
-    floats and the function closes over plain floats: the sample checks
-    and the bracket solve call it many times across a ramp, where
-    attribute lookups would dominate.  ``drives`` are
-    the pump amplitudes of :func:`drive_amplitudes`, if the caller already
-    has them.
+    Returns its coefficients of :func:`~omrouter._forms.balance_coefficients`
+    ``(m_w2, num_opt, num_mw, k1sq, k2sq)`` and the balance as a function
+    of a float or an array ``q``.  ``power_scale`` is one float, so the
+    coefficients are floats and the function closes over plain floats: the
+    sample checks and the bracket solve call it many times across a ramp,
+    where attribute lookups would dominate.  ``drives`` are the pump
+    amplitudes of :func:`drive_amplitudes`, if the caller already has them.
     """
-    hbar = CONSTANTS.hbar
-    eps_l, eps_p = drive_amplitudes(params) if drives is None else drives
-    coeffs = (params.mass * params.omega_m**2,
-              hbar * params.g1 * power_scale * eps_l**2,
-              hbar * params.g2 * power_scale * eps_p**2,
-              (2.0 * params.kappa1) ** 2, (2.0 * params.kappa2) ** 2)
+    coeffs = balance_coefficients(
+        params, power_scale,
+        *(drive_amplitudes(params) if drives is None else drives))
     m_w2, num_opt, num_mw, k1sq, k2sq = coeffs
     da, dc, g1, g2 = params.delta_a, params.delta_c, params.g1, params.g2
 
@@ -129,37 +127,22 @@ def _check_power_scale(power_scale) -> None:
             f"power_scale must be finite and >= 0, got {power_scale!r}")
 
 
-def _quintic_samples(params: SystemParams, coeffs):
+def _quintic_samples(coeffs, da, dc, g1, g2):
     """Displacement samples whose sign changes bracket every root.
 
     ``coeffs`` are :func:`_balance`'s coefficients at each power scale in
-    turn, as floats.  The balance times both Lorentzian denominators is a
-    polynomial of degree at most 5 in ``x = q/q_max``, where ``q_max``
-    bounds every root.  The samples and real roots are those of
+    turn, as floats, and ``da``, ``dc``, ``g1``, ``g2`` the balance's bare
+    detunings and couplings.  Each scale's cleared quintic in
+    ``x = q/q_max`` is :func:`~omrouter._forms.quintic_row`'s, and its
+    samples and real roots are those of
     :func:`~omrouter._roots.samples_and_seeds` on ``[-1, 1]`` in ``x``.
-    Each scale's polynomial is formed in scalar arithmetic; one eigenvalue
-    call then takes the roots of every scale from the stacked companion
-    matrices.  The degree and any zero root do not depend on the scale,
-    so one trim of zero coefficients serves the whole stack.  Yields, for
-    each scale in turn, its ascending samples and its real roots, both in
-    ``q``.
+    One eigenvalue call takes the roots of every scale from the stacked
+    companion matrices.  The degree and any zero root do not depend on
+    the scale, so one trim of zero coefficients serves the whole stack.
+    Yields, for each scale in turn, its ascending samples and its real
+    roots, both in ``q``.
     """
-    da, dc, g1, g2 = params.delta_a, params.delta_c, params.g1, params.g2
-    rows, q_maxes = [], []
-    for m_w2, num_opt, num_mw, k1sq, k2sq in coeffs:
-        q_max = 1.1 * (num_opt / k1sq + num_mw / k2sq) / m_w2
-        s1, s2 = g1 * q_max, g2 * q_max
-        a0, a1, a2 = s1 * s1, 2.0 * da * s1, k1sq + da**2
-        b0, b1, b2 = s2 * s2, -2.0 * dc * s2, k2sq + dc**2
-        mq = m_w2 * q_max
-        # x*D1*D2*m_w2*q_max + num_opt*D2 - num_mw*D1, highest power first
-        rows.append((mq * (a0 * b0),
-                     mq * (a0 * b1 + a1 * b0),
-                     mq * (a0 * b2 + a1 * b1 + a2 * b0),
-                     mq * (a1 * b2 + a2 * b1) + (num_opt * b0 - num_mw * a0),
-                     mq * (a2 * b2) + (num_opt * b1 - num_mw * a1),
-                     num_opt * b2 - num_mw * a2))
-        q_maxes.append(q_max)
+    q_maxes, rows = zip(*(quintic_row(c, da, dc, g1, g2) for c in coeffs))
     poly = np.array(rows)
     used = np.nonzero(np.any(poly != 0.0, axis=0))[0]
     zero_roots = [0j] * (5 - used[-1])
@@ -239,7 +222,9 @@ def _stages(params: SystemParams, scales) -> list:
     balances = [_balance(params, scale, drives) for scale in scales]
     if not any(coeffs[1] or coeffs[2] for coeffs, _ in balances):
         return [None] * len(scales)
-    quintic = _quintic_samples(params, [coeffs for coeffs, _ in balances])
+    quintic = _quintic_samples([coeffs for coeffs, _ in balances],
+                               params.delta_a, params.delta_c, params.g1,
+                               params.g2)
     return [(func, partial(_amplitude_form, params, drives, scale), samples,
              real_roots)
             for scale, (_, func), (samples, real_roots)
@@ -452,9 +437,9 @@ def _pinned_root(params: SystemParams, pin_optical: bool) -> float:
     """The displacement that puts the optical (``pin_optical``) or else the
     microwave effective detuning on ``omega_m``, the other side bare.
 
-    With that side's coupling zeroed and its detuning at ``omega_m``
-    (``fixed``), its Lorentzian is the pinned constant, and the quintic of
-    :func:`_quintic_samples` is the pinned cubic.  Its full-power roots are
+    With that side's coupling zeroed and its detuning at ``omega_m``, its
+    Lorentzian is the pinned constant, and the quintic of
+    :func:`_quintic_samples` at these floats is the pinned cubic.  Its full-power roots are
     solved once (:func:`_stage_roots`), and the one connected to zero power
     is returned: the nearest root above ``q = 0`` if the pinned balance is
     negative there, the nearest below if it is positive, and the root
@@ -462,13 +447,12 @@ def _pinned_root(params: SystemParams, pin_optical: bool) -> float:
     operating point").
     """
     t = params.omega_m
-    fixed = (replace(params, delta_a=t, g1=0.0) if pin_optical
-             else replace(params, delta_c=t, g2=0.0))
-    coeffs = _balance(params, 1.0)[0]
+    da, dc, g1, g2 = ((t, params.delta_c, 0.0, params.g2) if pin_optical
+                      else (params.delta_a, t, params.g1, 0.0))
+    coeffs = balance_coefficients(params, 1.0, *drive_amplitudes(params))
     m_w2, num_opt, num_mw, k1sq, k2sq = coeffs
     if not (num_opt or num_mw):
         return 0.0
-    da, dc, g1, g2 = fixed.delta_a, fixed.delta_c, fixed.g1, fixed.g2
 
     def balance_and_slope(x):
         d1, d2 = da + g1 * x, dc - g2 * x
@@ -477,7 +461,7 @@ def _pinned_root(params: SystemParams, pin_optical: bool) -> float:
                 m_w2 - 2.0 * (g2 * num_mw * d2 / den2**2
                               + g1 * num_opt * d1 / den1**2))
 
-    samples, real = next(_quintic_samples(fixed, [coeffs]))
+    samples, real = next(_quintic_samples([coeffs], da, dc, g1, g2))
     roots = _stage_roots((lambda x: balance_and_slope(x)[0],
                           lambda: balance_and_slope, samples, real))
     at_zero = balance_and_slope(0.0)[0]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import omrouter._forms as _forms
 import omrouter.analysis as analysis_module
 import omrouter.response as response_module
 import omrouter.steady as steady_module
@@ -254,8 +255,9 @@ class TestStationaryPoints:
         grid = params.omega_m * np.linspace(0.7, 1.3, 4001)
         arrs, _ = response_module._closed_arrays(params, state, grid)
         z = math.sqrt(2.0 * params.kappa1) * arrs["e1"]
-        num, den = analysis_module._port_polynomials(
-            analysis_module._port_factors(params, state))
+        num, den = _forms.port_polynomials(_forms.port_factors(
+            params, state.delta1, state.delta2, abs(state.a_s) ** 2,
+            abs(state.c_s) ** 2))
         y = grid / params.omega_m - 1.0
         ratio = np.polyval(num, y) / np.polyval(den, y)
         assert np.max(np.abs(ratio - z) / np.abs(z)) < 1e-12

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import omrouter._forms as _forms
 import omrouter.steady as steady_module
 from omrouter._roots import REL_TOL, false_position
 from omrouter.errors import (BracketingError, ConvergenceError,
@@ -30,32 +31,45 @@ def balance_oracle(params, q):
     return params.mass * params.omega_m**2 * q - mw + opt
 
 
+def reference_quintic(params, power_scale=1.0):
+    """The cleared force balance in ``x = q/q_max`` at the working
+    precision (call it under ``mp.workdps(50)``).
+
+    Returns ``(q_max, mq, n_opt, n_mw, d1, d2, row)``: the root bound, the
+    stiffness ``mq = m_w2*q_max``, the two pump numerators, the optical
+    and microwave Lorentzian denominators as quadratics in ``x``, and the
+    quintic ``mq*x*d1*d2 + n_opt*d2 - n_mw*d1``, highest power first.
+    """
+    hbar = mp.mpf(CONSTANTS.hbar)
+    eps_l, eps_p = (mp.mpf(e) for e in drive_amplitudes(params))
+    scale = mp.mpf(power_scale)
+    m_w2 = mp.mpf(params.mass) * mp.mpf(params.omega_m) ** 2
+    n_opt = hbar * params.g1 * scale * eps_l**2
+    n_mw = hbar * params.g2 * scale * eps_p**2
+    k1 = (2 * mp.mpf(params.kappa1)) ** 2
+    k2 = (2 * mp.mpf(params.kappa2)) ** 2
+    q_max = mp.mpf(11) / 10 * (n_opt / k1 + n_mw / k2) / m_w2
+    s1, s2 = params.g1 * q_max, params.g2 * q_max
+    da, dc = mp.mpf(params.delta_a), mp.mpf(params.delta_c)
+    d1 = [s1**2, 2 * da * s1, k1 + da**2]
+    d2 = [s2**2, -2 * dc * s2, k2 + dc**2]
+    row = [m_w2 * q_max * sum(d1[i] * d2[k - i]
+                              for i in range(3) if 0 <= k - i < 3)
+           for k in range(5)] + [mp.mpf(0)]
+    for k in range(3):
+        row[3 + k] += n_opt * d2[k] - n_mw * d1[k]
+    return q_max, m_w2 * q_max, n_opt, n_mw, d1, d2, row
+
+
 def reference_roots(params, power_scale=1.0):
     """Real roots of the cleared force balance by 50-digit ``polyroots``.
 
     The balance times both Lorentzian denominators is a polynomial of
-    degree at most 5; in ``x = q/q_max`` its real roots with ``|x| <= 1``
-    are the steady-state displacements.
+    degree at most 5 (:func:`reference_quintic`); in ``x = q/q_max`` its
+    real roots with ``|x| <= 1`` are the steady-state displacements.
     """
     with mp.workdps(50):
-        hbar = mp.mpf(CONSTANTS.hbar)
-        eps_l, eps_p = (mp.mpf(e) for e in drive_amplitudes(params))
-        scale = mp.mpf(power_scale)
-        m_w2 = mp.mpf(params.mass) * mp.mpf(params.omega_m) ** 2
-        n_opt = hbar * params.g1 * scale * eps_l**2
-        n_mw = hbar * params.g2 * scale * eps_p**2
-        k1 = (2 * mp.mpf(params.kappa1)) ** 2
-        k2 = (2 * mp.mpf(params.kappa2)) ** 2
-        q_max = mp.mpf(11) / 10 * (n_opt / k1 + n_mw / k2) / m_w2
-        s1, s2 = params.g1 * q_max, params.g2 * q_max
-        da, dc = mp.mpf(params.delta_a), mp.mpf(params.delta_c)
-        d1 = [s1**2, 2 * da * s1, k1 + da**2]
-        d2 = [s2**2, -2 * dc * s2, k2 + dc**2]
-        coeffs = [m_w2 * q_max * sum(d1[i] * d2[k - i]
-                                     for i in range(3) if 0 <= k - i < 3)
-                  for k in range(5)] + [mp.mpf(0)]
-        for k in range(3):
-            coeffs[3 + k] += n_opt * d2[k] - n_mw * d1[k]
+        q_max, *_, coeffs = reference_quintic(params, power_scale)
         while coeffs[0] == 0:
             coeffs.pop(0)
         roots = mp.polyroots(coeffs, maxsteps=200, extraprec=100)
@@ -157,7 +171,8 @@ def count_bracket_solves(params, monkeypatch):
 
 
 # power scale of the default device's 3 -> 5 branch fold, located by
-# bisecting the reference root count to 1e-15 relative
+# bisecting the reference root count to 1e-15 relative (and confirmed by
+# test_default_folds_at_fifty_digits)
 DEFAULT_FOLD_SCALE = 0.06623234532580656
 
 
@@ -171,7 +186,48 @@ class TestEnumerationReference:
             ours = enumerate_branches(params, power_scale)
             assert_roots_match(ours, reference_roots(params, power_scale))
             counts.add(len(ours))
+            # the quintic that seeds the roots, coefficient by coefficient
+            coeffs = _forms.balance_coefficients(params, power_scale,
+                                                 *drive_amplitudes(params))
+            row = _forms.quintic_row(coeffs, params.delta_a, params.delta_c,
+                                     params.g1, params.g2)[1]
+            with mp.workdps(50):
+                reference = reference_quintic(params, power_scale)[-1]
+                tol = mp.mpf(1e-14) * max(abs(c) for c in reference)
+                assert all(abs(c - ref) <= tol
+                           for c, ref in zip(row, reference))
         assert counts == {1, 3, 5}
+
+    def test_default_folds_at_fifty_digits(self, params_on):
+        # every branch at every power scale s lies on one curve,
+        # s(x) = mq*x*d1*d2/(n_mw*d1 - n_opt*d2) with the full-power
+        # numerators, and its stationary values in (0, 1) are the folds
+        # below full power: the roots of a sextic
+        def conv(a, b):
+            return np.convolve(np.array(a, dtype=object),
+                               np.array(b, dtype=object))
+
+        with mp.workdps(50):
+            q_max, mq, n_opt, n_mw, d1, d2, _ = reference_quintic(params_on)
+            num = conv([mq, 0], conv(d1, d2))
+            den = [n_mw * a - n_opt * b for a, b in zip(d1, d2)]
+            sextic = conv(np.polyder(num), den) - conv(num, np.polyder(den))
+            folds = []
+            for x in mp.polyroots(list(sextic), maxsteps=200, extraprec=200):
+                if abs(x.imag) <= mp.mpf(10) ** -30:
+                    s = mp.polyval(list(num), x.real) / mp.polyval(den, x.real)
+                    if 0 < s < 1:
+                        folds.append((float(s), float(x.real * q_max)))
+        assert len(folds) == 2
+        (s_13, q_13), (s_35, q_35) = sorted(folds)
+        assert s_13 == pytest.approx(1.8317338970e-6, rel=1e-10)
+        assert q_13 == pytest.approx(5.567e-13, rel=1e-3)
+        assert s_35 == pytest.approx(0.06623234532580653, rel=1e-15)
+        assert q_35 == pytest.approx(-1.3230e-12, rel=1e-4)
+        assert abs(DEFAULT_FOLD_SCALE - s_35) <= 1e-15 * s_35
+        for scale, counts in ((s_13, [1, 3]), (s_35, [3, 5])):
+            assert [len(reference_roots(params_on, scale * (1.0 + side)))
+                    for side in (-1e-9, 1e-9)] == counts
 
     def test_near_fold_finds_all_five(self, params_on):
         before = DEFAULT_FOLD_SCALE * (1.0 - 1e-9)

@@ -121,9 +121,10 @@ def _stationary_points(params: SystemParams, state: SteadyState):
     them, through :func:`~omrouter._roots.samples_and_seeds` on ``y`` from
     -1 (``omega = 0``) to 1 above the highest real part.  Each sign change
     of the slope (:func:`~omrouter._forms.port_slopes`) between
-    neighbouring samples is solved in rad/s by :func:`~omrouter._roots.false_position`, started at
-    the one real root inside; a slope of exactly zero at a sample, or one
-    that is not finite, ends no bracket.
+    neighbouring samples is solved in rad/s by
+    :func:`~omrouter._roots.false_position`, started at the one real root
+    inside; a slope of exactly zero at a sample, or one that is not
+    finite, ends no bracket.
     """
     wm = params.omega_m
     factors = port_factors(params, state.delta1, state.delta2,

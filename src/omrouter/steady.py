@@ -9,9 +9,9 @@ of :mod:`omrouter._roots`: the quintic's roots place the samples (its one
 sample rule, on ``[-1, 1]`` in ``q/q_max``), sign changes of the balance
 itself bracket every branch, and false position solves each bracket from
 the quintic's real root inside it.  The balance's coefficients and its
-cleared quintic are formed in :mod:`omrouter._forms`; this module keeps the
-sampling, bracketing, polishing and branch policy.  It selects the branch continuously
-connected to the undriven state via a power ramp.
+cleared quintic are formed in :mod:`omrouter._forms`; this module keeps
+the sampling, bracketing, polishing and branch policy.  It selects the
+branch continuously connected to the undriven state via a power ramp.
 An ``auto`` detuning is pinned from the balance's own roots at full power,
 with no ramp and no solve: the root connected to zero power is the first
 one met walking from ``q = 0`` in the direction of the net force there.
@@ -87,9 +87,9 @@ class SteadyState:
 def _balance(params: SystemParams, power_scale, drives=None):
     """The static force balance at ``power_scale``.
 
-    Returns its coefficients of :func:`~omrouter._forms.balance_coefficients`
-    ``(m_w2, num_opt, num_mw, k1sq, k2sq)`` and the balance as a function
-    of a float or an array ``q``.  ``power_scale`` is one float, so the
+    Returns the coefficients ``(m_w2, num_opt, num_mw, k1sq, k2sq)`` of
+    :func:`~omrouter._forms.balance_coefficients` and the balance as a
+    function of a float or an array ``q``.  ``power_scale`` is one float, so the
     coefficients are floats and the function closes over plain floats: the
     sample checks and the bracket solve call it many times across a ramp,
     where attribute lookups would dominate.  ``drives`` are the pump
@@ -439,12 +439,12 @@ def _pinned_root(params: SystemParams, pin_optical: bool) -> float:
 
     With that side's coupling zeroed and its detuning at ``omega_m``, its
     Lorentzian is the pinned constant, and the quintic of
-    :func:`_quintic_samples` at these floats is the pinned cubic.  Its full-power roots are
-    solved once (:func:`_stage_roots`), and the one connected to zero power
-    is returned: the nearest root above ``q = 0`` if the pinned balance is
-    negative there, the nearest below if it is positive, and the root
-    nearest 0 if it is exactly 0 (docs/derivation_notes.md, "Pinned
-    operating point").
+    :func:`_quintic_samples` at these floats is the pinned cubic.  Its
+    full-power roots are solved once (:func:`_stage_roots`), and the one
+    connected to zero power is returned: the nearest root above ``q = 0``
+    if the pinned balance is negative there, the nearest below if it is
+    positive, and the root nearest 0 if it is exactly 0
+    (docs/derivation_notes.md, "Pinned operating point").
     """
     t = params.omega_m
     da, dc, g1, g2 = ((t, params.delta_c, 0.0, params.g2) if pin_optical

@@ -20,6 +20,16 @@ four as the array columns of a :class:`ScanResult`.  The routing report's
 port spectra form R and T alone, so no report op pays for the Bose
 occupation.  Every node is evaluated by the same elementwise arithmetic,
 or the same 6x6 solve, whatever the size and shape of the call.
+
+A node is bad where the closed-form denominator vanishes, the 6x6 matrix
+is singular, or a coefficient is not finite.  Two rules cover bad nodes:
+
+* a call that needs every node (:func:`coefficients`, a scalar spectrum,
+  the routing report's port spectra, :func:`closed_vs_oracle_deviation`)
+  raises :class:`SingularPointError` at the first bad node, naming the
+  method, the node and the 6x6 system's condition estimate there;
+* an array spectrum puts NaN at a bad node, and :func:`scan_spectrum`
+  also lists it in its error list.
 """
 
 from __future__ import annotations
@@ -59,9 +69,7 @@ class ResponseCoefficients:
 
     ``e1``/``f1`` multiply the co- and counter-rotating optical inputs,
     ``e2``/``f2`` the microwave inputs, and ``v`` the mechanical force noise.
-    ``a1``..``b2`` are the four shifted cavity denominators, ``n_mech`` the
-    mechanical response polynomial, and ``d_det`` the common denominator of
-    the closed forms.
+    The same five numbers come from either evaluation path.
     """
 
     omega: float
@@ -70,12 +78,6 @@ class ResponseCoefficients:
     e2: complex
     f2: complex
     v: complex
-    a1: complex
-    b1: complex
-    a2: complex
-    b2: complex
-    n_mech: complex
-    d_det: complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,6 +234,28 @@ def _arrays(params, state, omega, method):
     raise InvalidParameterError(f"unknown evaluation method {method!r}")
 
 
+def _regular(params, state, omega, method):
+    """The five coefficient arrays on the nodes of ``omega`` (any shape),
+    from one kernel call, where every node must be good.
+
+    Raises :class:`SingularPointError` at the first bad node in flat
+    order; the message names the method, the node and the 6x6 system's
+    condition estimate there.
+    """
+    arrs, bad = _arrays(params, state, omega, method)
+    if bad.any():
+        w = float(np.asarray(omega, dtype=float).reshape(-1)[np.argmax(bad)])
+        mat, _ = _oracle_system(params, state, w)
+        try:
+            cond = float(np.linalg.cond(mat[0]))
+        except np.linalg.LinAlgError:
+            cond = math.inf
+        raise SingularPointError(
+            f"{method} response singular at omega={w!r} "
+            f"(condition estimate {cond:.3e})")
+    return arrs
+
+
 def closed_form_coefficients(params: SystemParams, state: SteadyState,
                              omega: float) -> ResponseCoefficients:
     """Closed-form response coefficients at a single frequency."""
@@ -246,27 +270,16 @@ def linear_solve_coefficients(params: SystemParams, state: SteadyState,
 
 def coefficients(params: SystemParams, state: SteadyState, omega: float,
                  method: str = "closed") -> ResponseCoefficients:
-    """Response coefficients at a single frequency by either path.
+    """The five response coefficients at a single frequency by either
+    path.
 
-    Raises :class:`SingularPointError` at a singular node; the message
-    carries the 6x6 system's condition estimate there.
+    Raises :class:`SingularPointError` at a singular node, naming the
+    method, the node and the 6x6 system's condition estimate there.
     """
     omega = float(omega)
-    arrs, bad = _arrays(params, state, omega, method)
-    if bad[0]:
-        mat, _ = _oracle_system(params, state, omega)
-        try:
-            cond = float(np.linalg.cond(mat[0]))
-        except np.linalg.LinAlgError:
-            cond = math.inf
-        raise SingularPointError(
-            f"{method} response singular at omega={omega!r} "
-            f"(condition estimate {cond:.3e})")
-    a1, b1, a2, b2, n, d = _intermediates(params, state, omega)
+    arrs = _regular(params, state, omega, method)
     return ResponseCoefficients(
-        omega=omega, **{k: complex(arrs[k][0]) for k in _COEFF_NAMES},
-        a1=complex(a1), b1=complex(b1), a2=complex(a2), b2=complex(b2),
-        n_mech=complex(n), d_det=complex(d))
+        omega=omega, **{k: complex(arrs[k][0]) for k in _COEFF_NAMES})
 
 
 def _rt(params: SystemParams, e1) -> dict:
@@ -296,14 +309,9 @@ def _node_spectra(params, state, nodes, method) -> dict:
     """R and T at the frequencies ``nodes``, as 1-D arrays, from one
     kernel call.
 
-    Raises :class:`SingularPointError` naming the first singular node.
+    Raises :class:`SingularPointError` at the first singular node.
     """
-    grid = np.atleast_1d(np.asarray(nodes, dtype=float))
-    arrs, bad = _arrays(params, state, grid, method)
-    if bad.any():
-        omega = float(grid[np.argmax(bad)])
-        raise SingularPointError(f"response singular at omega={omega!r}")
-    return _rt(params, arrs["e1"])
+    return _rt(params, _regular(params, state, nodes, method)["e1"])
 
 
 def _one_spectrum(params, state, omega, method, column):
@@ -313,13 +321,11 @@ def _one_spectrum(params, state, omega, method, column):
     Raises :class:`SingularPointError` at a singular scalar node.
     """
     grid = np.atleast_1d(np.asarray(omega, dtype=float))
+    if np.ndim(omega) == 0:
+        arrs = _regular(params, state, grid, method)
+        return float(_spectra(params, grid, arrs)[column][0])
     arrs, bad = _arrays(params, state, grid, method)
-    scalar = np.ndim(omega) == 0
-    if scalar and bad[0]:
-        raise SingularPointError(
-            f"response singular at omega={float(grid[0])!r}")
-    values = np.where(bad, np.nan, _spectra(params, grid, arrs)[column])
-    return float(values[0]) if scalar else values
+    return np.where(bad, np.nan, _spectra(params, grid, arrs)[column])
 
 
 def reflection(params: SystemParams, state: SteadyState, omega,
@@ -398,13 +404,13 @@ def closed_vs_oracle_deviation(params: SystemParams, state: SteadyState,
 
     Returns per-coefficient maxima plus the overall ``"max"`` entry.  The
     relative deviation uses an absolute floor of 1e-12 in the denominator so
-    coefficients that are identically zero compare cleanly.
+    coefficients that are identically zero compare cleanly.  Raises
+    :class:`SingularPointError` at the first singular node, closed form
+    first.
     """
     grid = np.asarray(omega_grid, dtype=float)
-    closed, bad_c = _closed_arrays(params, state, grid)
-    oracle, bad_o = _oracle_arrays(params, state, grid)
-    if np.any(bad_c) or np.any(bad_o):
-        raise SingularPointError("deviation grid hits a singular node")
+    closed = _regular(params, state, grid, "closed")
+    oracle = _regular(params, state, grid, "oracle")
     out: dict[str, float] = {}
     for name in _COEFF_NAMES:
         x, y = closed[name], oracle[name]

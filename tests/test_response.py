@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import mpmath as mp
@@ -81,14 +82,15 @@ class TestBareCavity:
 class TestCoefficients:
     def test_intermediates_reproduce_definitions(self, params_on, state_on):
         omega = 1.05 * params_on.omega_m
-        c = closed_form_coefficients(params_on, state_on, omega)
-        assert c.a1 == state_on.delta1 + omega + 2j * params_on.kappa1
-        assert c.b1 == state_on.delta1 - omega - 2j * params_on.kappa1
-        assert c.a2 == state_on.delta2 + omega + 2j * params_on.kappa2
-        assert c.b2 == state_on.delta2 - omega - 2j * params_on.kappa2
-        assert c.n_mech == (omega**2 + 1j * omega * params_on.gamma_m
-                            - params_on.omega_m**2)
-        assert c.d_det != 0.0
+        a1, b1, a2, b2, n_mech, d_det = response_module._intermediates(
+            params_on, state_on, omega)
+        assert a1 == state_on.delta1 + omega + 2j * params_on.kappa1
+        assert b1 == state_on.delta1 - omega - 2j * params_on.kappa1
+        assert a2 == state_on.delta2 + omega + 2j * params_on.kappa2
+        assert b2 == state_on.delta2 - omega - 2j * params_on.kappa2
+        assert n_mech == (omega**2 + 1j * omega * params_on.gamma_m
+                          - params_on.omega_m**2)
+        assert d_det != 0.0
 
     def test_oracle_agreement_at_sideband(self, params_on, state_on):
         wm = params_on.omega_m
@@ -102,13 +104,15 @@ class TestCoefficients:
         params = make_params(power_l=0.0)
         state = solve_steady_state(params)
         c = closed_form_coefficients(params, state, params.omega_m)
+        a1, _, a2, b2, n_mech, d_det = response_module._intermediates(
+            params, state, params.omega_m)
         assert c.f1 == 0.0 and c.e2 == 0.0 and c.f2 == 0.0 and c.v == 0.0
         # e1 reduces to the microwave-dressed cavity response
         hbar = CONSTANTS.hbar
         num = (2.0 * hbar * abs(state.c_s) ** 2 * params.g2**2
-               * state.delta2 * c.a1
-               + params.mass * c.n_mech * c.a1 * c.a2 * c.b2)
-        expected = -1j * math.sqrt(2.0 * params.kappa1) * num / c.d_det
+               * state.delta2 * a1
+               + params.mass * n_mech * a1 * a2 * b2)
+        expected = -1j * math.sqrt(2.0 * params.kappa1) * num / d_det
         assert c.e1 == pytest.approx(expected, rel=1e-12)
 
     def test_microwave_decoupled_kills_cross_terms(self):
@@ -524,6 +528,44 @@ def test_deviation_helper_raises_on_singular_node(params_on, state_on,
 
     monkeypatch.setattr(response_module, path, singular_first)
     grid = params_on.omega_m * np.linspace(0.9, 1.1, 5)
-    with pytest.raises(SingularPointError,
-                       match="^deviation grid hits a singular node$"):
+    method = path.split("_")[1]
+    with pytest.raises(SingularPointError, match="^" + re.escape(
+            f"{method} response singular at omega={float(grid[0])!r} "
+            "(condition estimate ") + r"[^)]+\)$"):
         closed_vs_oracle_deviation(params_on, state_on, grid)
+
+
+FRONTS = {
+    "coefficients": lambda p, s, grid, method: response_module.coefficients(
+        p, s, grid[1], method),
+    "reflection": lambda p, s, grid, method: reflection(
+        p, s, grid[1], method=method),
+    "node_spectra": lambda p, s, grid, method: response_module._node_spectra(
+        p, s, grid, method),
+    "deviation": lambda p, s, grid, method: closed_vs_oracle_deviation(
+        p, s, grid),
+}
+
+
+@pytest.mark.parametrize("method", ["closed", "oracle"])
+@pytest.mark.parametrize("front", sorted(FRONTS))
+def test_every_raising_front_names_method_node_and_condition(
+        params_on, state_on, monkeypatch, front, method):
+    # nodes 1 and 3 are bad by `method` only: each front that needs every
+    # node raises the same message at node 1, the first bad one
+    grid = params_on.omega_m * np.linspace(0.9, 1.1, 5)
+    flagged = {float(grid[1]), float(grid[3])}
+    real_arrays = response_module._arrays
+
+    def flag(params, state, omega, how):
+        arrs, bad = real_arrays(params, state, omega, how)
+        if how == method:
+            bad |= np.isin(np.atleast_1d(omega), list(flagged))
+        return arrs, bad
+
+    monkeypatch.setattr(response_module, "_arrays", flag)
+    with pytest.raises(SingularPointError) as info:
+        FRONTS[front](params_on, state_on, grid, method)
+    assert str(info.value).startswith(
+        f"{method} response singular at omega={float(grid[1])!r} "
+        "(condition estimate ")

@@ -344,6 +344,8 @@ def power_sweep(params: SystemParams, powers,
     solve misses, then its routing report's.
     """
     powers = [float(p) for p in powers]
+    if not all(math.isfinite(p) for p in powers):
+        raise InvalidParameterError("powers must be finite")
     if any(p < 0.0 for p in powers):
         raise InvalidParameterError("powers must be nonnegative")
     if any(b <= a for a, b in zip(powers, powers[1:])):

@@ -17,7 +17,7 @@ convention, ``|a_s|**2`` counts intracavity photons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -94,6 +94,10 @@ class SystemParams:
     pump_hbar: bool = field(default=True)
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name != "pump_hbar" and not math.isfinite(
+                    getattr(self, f.name)):
+                raise InvalidParameterError(f"{f.name} must be finite")
         positive = ("omega_m", "mass", "gamma_m", "kappa1", "kappa2",
                     "omega_l", "omega_p")
         for name in positive:
@@ -122,7 +126,7 @@ def pump_amplitude(power, omega_carrier, kappa, include_hbar=True):
         raise InvalidParameterError("omega_carrier must be > 0")
     if not kappa > 0.0:
         raise InvalidParameterError("kappa must be > 0")
-    if power < 0.0:
+    if not power >= 0.0:
         raise InvalidParameterError("power must be >= 0")
     denom = omega_carrier * (CONSTANTS.hbar if include_hbar else 1.0)
     return math.sqrt(2.0 * kappa * power / denom)
@@ -160,7 +164,7 @@ def thermal_occupation(omega, temperature):
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0.0):
         raise InvalidParameterError("omega must be > 0")
-    if temperature < 0.0:
+    if not temperature >= 0.0:
         raise InvalidParameterError("temperature must be >= 0")
     if temperature == 0.0:
         result = np.zeros_like(omega)

@@ -692,6 +692,13 @@ class TestPowerSweep:
         with pytest.raises(InvalidParameterError):
             power_sweep(params_on, [1e-9, 1e-9])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_powers(self, params_on, bad):
+        # a non-finite power would reach the steady solve's linear algebra
+        with pytest.raises(InvalidParameterError,
+                           match="^powers must be finite$"):
+            power_sweep(params_on, [3e-7, bad], True, True)
+
     def test_rows_carry_report_warnings(self, params_on):
         # at 1 pW the pinned report collapses and warns; at 20 uW the
         # state misses both pinned detunings, and the report finds three

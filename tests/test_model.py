@@ -61,6 +61,11 @@ class TestPumpAmplitude:
         with pytest.raises(InvalidParameterError):
             pump_amplitude(**kwargs)
 
+    def test_nan_power_rejected(self):
+        with pytest.raises(InvalidParameterError,
+                           match="^power must be >= 0$"):
+            pump_amplitude(math.nan, 1e15, 1e5)
+
     @given(power=st.floats(min_value=1e-12, max_value=1e-2),
            alpha=st.floats(min_value=1e-6, max_value=1e6))
     def test_power_homogeneity(self, power, alpha):
@@ -138,6 +143,11 @@ class TestThermalOccupation:
         with pytest.raises(InvalidParameterError):
             thermal_occupation(1.0, -1.0)
 
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(InvalidParameterError,
+                           match="^temperature must be >= 0$"):
+            thermal_occupation(1e7, math.nan)
+
 
 class TestSystemParams:
     def test_validation(self):
@@ -149,6 +159,26 @@ class TestSystemParams:
             make_params(g1=-1.0)
         with pytest.raises(InvalidParameterError):
             make_params(power_p=-1e-9)
+
+    @pytest.mark.parametrize("name", [
+        "omega_m", "mass", "gamma_m", "kappa1", "kappa2", "g1", "g2",
+        "delta_a", "delta_c", "omega_l", "omega_p", "power_l", "power_p",
+        "temperature"])
+    def test_non_finite_value_rejected(self, name):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameterError,
+                               match=f"^{name} must be finite$"):
+                make_params(**{name: value})
+
+    def test_sign_messages_unchanged(self):
+        for name, value, message in [
+                ("omega_m", 0.0, "omega_m must be > 0"),
+                ("kappa2", -1.0, "kappa2 must be > 0"),
+                ("g2", -1.0, "g2 must be >= 0"),
+                ("temperature", -1e-3, "temperature must be >= 0")]:
+            with pytest.raises(InvalidParameterError,
+                               match=f"^{message}$"):
+                make_params(**{name: value})
 
     def test_sideband_resolved_flag(self):
         assert make_params().sideband_resolved

@@ -5,9 +5,12 @@ The shared resonator feels the restoring force plus one radiation-pressure
 Lorentzian per cavity.  At the reference drive powers that balance has five
 real roots: the small central displacement the router actually operates at,
 and two pairs hugging the points where a cavity is pulled through resonance.
-This script prints all branches, shows how the solver's power ramp stays on
-the branch connected to the undriven state, and checks the fixed point by
-hand.
+This script prints all branches, shows which one the solver's power ramp
+selects (at each of 10 power scales, 0.1 to 1.0, the root nearest the one
+kept at the previous scale, starting from q = 0), and checks the fixed point
+by hand.  The ramp can step past a fold and leave the branch connected to
+the undriven state; ROADMAP item 7 replaces it with that branch in closed
+form.
 """
 
 import numpy as np
@@ -34,7 +37,7 @@ def main():
         print(f"  [{i}] q = {q:+.6e}   F(q) = {force_balance(params, q):+.3e} N")
 
     print(f"\npower ramp selects branch {state.branch_index} "
-          f"(connected to q = 0 at zero drive):")
+          f"(nearest root at each power scale, from q = 0):")
     print(f"  q_s = {state.q_s:+.6e} m")
     print(f"  |a_s|^2 = {abs(state.a_s)**2:.4e} photons, "
           f"|c_s|^2 = {abs(state.c_s)**2:.4e}")

@@ -318,12 +318,6 @@ class SweepResult:
     rows: list[SweepRow]
     errors: list[tuple[int, float, str]]
 
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
 
 def power_sweep(params: SystemParams, powers,
                 pin_optical: bool = False, pin_microwave: bool = False,

@@ -11,7 +11,7 @@ holds its parser and its canonical default string; the key lookup, the
 built-in :data:`DEFAULTS` and the ``resolved.cfg`` echo order all derive
 from that field list.
 
-The bundled defaults describe the calibrated reference device; ``g1``/``g2``
+The built-in defaults describe the calibrated reference device; ``g1``/``g2``
 are calibration choices produced by :func:`omrouter.analysis.calibrate_couplings`
 (the experimental record this parameter set is modelled on does not fix
 them), and ``delta_a = auto`` pins the effective detunings to the mechanical
@@ -172,8 +172,8 @@ def _key(parse, default: str):
     """Declare one configuration key: its parser and canonical default.
 
     The default is a config-file string run through the same parser as a
-    config file, so the bundled reference file and the built-in defaults
-    can never drift apart by a rounding step.
+    config file, so a file that spells a default the same way parses to
+    the built-in value exactly.
     """
     return field(metadata={"parse": parse, "default": default})
 
@@ -201,7 +201,6 @@ class RunConfig:
     power_l: float = _key(_POWER, "130uW")
     power_p: float = _key(_POWER, "300nW")
     temperature: float = _key(_TEMPERATURE, "20mK")
-    pump_hbar: bool = _key(_parse_bool, "true")
     residual_tol: float = _key(_PLAIN, "1e-10")
     branch_policy: str = _key(_parse_choice({"ramp", "direct"}), "ramp")
     oracle: bool = _key(_parse_bool, "false")

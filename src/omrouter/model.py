@@ -10,14 +10,14 @@ Unit conventions
 Strict SI with *angular* frequencies: every rate, frequency, and detuning is
 in rad/s.  Literature values quoted as ``2pi x f`` are converted on ingestion
 (see :mod:`omrouter.config`).  Couplings ``g1``/``g2`` are cavity frequency
-pulls per unit displacement, rad/(s*m).  With the default photon-flux pump
-convention, ``|a_s|**2`` counts intracavity photons.
+pulls per unit displacement, rad/(s*m).  Pump amplitudes are photon-flux
+normalised, so ``|a_s|**2`` counts intracavity photons.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,13 @@ class PhysicalConstants:
 
 
 CONSTANTS = PhysicalConstants()
+
+
+def _require_finite(**values) -> None:
+    """Raise ``<name> must be finite`` at the first NaN or infinite value."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -71,10 +78,6 @@ class SystemParams:
         Optical / microwave pump powers (W).
     temperature : float
         Mechanical bath temperature (K).
-    pump_hbar : bool
-        If True (default), pump amplitudes use the photon-flux convention
-        ``sqrt(2*kappa*P/(hbar*omega))``; if False the ``hbar`` is dropped.
-        Compatibility switch only; see README.
     """
 
     omega_m: float
@@ -91,36 +94,24 @@ class SystemParams:
     power_l: float
     power_p: float
     temperature: float
-    pump_hbar: bool = field(default=True)
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name != "pump_hbar" and not math.isfinite(
-                    getattr(self, f.name)):
-                raise InvalidParameterError(f"{f.name} must be finite")
-        positive = ("omega_m", "mass", "gamma_m", "kappa1", "kappa2",
-                    "omega_l", "omega_p")
-        for name in positive:
+        _require_finite(**vars(self))
+        for name in ("omega_m", "mass", "gamma_m", "kappa1", "kappa2",
+                     "omega_l", "omega_p"):
             if not getattr(self, name) > 0.0:
                 raise InvalidParameterError(f"{name} must be > 0")
-        nonnegative = ("g1", "g2", "power_l", "power_p", "temperature")
-        for name in nonnegative:
+        for name in ("g1", "g2", "power_l", "power_p", "temperature"):
             if not getattr(self, name) >= 0.0:
                 raise InvalidParameterError(f"{name} must be >= 0")
 
-    @property
-    def sideband_resolved(self) -> bool:
-        """True when the mechanical frequency clears ten optical linewidth
-        parameters, the regime in which the router operates."""
-        return self.omega_m > 10.0 * self.kappa1
 
-
-def pump_amplitude(power, omega_carrier, kappa, include_hbar=True):
+def pump_amplitude(power, omega_carrier, kappa):
     """Drive amplitude (s^-1) delivered by a pump of the given power.
 
-    ``include_hbar=True`` gives the photon-flux normalization
-    ``sqrt(2*kappa*P/(hbar*omega))`` so that squared intracavity amplitudes
-    count photons; ``False`` drops the ``hbar``.
+    The photon-flux normalization ``sqrt(2*kappa*P/(hbar*omega))``, so
+    that squared intracavity amplitudes count photons.  Every argument
+    must be finite.
     """
     if not omega_carrier > 0.0:
         raise InvalidParameterError("omega_carrier must be > 0")
@@ -128,17 +119,15 @@ def pump_amplitude(power, omega_carrier, kappa, include_hbar=True):
         raise InvalidParameterError("kappa must be > 0")
     if not power >= 0.0:
         raise InvalidParameterError("power must be >= 0")
-    denom = omega_carrier * (CONSTANTS.hbar if include_hbar else 1.0)
-    return math.sqrt(2.0 * kappa * power / denom)
+    if math.inf in (power, omega_carrier, kappa):  # NaN failed a sign check
+        _require_finite(power=power, omega_carrier=omega_carrier, kappa=kappa)
+    return math.sqrt(2.0 * kappa * power / (omega_carrier * CONSTANTS.hbar))
 
 
 def drive_amplitudes(params: SystemParams) -> tuple[float, float]:
     """(optical, microwave) pump amplitudes for the given parameter set."""
-    eps_l = pump_amplitude(params.power_l, params.omega_l, params.kappa1,
-                           include_hbar=params.pump_hbar)
-    eps_p = pump_amplitude(params.power_p, params.omega_p, params.kappa2,
-                           include_hbar=params.pump_hbar)
-    return eps_l, eps_p
+    return (pump_amplitude(params.power_l, params.omega_l, params.kappa1),
+            pump_amplitude(params.power_p, params.omega_p, params.kappa2))
 
 
 def effective_detunings(params: SystemParams, q_s: float) -> tuple[float, float]:
@@ -155,20 +144,20 @@ def effective_detunings(params: SystemParams, q_s: float) -> tuple[float, float]
 def thermal_occupation(omega, temperature):
     """Bose occupation ``1/(exp(hbar*omega/(k_B*T)) - 1)``.
 
-    Accepts scalars or arrays for ``omega`` (rad/s, must be > 0).  Returns 0
-    at ``temperature = 0``.  For x = hbar*omega/(k_B*T) this equals
-    ``(coth(x/2) - 1)/2``, the form in which it enters the thermal force
-    correlator, but evaluated through ``expm1`` so it stays accurate for
-    x anywhere in [1e-6, 700] and cleanly underflows to 0 beyond.
+    Accepts scalars or arrays for ``omega`` (rad/s, must be > 0); the
+    temperature must be finite.  Returns 0 at ``temperature = 0``.  For
+    x = hbar*omega/(k_B*T) this equals ``(coth(x/2) - 1)/2``, the form in
+    which it enters the thermal force correlator, but evaluated through
+    ``expm1`` so it stays accurate for x anywhere in [1e-6, 700] and
+    cleanly underflows to 0 beyond.
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0.0):
         raise InvalidParameterError("omega must be > 0")
     if not temperature >= 0.0:
         raise InvalidParameterError("temperature must be >= 0")
-    if temperature == 0.0:
-        result = np.zeros_like(omega)
-        return float(result) if result.ndim == 0 else result
-    x = CONSTANTS.hbar * omega / (CONSTANTS.k_B * temperature)
+    _require_finite(temperature=temperature)
+    x = (CONSTANTS.hbar * omega / (CONSTANTS.k_B * temperature)
+         if temperature > 0.0 else np.full_like(omega, np.inf))
     result = np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
     return float(result) if result.ndim == 0 else result

@@ -1,7 +1,7 @@
 import math
+import re
 import tempfile
 from dataclasses import fields
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -35,17 +35,10 @@ class TestDefaults:
         assert default_cfg.power_p == approx(300e-9, rel=1e-15)
         assert default_cfg.temperature == approx(0.02, rel=1e-15)
         assert default_cfg.delta_a == "auto"
-        assert default_cfg.pump_hbar is True
 
     def test_empty_file_is_pure_defaults(self, tmp_path, default_cfg):
         path = write_cfg(tmp_path, "# nothing here\n\n   \n")
         cfg = parse_config(path, env={})
-        assert cfg == default_cfg
-
-    def test_bundled_reference_file(self, default_cfg):
-        ref = resources.files("omrouter") / "data" / "fig2.cfg"
-        with resources.as_file(ref) as path:
-            cfg = parse_config(path, env={})
         assert cfg == default_cfg
 
     def test_library_defaults_agree(self):
@@ -301,6 +294,21 @@ def test_readme_names_every_key():
     missing = [f.name for f in fields(RunConfig)
                if f"`{f.name}`" not in section]
     assert missing == []
+
+
+def test_readme_removed_keys_are_unknown():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    sentence = re.search(r"A config that sets a removed key \(([^)]*)\) "
+                         r"is rejected as an unknown key\.", text)
+    removed = re.findall(r"`(\w+)`", sentence.group(1))
+    assert "pump_hbar" in removed
+    names = {f.name for f in fields(RunConfig)}
+    for key in removed:
+        assert key not in names
+        with pytest.raises(ConfigError, match=re.escape(
+                f"override {key!r}: unknown key {key!r}")):
+            parse_config(overrides=[f"{key}=1"], env={})
 
 
 class TestSystemParams:

@@ -836,6 +836,90 @@ class TestCalibration:
             calibrate_couplings(replace(params_on, g2=0.0))
         assert tried == [0.0, 1e3]
 
+    @staticmethod
+    def synthetic(monkeypatch, splitting, depth_met=lambda g1, g2: True):
+        # a stand-in device: every pump-off window is blocked, and the
+        # report at (g1, g2) has omega0 splitting(g1, g2) and two reflect
+        # ports that meet their depth target where depth_met(g1, g2); a
+        # RouterError raised by either is the report's.  Returns the
+        # (g1, g2) of every report asked for, in order
+        asked = []
+
+        def report(p, state, r_reflect_min):
+            asked.append((p.g1, p.g2))
+            met = depth_met(p.g1, p.g2)
+            ports = tuple(analysis_module.Port(label, 1.0, 1.0, 0.0, met)
+                          for label in ("reflect-lower", "reflect-upper"))
+            return analysis_module.RoutingReport(
+                pump_on=True, center=1.0, omega0=splitting(p.g1, p.g2),
+                ports=ports)
+
+        monkeypatch.setattr(analysis_module, "operating_point",
+                            lambda p, pin_optical, pin_microwave: (p, None))
+        monkeypatch.setattr(analysis_module, "transmission",
+                            lambda p, state, omega: 0.0)
+        monkeypatch.setattr(analysis_module, "routing_report", report)
+        return asked
+
+    def test_failing_report_misses_its_target(self, monkeypatch):
+        # the report at the start value raises; that trial misses the
+        # splitting target and the stage bisects up to omega0 > 6
+        def splitting(g1, g2):
+            if g2 < 2.0:
+                raise AnalysisError("no reflection maximum at omega >= 0")
+            return g2
+
+        asked = self.synthetic(monkeypatch, splitting)
+        g1, g2 = calibrate_couplings(
+            make_params(g1=1.0, g2=1.0), CalibrationTargets(splitting_min=6.0),
+            g1_bracket=(1.0, 2.0), g2_bracket=(1.0, 100.0))
+        assert asked[:2] == [(1.0, 1.0), (1.0, 100.0)]
+        assert g1 == 1.0 and 6.0 < g2 <= 6.0 * (1.0 + 2e-3)
+
+    def test_missed_top_doubles_the_lower_end(self, monkeypatch):
+        # omega0 > 6 only on (6, 10), so the top 100 misses: the stage
+        # tries 2, 4 and 8 times the lower end 1, and bisects on (4, 8]
+        asked = self.synthetic(monkeypatch,
+                               lambda g1, g2: g2 if g2 < 10.0 else 0.0)
+        g1, g2 = calibrate_couplings(
+            make_params(g1=1.0, g2=1.0), CalibrationTargets(splitting_min=6.0),
+            g1_bracket=(1.0, 2.0), g2_bracket=(1.0, 100.0))
+        assert [g for _, g in asked[:5]] == [1.0, 100.0, 2.0, 4.0, 8.0]
+        assert all(4.0 < g < 8.0 for _, g in asked[5:])
+        assert g1 == 1.0 and 6.0 < g2 <= 6.0 * (1.0 + 2e-3)
+
+    def test_depth_failure_records_the_report_error(self, monkeypatch):
+        # no g1 below the top meets the depth target and the report at the
+        # top raises: the error names that report's message
+        def depth_met(g1, g2):
+            if g1 == 4.0:
+                raise AnalysisError("no reflection maximum at omega >= 0")
+            return False
+
+        self.synthetic(monkeypatch, lambda g1, g2: 1.0, depth_met)
+        with pytest.raises(CalibrationError,
+                           match="^reflect-port depth target ") as info:
+            calibrate_couplings(
+                make_params(g1=1.0, g2=1.0),
+                CalibrationTargets(splitting_min=0.5),
+                g1_bracket=(1.0, 4.0), g2_bracket=(1.0, 8.0))
+        assert info.value.closest == {
+            "g1": 4.0, "g2": 1.0,
+            "error": "no reflection maximum at omega >= 0"}
+
+    def test_depth_stage_loses_splitting_and_g2_is_rebisected(
+            self, monkeypatch):
+        # omega0 = g2 - g1 and depth needs g1 >= 2: the depth stage moves
+        # g1 from 1 to about 2, which loses the splitting at g2 = 2, so g2
+        # is bisected once more, to about g1 + 0.5
+        self.synthetic(monkeypatch, lambda g1, g2: g2 - g1,
+                       lambda g1, g2: g1 >= 2.0)
+        g1, g2 = calibrate_couplings(
+            make_params(g1=1.0, g2=2.0), CalibrationTargets(splitting_min=0.5),
+            g1_bracket=(1.0, 8.0), g2_bracket=(2.0, 8.0))
+        assert 2.0 <= g1 <= 2.0 * (1.0 + 2e-3)
+        assert 0.5 < g2 - g1 and g2 <= (g1 + 0.5) * (1.0 + 2e-3)
+
     def test_depth_unreachable_inside_bracket(self, params_on):
         weak = replace(params_on, g1=0.3 * params_on.g1)
         top = 0.4 * params_on.g1

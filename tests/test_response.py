@@ -569,3 +569,24 @@ def test_every_raising_front_names_method_node_and_condition(
     assert str(info.value).startswith(
         f"{method} response singular at omega={float(grid[1])!r} "
         "(condition estimate ")
+
+
+def test_singular_node_without_condition_estimate(params_on, state_on,
+                                                  monkeypatch):
+    # where the condition number cannot be computed, the message reads inf
+    real_arrays = response_module._arrays
+
+    def flag_all(params, state, omega, how):
+        arrs, bad = real_arrays(params, state, omega, how)
+        return arrs, np.ones_like(bad)
+
+    def no_estimate(matrix):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(response_module, "_arrays", flag_all)
+    monkeypatch.setattr(np.linalg, "cond", no_estimate)
+    w = params_on.omega_m
+    with pytest.raises(SingularPointError, match=re.escape(
+            f"closed response singular at omega={w!r} "
+            "(condition estimate inf)")):
+        response_module.coefficients(params_on, state_on, w)

@@ -481,6 +481,20 @@ class TestFalsePosition:
                            rel=1e-11)
 
 
+def test_polish_stops_before_leaving_the_bracket():
+    # a shallow slope sends the first Newton step from 0.5 to -19.5,
+    # outside [0, 1]: the polish keeps the bracket solve's root and
+    # evaluates no candidate
+    points = []
+
+    def balance_and_slope(x):
+        points.append(x)
+        return x - 0.3, 0.01
+
+    assert steady_module._polish_root(balance_and_slope, 0.5, 0.0, 1.0) == 0.5
+    assert points == [0.5]
+
+
 class TestEnumerateBranches:
     def test_no_drive(self):
         p = make_params(power_l=0.0, power_p=0.0)
@@ -767,6 +781,28 @@ class TestPinning:
         # powers
         p = default_cfg.system_params(power_p=power_p)
         assert (p.delta_a.hex(), p.delta_c.hex()) == (delta_a, delta_c)
+
+    @pytest.mark.parametrize("pin_optical", [True, False])
+    def test_single_side_balance_exactly_zero_at_rest(self, monkeypatch,
+                                                       pin_optical):
+        # both cavities alike and both detunings at omega_m: the pinned
+        # Lorentzian equals the bare one at q = 0, so the pinned balance
+        # is exactly 0 there and the connected root is the one nearest 0
+        params = make_params(kappa2=TAU * 100e3, g2=5.0e19,
+                             omega_p=TAU * 195e12, power_p=130e-6)
+        calls = []
+        real_nearest = steady_module._nearest
+
+        def spy(roots, target):
+            calls.append((list(roots), target))
+            return real_nearest(roots, target)
+
+        monkeypatch.setattr(steady_module, "_nearest", spy)
+        q = steady_module._pinned_root(params, pin_optical)
+        assert len(calls) == 1
+        roots, target = calls[0]
+        assert target == 0.0 and len(roots) == 3
+        assert q == min(roots, key=abs) == 0.0
 
     def test_noop_without_flags(self):
         p = make_params()
